@@ -159,8 +159,11 @@ def project_set(s: Set, x) -> np.ndarray:
     if na == 0:
         return x.copy()
     if na == 1:
+        # the face projection is the answer only if it keeps the other faces
         i = int(np.argmax(active))
-        return x - resid[i] * s.normals[i]
+        p = x - resid[i] * s.normals[i]
+        if m == 1 or float((s.normals @ p - s.offsets).max()) <= PROJ_TOL:
+            return p
     if m == 2:
         p = _project_two_halfspaces(x, s.normals[0], s.offsets[0],
                                     s.normals[1], s.offsets[1])
@@ -368,11 +371,6 @@ def eval_fn(phi: ConvexFunction, x, feas_tol: float = 1e-9) -> float:
     if phi.kind == "quadratic_plus_indicator":
         return float(0.5 * x @ (phi.A @ x) + phi.q @ x)
     return float(phi.a @ x + phi.beta)
-
-
-def project_domain(phi: ConvexFunction, x) -> np.ndarray:
-    """Euclidean projection onto the domain of phi."""
-    return project_set(phi.domain, x)
 
 
 def _prox_quadratic(phi: ConvexFunction, eps: float, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ import platform
 
 import numpy as np
 
-from .paths import SampledPath
 from .solver import SkorohodSolution
 
 
@@ -36,16 +35,6 @@ def solution_csv_text(sol: SkorohodSolution) -> str:
         row = [fmt_float(i * dt)]
         row += [fmt_float(v) for v in xv[i]]
         row += [fmt_float(v) for v in kv[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def path_csv_text(p: SampledPath, prefix: str = "v") -> str:
-    header = ["t"] + [f"{prefix}_{i + 1}" for i in range(p.dim)]
-    lines = [",".join(header)]
-    for i in range(p.values.shape[0]):
-        row = [fmt_float(p.t0 + i * p.dt)]
-        row += [fmt_float(v) for v in p.values[i]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

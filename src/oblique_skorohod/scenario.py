@@ -18,7 +18,6 @@ import numpy as np
 
 from . import coeffs, convex, field as fieldmod
 from .paths import SampledPath, snapped_width
-from .solver import PenalizedConfig
 
 
 class ScenarioError(ValueError):
@@ -50,10 +49,6 @@ class Scenario:
     substep_ratio: int = 10
     guard_radius: float = 1e6
     snapped: dict = dc_field(default_factory=dict)
-
-    def penalized_cfg(self, eps: float) -> PenalizedConfig:
-        return PenalizedConfig(eps=eps, substep_ratio=self.substep_ratio,
-                               guard_radius=self.guard_radius)
 
 
 def _need(raw: dict, key: str):

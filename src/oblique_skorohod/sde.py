@@ -11,6 +11,11 @@ computes the path block by block; no fixed-point iteration is needed.  The
 inner stochastic integral uses left endpoints (Ito), and the window average
 uses the rectangle rule on the same grid.
 
+A sample path is solved pathwise: `solve_svi_path` runs the substep kernel
+of `solver` (the one behind `solve_penalized`) with M as its input, and M
+comes from the single incremental builder `_window_input`, which the public
+`build_Mn` runs to the end in one go.
+
 Gaussians come from a Box-Muller transform on the Philox counter-based
 generator keyed by the driver seed; the generator identity string is part
 of every output so reproducibility claims are auditable.
@@ -19,8 +24,6 @@ of every output so reproducibility claims are auditable.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +32,9 @@ from .coeffs import DiffusionSpec, DriftSpec
 from .convex import ConvexFunction, make_resolvent, project_set, set_distance
 from .diagnostics import vi_residual
 from .field import ObliqueField, make_field_eval
-from .paths import SampledPath, total_variation
+from .paths import SampledPath
 from .solver import (GridMismatch, PenalizedConfig, SkorohodSolution,
-                     StabilityBreach, _lag_cells, system_id)
+                     _solution, _substep_mesh, _sweep)
 
 GENERATOR_ID = "philox4x64-boxmuller-v1"
 
@@ -97,6 +100,39 @@ def _window_cells(n: int, dt: float) -> int:
     return cells
 
 
+def _window_input(f: DriftSpec, g: DiffusionSpec, phi: ConvexFunction,
+                  x_hist: np.ndarray, db: np.ndarray, dt: float, win: int):
+    """Causal builder of the delayed-window input M on the grid of db.
+
+    Returns (values, rates, extend).  extend(j) computes M up to node j;
+    node i + 1 reads only the delayed state x_hist[i - win] (x_hist[0]
+    before time 0), so a forward sweep can extend M as its states become
+    final.  rates[i] is the increment rate of M over cell i.
+    """
+    cells = db.shape[0]
+    d = x_hist.shape[1]
+    ito, drift, run, values = (np.zeros((cells + 1, d)) for _ in range(4))
+    rates = np.empty((cells, d))
+    done = 0
+
+    def extend(upto: int):
+        nonlocal done
+        for i in range(done, upto):
+            xd = x_hist[i - win] if i >= win else x_hist[0]
+            px = project_set(phi.domain, xd)
+            t = i * dt
+            ito[i + 1] = ito[i] + g.eval(t, px) @ db[i]
+            if not f.is_zero():
+                drift[i + 1] = drift[i] + dt * f.eval(t, px)
+            run[i + 1] = run[i] + ito[i]
+            lo = i + 1 - win if i + 1 - win > 0 else 0
+            values[i + 1] = drift[i + 1] + (run[i + 1] - run[lo]) / win
+            rates[i] = (values[i + 1] - values[i]) / dt
+        done = max(done, upto)
+
+    return values, rates, extend
+
+
 def build_Mn(f: DriftSpec, g: DiffusionSpec, x_hist: SampledPath,
              bpath: SampledPath, n: int, phi: ConvexFunction) -> SampledPath:
     """The delayed-window input path M on the grid of bpath.
@@ -109,32 +145,11 @@ def build_Mn(f: DriftSpec, g: DiffusionSpec, x_hist: SampledPath,
     cells = bpath.n_cells
     if x_hist.n_cells != cells or abs(x_hist.dt - dt) > 1e-15:
         raise GridMismatch("x_hist must share the Brownian grid")
-    win = _window_cells(n, dt)
-    d = x_hist.dim
-    xv = x_hist.values
-    x0 = xv[0]
-    db = np.diff(bpath.values, axis=0)
-
-    ito = np.zeros((cells + 1, d))
-    drift = np.zeros((cells + 1, d))
-    for i in range(cells):
-        xd = xv[i - win] if i >= win else x0
-        px = project_set(phi.domain, xd)
-        t = i * dt
-        gi = g.eval(t, px)
-        ito[i + 1] = ito[i] + gi @ db[i]
-        if f.is_zero():
-            drift[i + 1] = drift[i]
-        else:
-            drift[i + 1] = drift[i] + dt * f.eval(t, px)
-    run = np.zeros((cells + 1, d))
-    for j in range(1, cells + 1):
-        run[j] = run[j - 1] + ito[j - 1]
-    out = np.empty((cells + 1, d))
-    for j in range(cells + 1):
-        lo = j - win if j - win > 0 else 0
-        out[j] = drift[j] + (run[j] - run[lo]) / win
-    return SampledPath(t0=0.0, dt=dt, values=out, extension="zero")
+    values, _, extend = _window_input(f, g, phi, x_hist.values,
+                                      np.diff(bpath.values, axis=0), dt,
+                                      _window_cells(n, dt))
+    extend(cells)
+    return SampledPath(t0=0.0, dt=dt, values=values, extension="zero")
 
 
 def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
@@ -142,10 +157,11 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
                    n: int, cfg: PenalizedConfig | None = None) -> SkorohodSolution:
     """One sample path of the constrained stochastic evolution.
 
-    Builds the delayed-window input M block by block (each block only
-    reads already-final states) and integrates the regularized reflected
-    dynamics through it.  The smoothing width defaults to the window 1/n
-    when cfg is None.  Bit-identical for identical (seed, n, cfg).
+    The deterministic substep kernel of `solver` driven by the
+    delayed-window input M, which the sweep extends one cell ahead of the
+    substeps that use it (each block only reads already-final states).
+    The smoothing width defaults to the window 1/n when cfg is None.
+    Bit-identical for identical (seed, n, cfg).
 
     drv is normally a BrownianDriver; a pre-sampled driving path may be
     passed instead for pathwise solves against a fixed noise realization.
@@ -159,87 +175,26 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     if isinstance(drv, SampledPath):
         bpath = drv
         seed_label = None
-        dt = bpath.dt
-        cells = bpath.n_cells
     else:
         bpath = brownian_path(drv)
         seed_label = drv.seed
-        dt = drv.dt
-        cells = drv.n_cells
+    dt = bpath.dt
+    cells = bpath.n_cells
     win = _window_cells(n, dt)
     if cfg is None:
         cfg = PenalizedConfig(eps=win * dt)
     eps = cfg.eps
-    lag = _lag_cells(eps, dt)
-    ratio = int(cfg.substep_ratio)
-    n_sub = max(1, int(math.ceil(dt * hf.c * ratio / eps - 1e-12)))
-    h = dt / n_sub
-    guard2 = cfg.guard_radius * cfg.guard_radius
-    db = np.diff(bpath.values, axis=0)
+    _, n_sub = _substep_mesh(cfg, dt, hf.c)
     prox = make_resolvent(phi, eps)
     field_at = make_field_eval(hf)
 
-    xg = np.empty((cells + 1, d))
-    xg[0] = x0
-    mvals = np.zeros((cells + 1, d))
-    ito = np.zeros((cells + 1, d))
-    drift = np.zeros((cells + 1, d))
-    run = np.zeros((cells + 1, d))
-    m_done = 0  # highest computed node of M
-
-    nq = cells * n_sub
-    xq = np.empty((nq + 1, d))
-    kq = np.empty((nq + 1, d))
+    xq = np.empty((cells * n_sub + 1, d))
     xq[0] = x0
-    kq[0] = 0.0
-    x = x0.copy()
-    k = np.zeros(d)
-    max_grad = 0.0
-    for j in range(cells):
-        while m_done < min(j + 1, cells):
-            i = m_done  # building node i+1 from cell i
-            xd = xg[i - win] if i >= win else x0
-            px = project_set(phi.domain, xd)
-            t = i * dt
-            gi = g.eval(t, px)
-            ito[i + 1] = ito[i] + gi @ db[i]
-            if f.is_zero():
-                drift[i + 1] = drift[i]
-            else:
-                drift[i + 1] = drift[i] + dt * f.eval(t, px)
-            run[i + 1] = run[i] + ito[i]
-            lo = i + 1 - win if i + 1 - win > 0 else 0
-            mvals[i + 1] = drift[i + 1] + (run[i + 1] - run[lo]) / win
-            m_done = i + 1
-        for s in range(n_sub):
-            q = j * n_sub + s
-            gp = (x - prox(x)) / eps
-            gn = float(gp @ gp)
-            if gn > max_grad:
-                max_grad = gn
-            tau = q * h - eps
-            if tau >= -1e-12:
-                mcell = int(tau / dt + 1e-9)
-                if mcell >= cells:
-                    mcell = cells - 1
-                u = (mvals[mcell + 1] - mvals[mcell]) / dt
-                x = x + h * (u - field_at(x) @ gp)
-            else:
-                x = x - h * (field_at(x) @ gp)
-            k = k + h * gp
-            if float(x @ x) > guard2:
-                raise StabilityBreach(
-                    f"state norm {float(np.linalg.norm(x)):.3e} left the "
-                    f"guard ball at t={(q + 1) * h:.6g} "
-                    f"(seed={seed_label}, n={n})")
-            xq[q + 1] = x
-            kq[q + 1] = k
-        xg[j + 1] = x
-    max_grad = math.sqrt(max_grad)
-
-    x_path = SampledPath(t0=0.0, dt=dt, values=xg, extension="frozen")
-    k_path = SampledPath(t0=0.0, dt=dt, values=kq[::n_sub].copy(), extension="zero")
-    defect = max(set_distance(phi.domain, xg[i]) for i in range(cells + 1))
+    mvals, rates, extend = _window_input(f, g, phi, xq[::n_sub],
+                                         np.diff(bpath.values, axis=0), dt, win)
+    kq, max_grad = _sweep(xq, n_sub, dt, cfg, prox, field_at, rates,
+                          f"seed={seed_label}, n={n}",
+                          before_cell=lambda j: extend(j + 1))
     diag = {
         "generator": GENERATOR_ID,
         "seed": None if seed_label is None else int(seed_label),
@@ -247,16 +202,10 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
         "window_cells": win,
         "eps": eps,
         "n_substeps_per_cell": n_sub,
-        "max_gradient_norm": max_grad,
-        "max_feasibility_defect": defect,
-        "feasibility_bound": eps * max_grad,
     }
-    return SkorohodSolution(
-        x=x_path, k=k_path, tv_k=total_variation(k_path), eps=eps,
-        system_id=system_id(phi, hf),
-        refinement_history=[(eps, None)], diagnostics=diag,
-        t_quad=h * np.arange(nq + 1), x_quad=xq, k_quad=kq,
-        input_m=SampledPath(t0=0.0, dt=dt, values=mvals, extension="zero"))
+    return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad,
+                     set_distance, diag,
+                     SampledPath(t0=0.0, dt=dt, values=mvals, extension="zero"))
 
 
 @dataclass(frozen=True)
@@ -277,68 +226,35 @@ class SviProblem:
     test_points: tuple = ()
 
 
-def _threads() -> int:
-    raw = os.environ.get("OBLIQUE_SKOROHOD_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
 def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
                 collect_paths: bool = False) -> dict:
     """Seeded batch of sample paths with deterministic aggregation.
 
-    Path i uses seed base_seed + i.  Workers (capped by the
-    OBLIQUE_SKOROHOD_THREADS environment variable) only change wall time:
-    results are merged in seed order, so the summary is identical for any
-    worker count.  Per-path failures are collected, not fatal.
+    Path i uses seed base_seed + i; paths run one after another in seed
+    order, each through solve_svi_path.  A path that raises is recorded in
+    `failures` and left out of the statistics; the others still count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    seeds = [int(base_seed) + i for i in range(n_paths)]
-
-    def run_one(seed: int):
-        drv = BrownianDriver(seed=seed, dt=problem.dt,
-                             dims=problem.noise_dims, horizon=problem.horizon)
-        sol = solve_svi_path(problem.phi, problem.hf, problem.f, problem.g,
-                             problem.x0, drv, problem.n, problem.cfg)
-        vi = None
-        if problem.test_points or problem.u0 is not None:
-            vi = vi_residual(sol, problem.phi,
-                             test_points=list(problem.test_points) or None,
-                             u0=problem.u0)["residual"]
-        return sol, vi
-
-    results: list = [None] * n_paths
-    failures: list = []
-    workers = min(_threads(), n_paths)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(run_one, s) for s in seeds]
-            for i, fut in enumerate(futs):
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001  (per-path isolation)
-                    failures.append({"seed": seeds[i],
-                                     "error": type(exc).__name__,
-                                     "message": str(exc)})
-    else:
-        for i, s in enumerate(seeds):
-            try:
-                results[i] = run_one(s)
-            except Exception as exc:  # noqa: BLE001
-                failures.append({"seed": s, "error": type(exc).__name__,
-                                 "message": str(exc)})
-
     xs, tvs, defects, vis = [], [], [], []
-    kept_seeds, kept_paths = [], []
-    for seed, res in zip(seeds, results):
-        if res is None:
+    kept_seeds, kept_paths, failures = [], [], []
+    for seed in range(int(base_seed), int(base_seed) + n_paths):
+        try:
+            drv = BrownianDriver(seed=seed, dt=problem.dt,
+                                 dims=problem.noise_dims,
+                                 horizon=problem.horizon)
+            sol = solve_svi_path(problem.phi, problem.hf, problem.f,
+                                 problem.g, problem.x0, drv, problem.n,
+                                 problem.cfg)
+            vi = None
+            if problem.test_points or problem.u0 is not None:
+                vi = vi_residual(sol, problem.phi,
+                                 test_points=list(problem.test_points) or None,
+                                 u0=problem.u0)["residual"]
+        except Exception as exc:  # noqa: BLE001  (per-path isolation)
+            failures.append({"seed": seed, "error": type(exc).__name__,
+                             "message": str(exc)})
             continue
-        sol, vi = res
         xs.append(sol.x.values)
         tvs.append(sol.tv_k)
         defects.append(sol.diagnostics["max_feasibility_defect"])

@@ -18,6 +18,10 @@ update, so the discrete integral identity holds to rounding.  Refinement
 halves eps (snapped up to grid multiples) until consecutive solutions agree
 uniformly within tol; the mollified input for each level is the trailing
 eps-average of m.
+
+One kernel, `_sweep`, performs the substeps for both this module and the
+stochastic solver in `sde`; the callers differ only in the input rate they
+supply (m' plus the delayed drift here, the window input M there).
 """
 
 from __future__ import annotations
@@ -144,13 +148,92 @@ def _lag_cells(eps: float, dt: float) -> int:
     return lag
 
 
+def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
+    """(delay in grid cells, substeps per cell) of one level at cfg.eps."""
+    lag = _lag_cells(cfg.eps, dt)
+    return lag, max(1, int(math.ceil(dt * c * int(cfg.substep_ratio) / cfg.eps
+                                     - 1e-12)))
+
+
+def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, delayed=None,
+           before_cell=None):
+    """The explicit substep kernel shared by the deterministic and the
+    stochastic solvers; returns (kq, largest regularized-gradient norm).
+
+    xq[0] holds x0; xq receives the state and kq the reflection at every
+    substep h = dt / n_sub.  At substep q the delayed input rate is
+    rates[cell] plus delayed(q, tau) when given, cell being the grid cell of
+    tau = q h - eps; before time eps only the field term acts.
+    before_cell(j) runs ahead of the substeps of cell j, so a caller can
+    extend its input causally.  StabilityBreach names `where` when the
+    state leaves the guard ball.
+    """
+    eps = cfg.eps
+    h = dt / n_sub
+    guard2 = cfg.guard_radius * cfg.guard_radius
+    n_cells = (xq.shape[0] - 1) // n_sub
+    x = xq[0].copy()
+    k = np.zeros(x.size)
+    kq = np.empty_like(xq)
+    kq[0] = 0.0
+    max_grad = 0.0
+    for j in range(n_cells):
+        if before_cell is not None:
+            before_cell(j)
+        for q in range(j * n_sub, (j + 1) * n_sub):
+            g = (x - prox(x)) / eps
+            gn = float(g @ g)
+            if gn > max_grad:
+                max_grad = gn
+            tau = q * h - eps
+            if tau >= -1e-12:
+                cell = int(tau / dt + 1e-9)
+                if cell >= n_cells:
+                    cell = n_cells - 1
+                u = rates[cell]
+                if delayed is not None:
+                    u = u + delayed(q, tau)
+                x = x + h * (u - field_at(x) @ g)
+            else:
+                x = x - h * (field_at(x) @ g)
+            k = k + h * g
+            if float(x @ x) > guard2:
+                raise StabilityBreach(
+                    f"state norm {float(np.linalg.norm(x)):.3e} left the guard "
+                    f"ball at t={(q + 1) * h:.6g} ({where})")
+            xq[q + 1] = x
+            kq[q + 1] = k
+    return kq, math.sqrt(max_grad)
+
+
+def _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, distance, diag,
+              input_m) -> SkorohodSolution:
+    """One level's solution on the grid (every n_sub-th substep).  diag gets
+    the gradient and feasibility entries; distance is the caller's
+    set_distance."""
+    xg = xq[::n_sub].copy()
+    k_path = SampledPath(t0=0.0, dt=dt, values=kq[::n_sub].copy(),
+                         extension="zero")
+    diag["max_gradient_norm"] = max_grad
+    diag["max_feasibility_defect"] = max(distance(phi.domain, p) for p in xg)
+    diag["feasibility_bound"] = eps * max_grad
+    return SkorohodSolution(
+        x=SampledPath(t0=0.0, dt=dt, values=xg, extension="frozen"),
+        k=k_path, tv_k=total_variation(k_path), eps=eps,
+        system_id=system_id(phi, hf),
+        refinement_history=[(eps, None)], diagnostics=diag,
+        t_quad=dt / n_sub * np.arange(xq.shape[0]), x_quad=xq, k_quad=kq,
+        input_m=input_m)
+
+
 def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
                     m: SampledPath, x0, cfg: PenalizedConfig) -> SkorohodSolution:
     """One level of the regularized delayed scheme at smoothing width cfg.eps.
 
     m is treated as continuously differentiable: its derivative enters the
     update as per-cell increments, so summing the updates reproduces the
-    increments of m exactly.  Raises GridMismatch if cfg.eps is not a grid
+    increments of m exactly.  The drift adds f(tau, P(x(tau))) at the
+    delayed time tau.  Raises GridMismatch if cfg.eps is not a grid
     multiple of m.dt and StabilityBreach if the state leaves the guard ball.
     """
     _require_time_zero(m)
@@ -159,74 +242,23 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     if x0.size != d or phi.dim != d or hf.dim != d:
         raise ValueError("dimension mismatch between phi, H, m, x0")
     dt = m.dt
-    n_cells = m.n_cells
     eps = cfg.eps
-    lag = _lag_cells(eps, dt)
-    ratio = int(cfg.substep_ratio)
-    n_sub = max(1, int(math.ceil(dt * hf.c * ratio / eps - 1e-12)))
-    h = dt / n_sub
+    lag, n_sub = _substep_mesh(cfg, dt, hf.c)
     lag_sub = lag * n_sub
-    n_steps = n_cells * n_sub
-    guard2 = cfg.guard_radius * cfg.guard_radius
-
-    prox = make_resolvent(phi, eps)
-    field_at = make_field_eval(hf)
-    mderiv = np.diff(m.values, axis=0) / dt
-    has_drift = not f.is_zero()
-
-    xq = np.empty((n_steps + 1, d))
-    kq = np.empty((n_steps + 1, d))
+    xq = np.empty((m.n_cells * n_sub + 1, d))
     xq[0] = x0
-    kq[0] = 0.0
-    max_grad = 0.0
-    x = x0.copy()
-    k = np.zeros(d)
-    for q in range(n_steps):
-        g = (x - prox(x)) / eps
-        gn = float(g @ g)
-        if gn > max_grad:
-            max_grad = gn
-        tau = q * h - eps
-        if tau >= -1e-12:
-            cell = int(tau / dt + 1e-9)
-            if cell >= n_cells:
-                cell = n_cells - 1
-            u = mderiv[cell]
-            if has_drift:
-                xd = xq[q - lag_sub] if q >= lag_sub else x0
-                u = u + f.eval(tau, project_set(phi.domain, xd))
-            x = x + h * (u - field_at(x) @ g)
-        else:
-            x = x - h * (field_at(x) @ g)
-        k = k + h * g
-        if float(x @ x) > guard2:
-            raise StabilityBreach(
-                f"state norm {float(np.linalg.norm(x)):.3e} left the guard "
-                f"ball at t={(q + 1) * h:.6g} (eps={eps})")
-        xq[q + 1] = x
-        kq[q + 1] = k
-    max_grad = math.sqrt(max_grad)
 
-    xg = xq[::n_sub].copy()
-    kg = kq[::n_sub].copy()
-    x_path = SampledPath(t0=0.0, dt=dt, values=xg, extension="frozen")
-    k_path = SampledPath(t0=0.0, dt=dt, values=kg, extension="zero")
-    tv_k = total_variation(k_path)
-    defect = max(set_distance(phi.domain, xg[i]) for i in range(xg.shape[0]))
-    diag = {
-        "eps": eps,
-        "n_substeps_per_cell": n_sub,
-        "substep": h,
-        "max_gradient_norm": max_grad,
-        "max_feasibility_defect": defect,
-        "feasibility_bound": eps * max_grad,
-    }
-    return SkorohodSolution(
-        x=x_path, k=k_path, tv_k=tv_k, eps=eps,
-        system_id=system_id(phi, hf),
-        refinement_history=[(eps, None)], diagnostics=diag,
-        t_quad=h * np.arange(n_steps + 1), x_quad=xq, k_quad=kq,
-        input_m=m)
+    def delayed_drift(q, tau):
+        xd = xq[q - lag_sub] if q >= lag_sub else x0
+        return f.eval(tau, project_set(phi.domain, xd))
+
+    kq, max_grad = _sweep(xq, n_sub, dt, cfg, make_resolvent(phi, eps),
+                          make_field_eval(hf), np.diff(m.values, axis=0) / dt,
+                          f"eps={eps}",
+                          delayed=None if f.is_zero() else delayed_drift)
+    diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": dt / n_sub}
+    return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad,
+                     set_distance, diag, m)
 
 
 def _node_gap(a: SampledPath, b: SampledPath) -> float:

@@ -55,6 +55,21 @@ class TestProjection:
         p = ok.project_set(s, [-1.0, 5.0])
         assert np.allclose(p, [0.0, 5.0], atol=1e-12)
 
+    def test_acute_corner_single_violation(self):
+        # a narrow wedge opening towards -x: (3, 0.7) violates only the
+        # upper face, but its projection onto that face leaves the lower
+        # one, so the true projection is the apex
+        a = 0.05
+        s = ok.halfspace_intersection(
+            [[np.sin(a), np.cos(a)], [np.sin(a), -np.cos(a)]], [0.0, 0.0])
+        x = np.array([3.0, 0.7])
+        assert int((s.normals @ x > 0.0).sum()) == 1
+        p = ok.project_set(s, x)
+        assert float((s.normals @ p - s.offsets).max()) <= 1e-9
+        assert ok.set_distance(s, x) == pytest.approx(3.0806, abs=5e-5)
+        assert ok.set_distance(s, x) == pytest.approx(np.hypot(3.0, 0.7),
+                                                      rel=1e-12)
+
     def test_projection_optimality_sampled(self):
         # <x - p, y - p> <= 0 for all feasible y characterizes the projection
         rng = np.random.default_rng(17)

@@ -314,16 +314,6 @@ class TestMonteCarlo:
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             assert sol.diagnostics["seed"] == seed
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        p = self.problem()
-        monkeypatch.setenv("OBLIQUE_SKOROHOD_THREADS", "1")
-        a = ok.monte_carlo(p, 6, base_seed=50)
-        monkeypatch.setenv("OBLIQUE_SKOROHOD_THREADS", "4")
-        b = ok.monte_carlo(p, 6, base_seed=50)
-        np.testing.assert_array_equal(a["mean_x"], b["mean_x"])
-        np.testing.assert_array_equal(a["var_x"], b["var_x"])
-        assert a["mean_tv_k"] == b["mean_tv_k"]
-
     def test_zero_noise_has_zero_variance(self):
         p = self.problem(g=ok.zero_diffusion(1, 1),
                          f=ok.constant_drift([-0.5]))

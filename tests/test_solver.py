@@ -194,7 +194,8 @@ class TestPenalizedLevel:
 
     def test_guard_ball_breach(self):
         cfg = ok.PenalizedConfig(eps=0.01, guard_radius=0.3)
-        with pytest.raises(ok.StabilityBreach, match="guard"):
+        with pytest.raises(ok.StabilityBreach,
+                           match=r"left the guard ball at t=.* \(eps=0\.01\)$"):
             ok.solve_penalized(halfline_phi(),
                                ok.constant_field([[2.0]], c=2.0),
                                ok.zero_drift(1), ramp_path(-1.0), [0.5], cfg)
