@@ -158,13 +158,12 @@ def _cmd_solve_svi(args) -> int:
     if sc.mode != "svi":
         raise scen.ScenarioError("solve-svi needs a stochastic scenario "
                                  "(brownian + g blocks)")
-    cfg = None
     stem = _stem(sc.name)
     if args.paths <= 1:
         drv = BrownianDriver(seed=sc.seed, dt=sc.dt, dims=sc.noise_dims,
                              horizon=sc.horizon)
         sol = solve_svi_path(sc.phi, sc.hf, sc.f, sc.g, sc.x0, drv,
-                             sc.n_window, cfg)
+                             sc.n_window)
         csv_path, json_path = _write_det_outputs(sc, sol, args, "solve-svi")
         _say(args, f"solve-svi: seed={sc.seed} n={sc.n_window} "
                    f"tv_k={sol.tv_k:.6g}")
@@ -173,7 +172,7 @@ def _cmd_solve_svi(args) -> int:
 
     problem = SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
                          dt=sc.dt, horizon=sc.horizon,
-                         noise_dims=sc.noise_dims, n=sc.n_window, cfg=cfg,
+                         noise_dims=sc.noise_dims, n=sc.n_window,
                          u0=sc.u0, test_points=tuple(sc.test_points))
     mc = monte_carlo(problem, args.paths, sc.seed,
                      collect_paths=args.dump_paths)

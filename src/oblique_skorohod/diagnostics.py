@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .convex import ConvexFunction, contains, eval_fn, project_set
+from . import convex
+from .convex import ConvexFunction, contains, eval_fn
 from .solver import GridMismatch, SkorohodSolution
 
 
@@ -21,28 +22,6 @@ def _quad_mesh(sol: SkorohodSolution):
     if sol.x_quad is not None:
         return sol.t_quad, sol.x_quad, sol.k_quad
     return sol.x.times(), sol.x.values, sol.k.values
-
-
-def _project_many(phi: ConvexFunction, pts: np.ndarray) -> np.ndarray:
-    s = phi.domain
-    if s.kind == "box":
-        return np.clip(pts, s.lo, s.hi)
-    if s.kind == "ball":
-        r = pts - s.center
-        nr = np.linalg.norm(r, axis=1)
-        out = pts.copy()
-        far = nr > s.radius
-        if np.any(far):
-            out[far] = s.center + r[far] * (s.radius / nr[far])[:, None]
-        return out
-    if s.normals.shape[0] == 0:
-        return pts
-    resid = pts @ s.normals.T - s.offsets
-    out = pts.copy()
-    bad = np.flatnonzero(resid.max(axis=1) > 1e-12)
-    for i in bad:
-        out[i] = project_set(s, pts[i])
-    return out
 
 
 def _values_on(phi: ConvexFunction, pts: np.ndarray) -> np.ndarray:
@@ -80,7 +59,7 @@ def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
     horizon = float(tq[-1])
     if windows is None:
         windows = [(0.0, horizon)]
-    xp = _project_many(phi, xq)
+    xp = convex.project_set(phi.domain, xq)
     phi_x = _values_on(phi, xp)
     dk = np.diff(kq, axis=0)
     dtq = float(tq[1] - tq[0])
@@ -96,7 +75,7 @@ def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float).ravel()
         for theta in blend_weights:
-            ys = _project_many(phi, (1.0 - theta) * xp + theta * u0)
+            ys = convex.project_set(phi.domain, (1.0 - theta) * xp + theta * u0)
             tests.append((f"blend[{theta}]", ys, _values_on(phi, ys)))
     if not tests:
         raise ValueError("no test paths: pass test_points and/or u0")
@@ -171,7 +150,7 @@ def annexB_bound(sol: SkorohodSolution, phi: ConvexFunction, u0, r0: float,
     dtq = float(tq[1] - tq[0])
     dk = np.diff(kq, axis=0)
     tv_quad = float(np.linalg.norm(dk, axis=1).sum())
-    phi_x = _values_on(phi, _project_many(phi, xq))
+    phi_x = _values_on(phi, convex.project_set(phi.domain, xq))
     lhs = r0 * tv_quad + _trapz(phi_x, dtq)
     rhs = float(np.einsum("ij,ij->", xq[:-1] - u0, dk)) + horizon * phi_sharp
     return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs,

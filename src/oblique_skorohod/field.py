@@ -20,48 +20,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
-
-
-def jacobi_eigenvalues(mat: np.ndarray, tol: float = JACOBI_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi sweeps (d <= 8).
-
-    Sweeps zero each off-diagonal pair with a Givens rotation until the
-    off-diagonal Frobenius norm drops below tol.  Returns sorted values.
-    """
-    a = np.array(mat, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise ValueError("matrix must be square")
-    if d > 8:
-        raise ValueError("jacobi eigensolve is limited to d <= 8")
-    if not np.allclose(a, a.T, atol=0.0, rtol=0.0, equal_nan=False):
-        raise ValueError("matrix must be symmetric")
-    if d == 1:
-        return a.ravel().copy()
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off < tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) < tol / (d * d):
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                rot = np.eye(d)
-                rot[p, p] = cth
-                rot[q, q] = cth
-                rot[p, q] = sth
-                rot[q, p] = -sth
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.sort(np.diag(a))
-
 
 @dataclass(frozen=True)
 class ObliqueField:
@@ -95,7 +53,7 @@ def _check_symmetric(mat: np.ndarray, name: str):
 
 
 def _check_spectrum(mat: np.ndarray, c: float, name: str):
-    ev = jacobi_eigenvalues(mat)
+    ev = np.linalg.eigvalsh(mat)
     if ev[0] < 1.0 / c - 1e-12 or ev[-1] > c + 1e-12:
         raise ValueError(
             f"{name} spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] outside [1/c, c] for c={c}")
@@ -247,7 +205,7 @@ class FieldValidationReport:
 def validate_field(hf: ObliqueField, probes) -> FieldValidationReport:
     """Check symmetry, spectrum, and Lipschitz quotients on probe points.
 
-    Spectrum via the cyclic Jacobi eigensolve at every probe; empirical
+    Spectrum via numpy.linalg.eigvalsh at every probe; empirical
     Lipschitz quotients of H and H^-1 over all probe pairs, compared
     against the declared c and b.  Needs at least 2 probes.
     """
@@ -269,7 +227,7 @@ def validate_field(hf: ObliqueField, probes) -> FieldValidationReport:
         resid = float(np.abs(h @ hi - np.eye(hf.dim)).max())
         if resid > 1e-12:
             failures.append(f"inverse residual {resid:.3e} at probe {p}")
-        ev = jacobi_eigenvalues(h)
+        ev = np.linalg.eigvalsh(h)
         eig_min = min(eig_min, float(ev[0]))
         eig_max = max(eig_max, float(ev[-1]))
     if sym_defect > 0.0:

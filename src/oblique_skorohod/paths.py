@@ -115,29 +115,6 @@ def total_variation(p: SampledPath, t_from: float | None = None,
     return float(np.sum(np.linalg.norm(np.diff(arr, axis=0), axis=1)))
 
 
-def modulus_of_continuity(p: SampledPath, delta: float) -> float:
-    """max |p(t_i) - p(t_j)| over node pairs with |t_i - t_j| <= delta.
-
-    Exact for piecewise-linear paths when delta is a grid multiple.
-    """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if delta > p.horizon + 1e-9 * p.dt:
-        raise ValueError("delta exceeds the path horizon")
-    w = int(math.floor(delta / p.dt + 1e-9))
-    w = max(w, 1)
-    v = p.values
-    out = 0.0
-    for k in range(1, w + 1):
-        if k >= v.shape[0]:
-            break
-        gaps = np.linalg.norm(v[k:] - v[:-k], axis=1)
-        m = float(gaps.max())
-        if m > out:
-            out = m
-    return out
-
-
 def snapped_width(eps: float, dt: float) -> float:
     """Smallest grid multiple of dt that is >= eps (and >= dt)."""
     if not eps > 0.0:
@@ -171,10 +148,3 @@ def mollify(m: SampledPath, eps: float) -> SampledPath:
     csum = np.vstack([np.zeros((1, d)), np.cumsum(cell_avg, axis=0)])
     out = (csum[k:] - csum[:-k]) / float(k)
     return SampledPath(t0=m.t0, dt=m.dt, values=out, extension=m.extension)
-
-
-def derivative(p: SampledPath) -> SampledPath:
-    """Forward-difference derivative; the last node repeats the final slope."""
-    diffs = np.diff(p.values, axis=0) / p.dt
-    vals = np.vstack([diffs, diffs[-1:]])
-    return SampledPath(t0=p.t0, dt=p.dt, values=vals, extension="zero")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import DiffusionSpec, DriftSpec
-from .convex import ConvexFunction, make_resolvent, project_set, set_distance
+from .convex import ConvexFunction, make_resolvent, project_set
 from .diagnostics import vi_residual
 from .field import ObliqueField, make_field_eval
 from .paths import SampledPath
@@ -203,8 +203,7 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
         "eps": eps,
         "n_substeps_per_cell": n_sub,
     }
-    return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad,
-                     set_distance, diag,
+    return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag,
                      SampledPath(t0=0.0, dt=dt, values=mvals, extension="zero"))
 
 

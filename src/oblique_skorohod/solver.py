@@ -206,16 +206,15 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, delayed=None,
     return kq, math.sqrt(max_grad)
 
 
-def _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, distance, diag,
+def _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag,
               input_m) -> SkorohodSolution:
     """One level's solution on the grid (every n_sub-th substep).  diag gets
-    the gradient and feasibility entries; distance is the caller's
-    set_distance."""
+    the gradient and feasibility entries."""
     xg = xq[::n_sub].copy()
     k_path = SampledPath(t0=0.0, dt=dt, values=kq[::n_sub].copy(),
                          extension="zero")
     diag["max_gradient_norm"] = max_grad
-    diag["max_feasibility_defect"] = max(distance(phi.domain, p) for p in xg)
+    diag["max_feasibility_defect"] = float(set_distance(phi.domain, xg).max())
     diag["feasibility_bound"] = eps * max_grad
     return SkorohodSolution(
         x=SampledPath(t0=0.0, dt=dt, values=xg, extension="frozen"),
@@ -257,8 +256,7 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
                           f"eps={eps}",
                           delayed=None if f.is_zero() else delayed_drift)
     diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": dt / n_sub}
-    return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad,
-                     set_distance, diag, m)
+    return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag, m)
 
 
 def _node_gap(a: SampledPath, b: SampledPath) -> float:

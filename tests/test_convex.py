@@ -3,6 +3,7 @@ import pytest
 
 import oblique_skorohod as ok
 from oblique_skorohod.convex import (
+    PROJ_TOL,
     bounding_radius,
     make_resolvent,
     probe_h0,
@@ -83,6 +84,23 @@ class TestProjection:
             assert ok.contains(s, p, tol=1e-9)
             for y in ys:
                 assert float((x - p) @ (y - p)) <= 1e-9
+
+    def test_stack_matches_point_by_point(self, phi_catalog):
+        a = 0.05
+        wedge = ok.halfspace_intersection(
+            [[np.sin(a), np.cos(a)], [np.sin(a), -np.cos(a)]], [0.0, 0.0])
+        simplex = ok.halfspace_intersection(
+            np.vstack([-np.eye(3), np.ones((1, 3))]), [0.0, 0.0, 0.0, 1.0])
+        sets = [phi.domain for phi in phi_catalog.values()] + [wedge, simplex]
+        rng = np.random.default_rng(29)
+        for s in sets:
+            xs = rng.normal(0.0, 2.0, size=(300, s.dim))
+            ps = ok.project_set(s, xs)
+            np.testing.assert_array_equal(
+                ps, [ok.project_set(s, x) for x in xs])
+            np.testing.assert_array_equal(
+                ok.set_distance(s, xs), [ok.set_distance(s, x) for x in xs])
+            assert all(ok.contains(s, p, tol=PROJ_TOL) for p in ps)
 
     def test_whole_space_identity(self):
         x = np.array([5.0, -7.0, 1.0])

@@ -2,36 +2,11 @@ import numpy as np
 import pytest
 
 import oblique_skorohod as ok
-from oblique_skorohod.field import blend_weight, jacobi_eigenvalues, make_field_eval
+from oblique_skorohod.field import blend_weight, make_field_eval
 
 
 def identity_field(d=2, c=1.0):
     return ok.constant_field(np.eye(d), c=c)
-
-
-class TestJacobiEigenvalues:
-    def test_diagonal_matrix(self):
-        vals = jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(vals, [1.0, 2.0, 3.0], atol=1e-13)
-
-    def test_matches_reference_solver(self):
-        rng = np.random.default_rng(7)
-        for d in (2, 3, 5, 8):
-            for _ in range(20):
-                b = rng.normal(size=(d, d))
-                m = b + b.T
-                ours = jacobi_eigenvalues(m)
-                ref = np.linalg.eigvalsh(m)
-                assert np.allclose(ours, ref, atol=1e-10)
-
-    def test_requires_exact_symmetry(self):
-        m = np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]])
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(m)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.eye(9))
 
 
 class TestFieldCatalog:
