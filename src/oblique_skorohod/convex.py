@@ -27,7 +27,7 @@ PROJ_MAX_ITERS = 10_000
 
 
 class ProjectionError(RuntimeError):
-    """Iterative projection failed to reach tolerance within the cap."""
+    """A projection failed: an empty polytope, or an iteration cap hit."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,44 +99,51 @@ def whole_space(dim: int) -> Set:
     return halfspace_intersection(np.zeros((0, dim)), np.zeros(0), dim=dim)
 
 
-def _project_two_halfspaces(x, n1, b1, n2, b2):
-    p1 = x - max(0.0, float(n1 @ x) - b1) * n1
-    if float(n2 @ p1) <= b2 + PROJ_TOL:
-        return p1
-    p2 = x - max(0.0, float(n2 @ x) - b2) * n2
-    if float(n1 @ p2) <= b1 + PROJ_TOL:
-        return p2
-    # both constraints active: project onto the intersection of hyperplanes
-    g12 = float(n1 @ n2)
-    det = 1.0 - g12 * g12
-    if det <= 1e-14:
-        return None
-    r1 = float(n1 @ x) - b1
-    r2 = float(n2 @ x) - b2
-    a1 = (r1 - g12 * r2) / det
-    a2 = (r2 - g12 * r1) / det
-    return x - a1 * n1 - a2 * n2
-
-
-def _project_halfspaces_dykstra(x, normals, offsets):
-    m = normals.shape[0]
+def _project_polytope(x, normals, offsets):
+    # Goldfarb-Idnani dual active-set method for min |z - x|^2 / 2 subject
+    # to normals @ z <= offsets.  z stays the projection of x onto the
+    # active faces, u >= 0 are their multipliers and pinv the pseudo-inverse
+    # of their normals (one row per face).  Each pass adds the most violated
+    # face; an active face whose multiplier would reach zero first leaves.
     z = x.copy()
-    corr = np.zeros((m, x.size))
+    active, u = [], []
+    pinv = np.zeros((0, x.size))
     for _ in range(PROJ_MAX_ITERS):
-        prev = z.copy()
-        for i in range(m):
-            w = z + corr[i]
-            viol = float(normals[i] @ w) - offsets[i]
-            zi = w - max(0.0, viol) * normals[i]
-            corr[i] = w - zi
-            z = zi
-        if float(np.linalg.norm(z - prev)) <= PROJ_TOL:
-            resid = normals @ z - offsets
-            if float(resid.max(initial=0.0)) <= 1e-9:
-                return z
-    resid = normals @ z - offsets
+        resid = normals @ z - offsets
+        resid[active] = -math.inf
+        p = int(resid.argmax())
+        if resid[p] <= PROJ_TOL:
+            return z
+        n, up = normals[p], 0.0
+        while True:
+            # z moves along the part of n orthogonal to the active normals
+            # while the active multipliers fall at the rates r
+            r = pinv @ n
+            step = n - normals[active].T @ r
+            ss = float(step @ step)
+            t = (float(n @ z) - offsets[p]) / ss \
+                if ss > PROJ_TOL * PROJ_TOL else math.inf
+            k = None
+            for j, (uj, rj) in enumerate(zip(u, r.tolist())):
+                if rj > 0.0 and uj / rj < t:
+                    t, k = uj / rj, j
+            if t == math.inf:
+                raise ProjectionError("halfspace intersection is empty")
+            z = z - t * step
+            u = [uj - t * rj for uj, rj in zip(u, r.tolist())]
+            up += t
+            if k is None:
+                break
+            del active[k], u[k]
+            row = pinv[k]
+            pinv = np.delete(pinv, k, axis=0)
+            pinv -= (pinv @ row)[:, None] * (row / float(row @ row))
+        active.append(p)
+        u.append(up)
+        step /= ss
+        pinv = np.concatenate((pinv - r[:, None] * step, step[None]))
     raise ProjectionError(
-        f"halfspace projection stalled, max violation {resid.max(initial=0.0):.3e}")
+        f"active-set projection exceeded {PROJ_MAX_ITERS} passes")
 
 
 def _row_norms(r: np.ndarray) -> np.ndarray:
@@ -155,12 +162,14 @@ def _project_rows(s: Set, x: np.ndarray) -> np.ndarray:
         far = nr > s.radius
         out[far] = s.center + (s.radius / nr[far])[:, None] * r[far]
         return out
-    if s.normals.shape[0] == 0:
-        return out
     # the same residuals as the single-point path; only violating rows move
     resid = (s.normals @ x[:, :, None])[:, :, 0] - s.offsets
-    for i in np.flatnonzero(resid.max(axis=1) > PROJ_TOL):
-        out[i] = project_set(s, x[i])
+    rows = np.flatnonzero(resid.max(axis=1, initial=0.0) > PROJ_TOL)
+    if s.normals.shape[0] == 1:
+        out[rows] = x[rows] - resid[rows, :1] * s.normals[0]
+        return out
+    for i in rows:
+        out[i] = _project_polytope(x[i], s.normals, s.offsets)
     return out
 
 
@@ -179,26 +188,12 @@ def project_set(s: Set, x) -> np.ndarray:
         if nr <= s.radius:
             return x.copy()
         return s.center + (s.radius / nr) * r
-    m = s.normals.shape[0]
-    if m == 0:
-        return x.copy()
     resid = s.normals @ x - s.offsets
-    active = resid > PROJ_TOL
-    na = int(active.sum())
-    if na == 0:
+    if float(resid.max(initial=0.0)) <= PROJ_TOL:
         return x.copy()
-    if na == 1:
-        # the face projection is the answer only if it keeps the other faces
-        i = int(np.argmax(active))
-        p = x - resid[i] * s.normals[i]
-        if m == 1 or float((s.normals @ p - s.offsets).max()) <= PROJ_TOL:
-            return p
-    if m == 2:
-        p = _project_two_halfspaces(x, s.normals[0], s.offsets[0],
-                                    s.normals[1], s.offsets[1])
-        if p is not None:
-            return p
-    return _project_halfspaces_dykstra(x, s.normals, s.offsets)
+    if s.normals.shape[0] == 1:
+        return x - resid[0] * s.normals[0]
+    return _project_polytope(x, s.normals, s.offsets)
 
 
 def contains(s: Set, x, tol: float = 1e-9) -> bool:
@@ -406,22 +401,22 @@ def eval_fn(phi: ConvexFunction, x, feas_tol: float = 1e-9) -> float:
     return float(phi.a @ x + phi.beta)
 
 
-def _prox_quadratic(phi: ConvexFunction, eps: float, x: np.ndarray) -> np.ndarray:
-    # minimize |z-x|^2/(2 eps) + 0.5 z'Az + q'z over the domain
-    d = x.size
-    if phi.domain.kind == "halfspace_intersection" and phi.domain.normals.shape[0] == 0:
-        return np.linalg.solve(np.eye(d) / eps + phi.A, x / eps - phi.q)
-    lam_max = float(np.linalg.eigvalsh(phi.A).max())
-    lip = 1.0 / eps + lam_max
-    step = 1.0 / lip
-    z = project_set(phi.domain, x)
-    for _ in range(PROJ_MAX_ITERS):
-        grad = (z - x) / eps + phi.A @ z + phi.q
-        z_new = project_set(phi.domain, z - step * grad)
-        if float(np.linalg.norm(z_new - z)) <= PROJ_TOL:
-            return z_new
-        z = z_new
-    raise ProjectionError("proximal iteration for the quadratic kind stalled")
+def _prox_quadratic(phi: ConvexFunction, eps: float):
+    # x -> argmin |z-x|^2/(2 eps) + 0.5 z'Az + q'z over the domain, by
+    # projected gradient steps of length 1 / (1/eps + lambda_max(A))
+    step = 1.0 / (1.0 / eps + float(np.linalg.eigvalsh(phi.A).max()))
+
+    def prox(x):
+        z = project_set(phi.domain, x)
+        for _ in range(PROJ_MAX_ITERS):
+            grad = (z - x) / eps + phi.A @ z + phi.q
+            z_new = project_set(phi.domain, z - step * grad)
+            if float(np.linalg.norm(z_new - z)) <= PROJ_TOL:
+                return z_new
+            z = z_new
+        raise ProjectionError("proximal iteration for the quadratic kind "
+                              "stalled")
+    return prox
 
 
 def resolvent(phi: ConvexFunction, eps: float, x) -> np.ndarray:
@@ -433,7 +428,10 @@ def resolvent(phi: ConvexFunction, eps: float, x) -> np.ndarray:
         return project_set(phi.domain, x)
     if phi.kind == "lipschitz_affine_plus_indicator":
         return project_set(phi.domain, x - eps * phi.a)
-    return _prox_quadratic(phi, eps, x)
+    s = phi.domain
+    if s.kind == "halfspace_intersection" and s.normals.shape[0] == 0:
+        return np.linalg.solve(np.eye(x.size) / eps + phi.A, x / eps - phi.q)
+    return _prox_quadratic(phi, eps)(x)
 
 
 def make_resolvent(phi: ConvexFunction, eps: float):
@@ -496,7 +494,7 @@ def make_resolvent(phi: ConvexFunction, eps: float):
                 return z
             return z - (v / denom) * kn
         return _quad_half
-    return lambda x: _prox_quadratic(phi, eps, x)
+    return _prox_quadratic(phi, eps)
 
 
 def yosida_gradient(phi: ConvexFunction, eps: float, x) -> np.ndarray:

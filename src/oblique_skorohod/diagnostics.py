@@ -15,7 +15,7 @@ import numpy as np
 
 from . import convex
 from .convex import ConvexFunction, contains, eval_fn
-from .solver import GridMismatch, SkorohodSolution
+from .solver import GridMismatch, SkorohodSolution, _tv_ratio
 
 
 def _quad_mesh(sol: SkorohodSolution):
@@ -184,12 +184,7 @@ def apriori_monitor(history, norms: dict, scaled_family=None) -> dict:
     tv_levels = [float(v) for v in norms["tv_k"]]
     if len(history) < 2 or len(tv_levels) < 2:
         raise ValueError("need at least two refinement levels to monitor")
-    prev, last = tv_levels[-2], tv_levels[-1]
-    if prev > 1e-12:
-        ratio = last / prev
-    else:
-        ratio = 1.0 if last <= 1e-12 else math.inf
-    out = {"tv_ratio": ratio, "tv_k_levels": tv_levels,
+    out = {"tv_ratio": _tv_ratio(tv_levels), "tv_k_levels": tv_levels,
            "norm_m": float(norms.get("norm_m", math.nan)),
            "eps_levels": [e for (e, _) in history]}
     if scaled_family is not None:

@@ -259,6 +259,14 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag, m)
 
 
+def _tv_ratio(tv_levels) -> float:
+    """Last level's tv_k over the one before; 1 if both are ~0, inf if one."""
+    prev, last = tv_levels[-2], tv_levels[-1]
+    if prev > 1e-12:
+        return last / prev
+    return 1.0 if last <= 1e-12 else math.inf
+
+
 def _node_gap(a: SampledPath, b: SampledPath) -> float:
     return float(np.linalg.norm(a.values - b.values, axis=1).max())
 
@@ -312,12 +320,7 @@ def solve_skorohod(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     sol.refinement_history = history
     sol.diagnostics["tv_k_levels"] = tv_levels
     if len(tv_levels) >= 2:
-        prev_tv, last_tv = tv_levels[-2], tv_levels[-1]
-        if prev_tv > 1e-12:
-            ratio = last_tv / prev_tv
-        else:
-            ratio = 1.0 if last_tv <= 1e-12 else math.inf
-        sol.diagnostics["tv_k_ratio_last_two"] = ratio
+        sol.diagnostics["tv_k_ratio_last_two"] = _tv_ratio(tv_levels)
     return sol
 
 

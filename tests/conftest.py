@@ -57,6 +57,17 @@ def make_phis() -> dict[str, ok.ConvexFunction]:
         "wedge": ok.indicator(
             ok.halfspace_intersection([[-1.0, 0.0], [-SQ2, -SQ2]], [0.0, 0.0]),
             r0=0.5, h0=0.545),
+        # x <= -2|y|, apex angle 53 degrees; the apex is farthest from the
+        # r0-interior, at r0 * sqrt(5) = 0.4472
+        "acute-wedge": ok.indicator(
+            ok.halfspace_intersection([[1.0, 2.0], [1.0, -2.0]], [0.0, 0.0]),
+            r0=0.2, h0=0.45),
+        # x >= 0, sum(x) <= 1; the vertices e_i are farthest from the
+        # r0-interior, at 3.991 r0 = 0.1996
+        "simplex3": ok.indicator(
+            ok.halfspace_intersection(np.vstack([-np.eye(3), np.ones((1, 3))]),
+                                      [0.0, 0.0, 0.0, 1.0]),
+            r0=0.05, h0=0.2),
     }
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import oblique_skorohod as ok
 from oblique_skorohod.convex import (
     PROJ_TOL,
+    ProjectionError,
     bounding_radius,
     make_resolvent,
     probe_h0,
@@ -86,14 +89,8 @@ class TestProjection:
                 assert float((x - p) @ (y - p)) <= 1e-9
 
     def test_stack_matches_point_by_point(self, phi_catalog):
-        a = 0.05
-        wedge = ok.halfspace_intersection(
-            [[np.sin(a), np.cos(a)], [np.sin(a), -np.cos(a)]], [0.0, 0.0])
-        simplex = ok.halfspace_intersection(
-            np.vstack([-np.eye(3), np.ones((1, 3))]), [0.0, 0.0, 0.0, 1.0])
-        sets = [phi.domain for phi in phi_catalog.values()] + [wedge, simplex]
         rng = np.random.default_rng(29)
-        for s in sets:
+        for s in (phi.domain for phi in phi_catalog.values()):
             xs = rng.normal(0.0, 2.0, size=(300, s.dim))
             ps = ok.project_set(s, xs)
             np.testing.assert_array_equal(
@@ -110,6 +107,71 @@ class TestProjection:
         s = ok.ball([0.0], 1.0)
         assert ok.set_distance(s, [3.0]) == pytest.approx(2.0)
         assert ok.contains(s, [0.5]) and not ok.contains(s, [1.5])
+
+
+def _reference_polytopes() -> dict[str, ok.Set]:
+    a = 0.05
+    sets = {
+        "acute-wedge": ok.halfspace_intersection(
+            [[np.sin(a), np.cos(a)], [np.sin(a), -np.cos(a)]], [0.0, 0.0]),
+        "simplex3": ok.halfspace_intersection(
+            np.vstack([-np.eye(3), np.ones((1, 3))]), [0.0, 0.0, 0.0, 1.0]),
+        # four faces through the apex of z <= -max(|x|, |y|)
+        "pyramid-apex": ok.halfspace_intersection(
+            [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+             [0.0, -1.0, 1.0]], [0.0, 0.0, 0.0, 0.0]),
+        "duplicate-faces": ok.halfspace_intersection(
+            [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]],
+            [1.0, 2.0, 1.0, 1.0, 1.0]),
+        "slab": ok.halfspace_intersection(
+            [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [1.0, 1.0]),
+    }
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4):
+        for k in range(3):
+            m = int(rng.integers(2, 7))
+            normals = rng.standard_normal((m, d))
+            # offsets above the faces' values at a random point: never empty
+            offsets = normals @ rng.standard_normal(d) + rng.random(m)
+            sets[f"random-d{d}-{k}"] = ok.halfspace_intersection(normals,
+                                                                 offsets)
+    return sets
+
+
+def _brute_distance(s: ok.Set, xs: np.ndarray) -> np.ndarray:
+    """Distance of each row of xs to the polytope s by enumeration.
+
+    The projection of x is its projection onto the affine hull of at most
+    d linearly independent faces, so the nearest feasible point among those
+    projections (and x itself) is exact.
+    """
+    m, d = s.normals.shape
+    feasible = lambda z: (z @ s.normals.T - s.offsets).max(axis=1) <= 1e-9
+    best = np.where(feasible(xs), 0.0, np.inf)
+    for k in range(1, min(m, d) + 1):
+        for faces in itertools.combinations(range(m), k):
+            a, b = s.normals[list(faces)], s.offsets[list(faces)]
+            w = np.linalg.lstsq(a @ a.T, a @ xs.T - b[:, None], rcond=None)[0]
+            z = xs - (a.T @ w).T
+            dist = np.linalg.norm(xs - z, axis=1)
+            best = np.where(feasible(z), np.minimum(best, dist), best)
+    return best
+
+
+class TestPolytopeProjectionReference:
+    @pytest.mark.parametrize("name", sorted(_reference_polytopes()))
+    def test_feasible_and_nearest(self, name):
+        s = _reference_polytopes()[name]
+        xs = np.random.default_rng(43).normal(0.0, 3.0, size=(400, s.dim))
+        ps = ok.project_set(s, xs)
+        assert (ps @ s.normals.T - s.offsets).max() <= PROJ_TOL
+        np.testing.assert_allclose(ok.set_distance(s, xs),
+                                   _brute_distance(s, xs), rtol=0.0, atol=1e-9)
+
+    def test_empty_intersection_raises(self):
+        s = ok.halfspace_intersection([[1.0], [-1.0]], [-1.0, -1.0])
+        with pytest.raises(ProjectionError):
+            ok.project_set(s, [0.0])
 
 
 class TestSetGeometry:
