@@ -153,13 +153,15 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_solve_svi(args) -> int:
+    if args.paths < 1:
+        raise scen.ScenarioError("--paths must be >= 1")
     sc = scen.load_scenario(args.scenario)
     _apply_overrides(sc, args)
     if sc.mode != "svi":
         raise scen.ScenarioError("solve-svi needs a stochastic scenario "
                                  "(brownian + g blocks)")
     stem = _stem(sc.name)
-    if args.paths <= 1:
+    if args.paths == 1:
         drv = BrownianDriver(seed=sc.seed, dt=sc.dt, dims=sc.noise_dims,
                              horizon=sc.horizon)
         sol = solve_svi_path(sc.phi, sc.hf, sc.f, sc.g, sc.x0, drv,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convex import _row_norms
+
 
 @dataclass(frozen=True)
 class TimeProfile:
@@ -32,12 +34,17 @@ class TimeProfile:
         if self.kind == "sinusoid" and not self.period > 0.0:
             raise ValueError("sinusoid period must be positive")
 
-    def eval(self, t: float) -> float:
+    def eval(self, t):
+        """The profile at time t, or at each time of an array t."""
         if self.kind == "constant":
             return self.value
         if self.kind == "ramp":
             return self.slope * t
-        return self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
+        arg = 2.0 * math.pi * t / self.period + self.phase
+        if np.ndim(arg):
+            # math.sin per time value: np.sin may round differently
+            return self.amplitude * np.array([math.sin(a) for a in arg.tolist()])
+        return self.amplitude * math.sin(arg)
 
     def bound(self, horizon: float) -> float:
         if self.kind == "constant":
@@ -68,7 +75,11 @@ class DriftSpec:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
+    def eval(self, t, x: np.ndarray) -> np.ndarray:
+        """f(t, x) at one point (d,), or row by row on a stack (B, d) with
+        one time per row; each row comes out as its point call."""
+        if np.ndim(x) > 1:
+            return self._eval_rows(t, x)
         if self.kind == "zero":
             return np.zeros(self.dim)
         if self.kind == "constant":
@@ -77,6 +88,17 @@ class DriftSpec:
         if self.kind == "affine":
             return val
         return self.profile.eval(t) * val
+
+    def _eval_rows(self, t, x: np.ndarray) -> np.ndarray:
+        if self.kind == "zero":
+            return np.zeros(x.shape)
+        if self.kind == "constant":
+            return np.broadcast_to(self.b0, x.shape)
+        # the stacked matmul repeats the point product (x @ A.T does not)
+        val = (self.A @ x[:, :, None])[:, :, 0] + self.b0
+        if self.kind == "affine":
+            return val
+        return np.asarray(self.profile.eval(t))[..., None] * val
 
 
 def zero_drift(dim: int) -> DriftSpec:
@@ -146,7 +168,11 @@ class DiffusionSpec:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
+    def eval(self, t, x: np.ndarray) -> np.ndarray:
+        """g(t, x) at one point (d,), or a (B, d, k) stack of matrices for
+        a stack of points (B, d); each comes out as its point call."""
+        if np.ndim(x) > 1:
+            return self._eval_rows(x)
         if self.kind == "zero":
             return np.zeros((self.dim, self.noise_dim))
         if self.kind == "constant":
@@ -155,6 +181,21 @@ class DiffusionSpec:
         nrm = float(np.linalg.norm(g, "fro"))
         if nrm > self.gsharp:
             g = g * (self.gsharp / nrm)
+        return g
+
+    def _eval_rows(self, x: np.ndarray) -> np.ndarray:
+        shape = (x.shape[0], self.dim, self.noise_dim)
+        if self.kind == "zero":
+            return np.zeros(shape)
+        if self.kind == "constant":
+            return np.broadcast_to(self.matrix, shape)
+        # the same products as np.tensordot; Frobenius norms as
+        # np.linalg.norm takes them, from the flattened rows
+        g = self.base + (x[:, None, :] @ self.gains.reshape(self.dim, -1)
+                         ).reshape(shape)
+        nrm = _row_norms(g.reshape(shape[0], -1))
+        far = nrm > self.gsharp
+        g[far] = g[far] * (self.gsharp / nrm[far])[:, None, None]
         return g
 
 

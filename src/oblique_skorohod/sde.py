@@ -13,8 +13,11 @@ uses the rectangle rule on the same grid.
 
 A sample path is solved pathwise: `solve_svi_path` runs the substep kernel
 of `solver` (the one behind `solve_penalized`) with M as its input, and M
-comes from the single incremental builder `_window_input`, which the public
-`build_Mn` runs to the end in one go.
+comes from the single block-causal builder `_window_input`: once the state
+is final through node j, one stacked step (one projection of the delayed
+states, one evaluation of f and g) gives M through node j + w + 1, w being
+the window 1/n in grid cells.  The public `build_Mn` runs the same blocks
+over a given state history.
 
 Gaussians come from a Box-Muller transform on the Philox counter-based
 generator keyed by the driver seed; the generator identity string is part
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import convex
 from .coeffs import DiffusionSpec, DriftSpec
-from .convex import ConvexFunction, make_resolvent, project_set
+from .convex import ConvexFunction, make_resolvent
 from .diagnostics import vi_residual
 from .field import ObliqueField, make_field_eval
 from .paths import SampledPath
@@ -102,35 +106,42 @@ def _window_cells(n: int, dt: float) -> int:
 
 def _window_input(f: DriftSpec, g: DiffusionSpec, phi: ConvexFunction,
                   x_hist: np.ndarray, db: np.ndarray, dt: float, win: int):
-    """Causal builder of the delayed-window input M on the grid of db.
+    """Block-causal builder of the delayed-window input M on the grid of db.
 
-    Returns (values, rates, extend).  extend(j) computes M up to node j;
-    node i + 1 reads only the delayed state x_hist[i - win] (x_hist[0]
-    before time 0), so a forward sweep can extend M as its states become
-    final.  rates[i] is the increment rate of M over cell i.
+    Returns (values, rates, fill).  Node i + 1 of M reads only the delayed
+    state x_hist[i - win] (x_hist[0] before time 0), so once x_hist is final
+    through node j, fill(j) computes M through node j + win + 1 (at most
+    the last node) in one stacked step and returns that node.  Calls go
+    j = 0, then each j the previous call returned.  rates[i] is the
+    increment rate of M over cell i.  The running sums are np.add.accumulate
+    seeded with the block's first node, which adds in the order of a
+    cell-by-cell loop.
     """
     cells = db.shape[0]
-    d = x_hist.shape[1]
-    ito, drift, run, values = (np.zeros((cells + 1, d)) for _ in range(4))
-    rates = np.empty((cells, d))
-    done = 0
+    ito, drift, run, values = (np.zeros((cells + 1, x_hist.shape[1]))
+                               for _ in range(4))
+    rates = np.empty((cells, x_hist.shape[1]))
 
-    def extend(upto: int):
-        nonlocal done
-        for i in range(done, upto):
-            xd = x_hist[i - win] if i >= win else x_hist[0]
-            px = project_set(phi.domain, xd)
-            t = i * dt
-            ito[i + 1] = ito[i] + g.eval(t, px) @ db[i]
-            if not f.is_zero():
-                drift[i + 1] = drift[i] + dt * f.eval(t, px)
-            run[i + 1] = run[i] + ito[i]
-            lo = i + 1 - win if i + 1 - win > 0 else 0
-            values[i + 1] = drift[i + 1] + (run[i + 1] - run[lo]) / win
-            rates[i] = (values[i + 1] - values[i]) / dt
-        done = max(done, upto)
+    def accumulate(sums, lo, hi, increments):
+        np.add.accumulate(np.concatenate((sums[lo:lo + 1], increments)),
+                          out=sums[lo:hi + 1])
 
-    return values, rates, extend
+    def fill(j: int) -> int:
+        hi = min(j + win + 1, cells)
+        i = np.arange(j, hi)
+        px = convex.project_set(phi.domain, x_hist[np.maximum(i - win, 0)])
+        t = i * dt
+        accumulate(ito, j, hi, (g.eval(t, px) @ db[j:hi, :, None])[:, :, 0])
+        if not f.is_zero():
+            accumulate(drift, j, hi, dt * f.eval(t, px))
+        accumulate(run, j, hi, ito[j:hi])
+        lo = np.maximum(i + 1 - win, 0)
+        values[j + 1:hi + 1] = (drift[j + 1:hi + 1]
+                                + (run[j + 1:hi + 1] - run[lo]) / win)
+        rates[j:hi] = (values[j + 1:hi + 1] - values[j:hi]) / dt
+        return hi
+
+    return values, rates, fill
 
 
 def build_Mn(f: DriftSpec, g: DiffusionSpec, x_hist: SampledPath,
@@ -145,10 +156,12 @@ def build_Mn(f: DriftSpec, g: DiffusionSpec, x_hist: SampledPath,
     cells = bpath.n_cells
     if x_hist.n_cells != cells or abs(x_hist.dt - dt) > 1e-15:
         raise GridMismatch("x_hist must share the Brownian grid")
-    values, _, extend = _window_input(f, g, phi, x_hist.values,
-                                      np.diff(bpath.values, axis=0), dt,
-                                      _window_cells(n, dt))
-    extend(cells)
+    values, _, fill = _window_input(f, g, phi, x_hist.values,
+                                    np.diff(bpath.values, axis=0), dt,
+                                    _window_cells(n, dt))
+    j = 0
+    while j < cells:
+        j = fill(j)
     return SampledPath(t0=0.0, dt=dt, values=values, extension="zero")
 
 
@@ -158,8 +171,9 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     """One sample path of the constrained stochastic evolution.
 
     The deterministic substep kernel of `solver` driven by the
-    delayed-window input M, which the sweep extends one cell ahead of the
-    substeps that use it (each block only reads already-final states).
+    delayed-window input M, which the sweep fills one block of w + 1 cells
+    at a time (w the window 1/n in grid cells), ahead of the substeps that
+    use it (each block only reads already-final states).
     The smoothing width defaults to the window 1/n when cfg is None.
     Bit-identical for identical (seed, n, cfg).
 
@@ -190,11 +204,10 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
 
     xq = np.empty((cells * n_sub + 1, d))
     xq[0] = x0
-    mvals, rates, extend = _window_input(f, g, phi, xq[::n_sub],
-                                         np.diff(bpath.values, axis=0), dt, win)
+    mvals, rates, fill = _window_input(f, g, phi, xq[::n_sub],
+                                       np.diff(bpath.values, axis=0), dt, win)
     kq, max_grad = _sweep(xq, n_sub, dt, cfg, prox, field_at, rates,
-                          f"seed={seed_label}, n={n}",
-                          before_cell=lambda j: extend(j + 1))
+                          f"seed={seed_label}, n={n}", fill)
     diag = {
         "generator": GENERATOR_ID,
         "seed": None if seed_label is None else int(seed_label),

@@ -21,7 +21,9 @@ eps-average of m.
 
 One kernel, `_sweep`, performs the substeps for both this module and the
 stochastic solver in `sde`; the callers differ only in the input rate they
-supply (m' plus the delayed drift here, the window input M there).
+supply (m' plus the delayed drift here, the window input M there).  Both
+delayed inputs read the state one delay width back, so the kernel has them
+computed one block at a time, each block with one stacked projection.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import convex
 from .coeffs import DriftSpec
-from .convex import ConvexFunction, make_resolvent, project_set, set_distance
+from .convex import ConvexFunction, make_resolvent, set_distance
 from .field import ObliqueField, make_field_eval
 from .paths import SampledPath, mollify, snapped_width, total_variation
 
@@ -155,18 +158,20 @@ def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
                                      - 1e-12)))
 
 
-def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, delayed=None,
-           before_cell=None):
+def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
+           drift=None):
     """The explicit substep kernel shared by the deterministic and the
     stochastic solvers; returns (kq, largest regularized-gradient norm).
 
     xq[0] holds x0; xq receives the state and kq the reflection at every
     substep h = dt / n_sub.  At substep q the delayed input rate is
-    rates[cell] plus delayed(q, tau) when given, cell being the grid cell of
-    tau = q h - eps; before time eps only the field term acts.
-    before_cell(j) runs ahead of the substeps of cell j, so a caller can
-    extend its input causally.  StabilityBreach names `where` when the
-    state leaves the guard ball.
+    rates[cell] plus drift[q] when given, cell being the grid cell of
+    tau = q h - eps; before time eps only the field term acts.  The delayed
+    inputs are filled causally, one block at a time: before cell j, when
+    the blocks filled so far end at cell j, fill(j) computes the next block
+    from the states through substep j n_sub and returns the cell where it
+    ends.
+    StabilityBreach names `where` when the state leaves the guard ball.
     """
     eps = cfg.eps
     h = dt / n_sub
@@ -177,9 +182,10 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, delayed=None,
     kq = np.empty_like(xq)
     kq[0] = 0.0
     max_grad = 0.0
+    ready = 0
     for j in range(n_cells):
-        if before_cell is not None:
-            before_cell(j)
+        if j == ready and fill is not None:
+            ready = fill(j)
         for q in range(j * n_sub, (j + 1) * n_sub):
             g = (x - prox(x)) / eps
             gn = float(g @ g)
@@ -191,8 +197,8 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, delayed=None,
                 if cell >= n_cells:
                     cell = n_cells - 1
                 u = rates[cell]
-                if delayed is not None:
-                    u = u + delayed(q, tau)
+                if drift is not None:
+                    u = u + drift[q]
                 x = x + h * (u - field_at(x) @ g)
             else:
                 x = x - h * (field_at(x) @ g)
@@ -244,18 +250,24 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     eps = cfg.eps
     lag, n_sub = _substep_mesh(cfg, dt, hf.c)
     lag_sub = lag * n_sub
+    h = dt / n_sub
     xq = np.empty((m.n_cells * n_sub + 1, d))
     xq[0] = x0
+    drift = None if f.is_zero() else np.empty((m.n_cells * n_sub, d))
 
-    def delayed_drift(q, tau):
-        xd = xq[q - lag_sub] if q >= lag_sub else x0
-        return f.eval(tau, project_set(phi.domain, xd))
+    def fill(j):
+        # substep q reads the state at q - lag_sub (x0 before time 0), so
+        # the states through substep j n_sub give the next lag cells
+        hi = min(j + lag, m.n_cells)
+        q = np.arange(j * n_sub, hi * n_sub)
+        xd = convex.project_set(phi.domain, xq[np.maximum(q - lag_sub, 0)])
+        drift[j * n_sub:hi * n_sub] = f.eval(q * h - eps, xd)
+        return hi
 
     kq, max_grad = _sweep(xq, n_sub, dt, cfg, make_resolvent(phi, eps),
                           make_field_eval(hf), np.diff(m.values, axis=0) / dt,
-                          f"eps={eps}",
-                          delayed=None if f.is_zero() else delayed_drift)
-    diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": dt / n_sub}
+                          f"eps={eps}", None if drift is None else fill, drift)
+    diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": h}
     return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag, m)
 
 

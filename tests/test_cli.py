@@ -206,6 +206,16 @@ class TestSolveSvi:
         with open(tmp_path / "halfline-svi-mean.csv") as fh:
             assert fh.readline().rstrip("\n") == "t,mean_x_1"
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_bad_path_count_exit_1(self, tmp_path, capsys, count):
+        code = cli.main(["solve-svi", SVI, "--out", str(tmp_path),
+                         "--paths", count])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "ScenarioError"
+        assert "--paths" in err["error"]["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_det_scenario_rejected(self, tmp_path, capsys):
         code = cli.main(["solve-svi", HALFLINE, "--out", str(tmp_path)])
         err = json.loads(capsys.readouterr().err)

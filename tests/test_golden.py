@@ -2,12 +2,15 @@
 
 The SHA-256 digests of x_quad and k_quad were recorded from the two
 separate substep loops that the shared kernel replaced; the kernel must
-reproduce them bit for bit.
+reproduce them bit for bit.  The digests of the window input M and of the
+two polytope entries were recorded from the per-cell builder of M and the
+per-substep delayed drift that the block-causal step replaced.
 """
 
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 import oblique_skorohod as ok
@@ -42,26 +45,76 @@ def _halfline_svi(cfg_cells=None):
                              sc.n_window, cfg)
 
 
+def _triangle_phi():
+    tri = ok.halfspace_intersection([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                    [0.0, 0.0, 1.5])
+    return ok.indicator(tri, r0=0.1, h0=0.3)
+
+
+def _polytope_affine_svi():
+    # 2-D path on a triangle: affine drift, affine-in-x diffusion against
+    # 2-D noise whose Frobenius clamp acts at about half the grid nodes
+    hf = ok.constant_field([[1.5, 0.2], [0.2, 1.0]], c=2.0)
+    f = ok.affine_drift([[-0.6, 0.3], [0.1, -0.4]], [-0.5, -0.8], fsharp=2.0)
+    gains = np.array([[[0.6, -0.2], [0.3, 0.5]], [[-0.4, 0.7], [0.2, -0.3]]])
+    g = ok.affine_diffusion([[0.4, 0.1], [-0.2, 0.5]], gains, gsharp=0.8)
+    drv = ok.BrownianDriver(seed=7, dt=1.0 / 256.0, dims=2, horizon=1.0)
+    return ok.solve_svi_path(_triangle_phi(), hf, f, g, [0.3, 0.4], drv, 16)
+
+
+def _penalized_time_modulated():
+    # one level on the triangle with a sinusoid-modulated affine drift,
+    # four substeps per cell
+    hf = ok.constant_field([[1.5, 0.2], [0.2, 1.0]], c=2.0)
+    prof = ok.TimeProfile(kind="sinusoid", amplitude=1.3, period=0.7,
+                          phase=0.4)
+    f = ok.time_modulated_drift([[-0.6, 0.3], [0.1, -0.4]], [-0.5, -0.8],
+                                prof, horizon=1.0, fsharp=3.0)
+    dt = 0.002
+    t = dt * np.arange(501)
+    m = ok.SampledPath(t0=0.0, dt=dt, values=np.stack(
+        [0.6 * np.sin(5.0 * t), -0.9 * t], axis=1), extension="zero")
+    eps = 0.01
+    return ok.solve_penalized(_triangle_phi(), hf, f, ok.mollify(m, eps),
+                              [0.3, 0.4], ok.PenalizedConfig(eps=eps))
+
+
+# name -> (solve, substeps per cell, x_quad, k_quad, input_m.values or None)
 GOLDEN = {
     "box-rotation-eps0.007": (
         _box_rotation_level, 3,
         "789e32b5d6076fd1c12849d13949f8b0ef29ca820475869951f6daa1a88f2bae",
-        "300bace1627ee03f514ef873433a2546ef3051f0ab30c1d7b08870b7a444a648"),
+        "300bace1627ee03f514ef873433a2546ef3051f0ab30c1d7b08870b7a444a648",
+        None),
     "halfline-svi-seed42": (
         _halfline_svi, 1,
         "b7b5dad284fe303a027d5a1ff51e22476b352f491ae7e5e2c2619648fc534595",
-        "3b453cefd13f1adec0ab7424f16b44329a0890789681c060728cca25f732baf5"),
+        "3b453cefd13f1adec0ab7424f16b44329a0890789681c060728cca25f732baf5",
+        "4727ea6ca33242093cddba270308bc14df52c2822ced8b95535689ef6b9cdc05"),
     "halfline-svi-seed42-eps4dt": (
         lambda: _halfline_svi(cfg_cells=4), 5,
         "c90eb17f4f8e91260e6f2dfc68f4151ec8a09e8b3102c381df263be4c0f27d81",
-        "c2df24a8f10df239b63c20708b7961a56ff5c4a13b7f9dc6ca7de487f794b68c"),
+        "c2df24a8f10df239b63c20708b7961a56ff5c4a13b7f9dc6ca7de487f794b68c",
+        None),
+    "polytope-affine-svi-seed7": (
+        _polytope_affine_svi, 2,
+        "7e76c924232c0dd561deeccd6f7f6f24a7f565bd6be1c4671bf66e550ec01793",
+        "0163629db394d3d031010e54bcacc046c402d112dabbb499cfddfb363f626219",
+        "493d068a5e4b6f2e3e4fd64594f8476121ee5e2be8c6e417c3794edbefe7926c"),
+    "polytope-time-modulated-eps0.01": (
+        _penalized_time_modulated, 4,
+        "f7a085bad5119a72ae7daecabbf02ab34aa5ab43078ebc9ec9410f9990fa2d6d",
+        "d5f741b59923e9fecb148c6c89d4acde6e6d29455ef7b5a7bccf3a45f569a422",
+        None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_substep_mesh_is_bit_identical(name):
-    solve, n_sub, x_hash, k_hash = GOLDEN[name]
+    solve, n_sub, x_hash, k_hash, m_hash = GOLDEN[name]
     sol = solve()
     assert sol.diagnostics["n_substeps_per_cell"] == n_sub
     assert _digest(sol.x_quad) == x_hash
     assert _digest(sol.k_quad) == k_hash
+    if m_hash is not None:
+        assert _digest(sol.input_m.values) == m_hash

@@ -180,6 +180,121 @@ class TestBuildMn:
                         xh, b, 0, halfline_phi())
 
 
+def _cellwise_Mn(f, g, phi, x_hist, db, dt, win):
+    """M by the per-cell recurrence that the block builder replaced: one
+    projection and one f/g evaluation per cell.  Kept as the reference."""
+    cells, d = db.shape[0], x_hist.shape[1]
+    ito, drift, run, values = (np.zeros((cells + 1, d)) for _ in range(4))
+    for i in range(cells):
+        xd = x_hist[i - win] if i >= win else x_hist[0]
+        px = ok.project_set(phi.domain, xd)
+        t = i * dt
+        ito[i + 1] = ito[i] + g.eval(t, px) @ db[i]
+        if not f.is_zero():
+            drift[i + 1] = drift[i] + dt * f.eval(t, px)
+        run[i + 1] = run[i] + ito[i]
+        lo = i + 1 - win if i + 1 - win > 0 else 0
+        values[i + 1] = drift[i + 1] + (run[i + 1] - run[lo]) / win
+    return values
+
+
+def _domain_phi(kind: str, d: int) -> ok.ConvexFunction:
+    if kind == "halfline":
+        # one face: the half-line in 1-D, a half-space above
+        return ok.indicator(ok.halfspace_intersection(
+            [-np.eye(d)[0]], [0.0]), r0=0.5, h0=0.5)
+    if kind == "box":
+        return ok.indicator(ok.box(np.zeros(d), np.ones(d)), r0=0.1)
+    if kind == "ball":
+        return ok.indicator(ok.ball(np.zeros(d), 1.0), r0=0.3)
+    # x >= 0 and sum(x) <= 1.5: d + 1 faces, acute corners for d >= 2
+    return ok.indicator(ok.halfspace_intersection(
+        np.vstack([-np.eye(d), np.ones((1, d))]), np.r_[np.zeros(d), 1.5]),
+        r0=0.05, h0=0.3)
+
+
+def _drift_catalog(d: int, rng) -> list:
+    A = rng.normal(size=(d, d))
+    b0 = rng.normal(size=d)
+    return [
+        ok.zero_drift(d),
+        ok.constant_drift(b0),
+        ok.affine_drift(A, b0, fsharp=10.0),
+        ok.time_modulated_drift(A, b0, ok.TimeProfile(
+            kind="sinusoid", amplitude=1.3, period=0.3, phase=0.2),
+            horizon=1.0, fsharp=10.0),
+        ok.time_modulated_drift(A, b0, ok.TimeProfile(kind="ramp", slope=-2.0),
+                                horizon=1.0, fsharp=10.0),
+        ok.time_modulated_drift(A, b0, ok.TimeProfile(value=0.7),
+                                horizon=1.0, fsharp=10.0),
+    ]
+
+
+def _diffusion_catalog(d: int, k: int, rng) -> list:
+    base = rng.normal(size=(d, k))
+    # gsharp at the base norm: the clamp acts on part of the rows only
+    return [
+        ok.zero_diffusion(d, k),
+        ok.constant_diffusion(base),
+        ok.affine_diffusion(base, rng.normal(size=(d, d, k)),
+                            gsharp=float(np.linalg.norm(base))),
+    ]
+
+
+DOMAINS = ["halfline", "box", "ball", "polytope"]
+
+
+class TestBlockBuilder:
+    DT = 1.0 / 192.0
+
+    @pytest.mark.parametrize("cells", [130, 131])
+    @pytest.mark.parametrize("win", [1, 3, 64])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_matches_the_cellwise_recurrence(self, domain, win, cells):
+        # blocks of win + 1 cells: 130 cells are a multiple of the block at
+        # win = 1 and 64, 131 cells of none
+        rng = np.random.default_rng([win, cells, DOMAINS.index(domain)])
+        n = int(round(1.0 / (win * self.DT)))
+        for d in (1, 2, 3):
+            phi = _domain_phi(domain, d)
+            # states straddling the domain, so the projection acts on some
+            xs = 0.5 + 0.8 * rng.normal(size=(cells + 1, d))
+            xh = ok.SampledPath(t0=0.0, dt=self.DT, values=xs,
+                                extension="frozen")
+            for k in (1, 2):
+                bv = np.vstack([np.zeros((1, k)), np.cumsum(
+                    rng.normal(scale=np.sqrt(self.DT), size=(cells, k)), 0)])
+                b = ok.SampledPath(t0=0.0, dt=self.DT, values=bv,
+                                   extension="zero")
+                # every drift kind, each diffusion kind twice
+                for f, g in zip(_drift_catalog(d, rng),
+                                2 * _diffusion_catalog(d, k, rng)):
+                    want = _cellwise_Mn(f, g, phi, xs, np.diff(bv, axis=0),
+                                        self.DT, win)
+                    got = ok.build_Mn(f, g, xh, b, n, phi)
+                    np.testing.assert_array_equal(got.values, want)
+
+    def test_stacked_coefficients_match_point_calls(self):
+        rng = np.random.default_rng(2024)
+        for d in (1, 2, 3):
+            xs = 0.5 + rng.normal(size=(200, d))
+            ts = rng.uniform(0.0, 1.0, size=200)
+            for f in _drift_catalog(d, rng):
+                np.testing.assert_array_equal(
+                    f.eval(ts, xs), [f.eval(t, x) for t, x in zip(ts, xs)])
+            for k in (1, 2):
+                for g in _diffusion_catalog(d, k, rng):
+                    rows = g.eval(ts, xs)
+                    assert rows.shape == (200, d, k)
+                    np.testing.assert_array_equal(
+                        rows, [g.eval(t, x) for t, x in zip(ts, xs)])
+                    # the stacked products of the window input's Ito sums
+                    db = rng.normal(size=(200, k))
+                    np.testing.assert_array_equal(
+                        (rows @ db[:, :, None])[:, :, 0],
+                        [g.eval(t, x) @ b for t, x, b in zip(ts, xs, db)])
+
+
 def svi_inputs(dt=1.0 / 64.0, sigma=0.3):
     phi = halfline_phi()
     hf = ok.constant_field([[1.0]], c=1.0)
