@@ -76,20 +76,11 @@ class DriftSpec:
         return self.kind == "zero"
 
     def eval(self, t, x: np.ndarray) -> np.ndarray:
-        """f(t, x) at one point (d,), or row by row on a stack (B, d) with
-        one time per row; each row comes out as its point call."""
-        if np.ndim(x) > 1:
-            return self._eval_rows(t, x)
-        if self.kind == "zero":
-            return np.zeros(self.dim)
-        if self.kind == "constant":
-            return self.b0
-        val = self.A @ x + self.b0
-        if self.kind == "affine":
-            return val
-        return self.profile.eval(t) * val
-
-    def _eval_rows(self, t, x: np.ndarray) -> np.ndarray:
+        """f(t, x) row by row on a stack (B, d), with one time per row or
+        one for all; a point (d,) is a one-row stack."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.eval(t, x[None])[0]
         if self.kind == "zero":
             return np.zeros(x.shape)
         if self.kind == "constant":
@@ -169,21 +160,11 @@ class DiffusionSpec:
         return self.kind == "zero"
 
     def eval(self, t, x: np.ndarray) -> np.ndarray:
-        """g(t, x) at one point (d,), or a (B, d, k) stack of matrices for
-        a stack of points (B, d); each comes out as its point call."""
-        if np.ndim(x) > 1:
-            return self._eval_rows(x)
-        if self.kind == "zero":
-            return np.zeros((self.dim, self.noise_dim))
-        if self.kind == "constant":
-            return self.matrix
-        g = self.base + np.tensordot(x, self.gains, axes=(0, 0))
-        nrm = float(np.linalg.norm(g, "fro"))
-        if nrm > self.gsharp:
-            g = g * (self.gsharp / nrm)
-        return g
-
-    def _eval_rows(self, x: np.ndarray) -> np.ndarray:
+        """g(t, x) as a (B, d, k) stack of matrices for a stack of points
+        (B, d); a point (d,) is a one-row stack and gets one (d, k)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.eval(t, x[None])[0]
         shape = (x.shape[0], self.dim, self.noise_dim)
         if self.kind == "zero":
             return np.zeros(shape)
@@ -193,7 +174,7 @@ class DiffusionSpec:
         # np.linalg.norm takes them, from the flattened rows
         g = self.base + (x[:, None, :] @ self.gains.reshape(self.dim, -1)
                          ).reshape(shape)
-        nrm = _row_norms(g.reshape(shape[0], -1))
+        nrm = _row_norms(g.reshape(shape[0], shape[1] * shape[2]))
         far = nrm > self.gsharp
         g[far] = g[far] * (self.gsharp / nrm[far])[:, None, None]
         return g

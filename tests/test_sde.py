@@ -180,6 +180,33 @@ class TestBuildMn:
                         xh, b, 0, halfline_phi())
 
 
+def _point_drift(f, t, x):
+    """f(t, x) at one point, as the catalog evaluated it before the stacked
+    form.  Kept as the reference for the row contract."""
+    if f.kind == "zero":
+        return np.zeros(f.dim)
+    if f.kind == "constant":
+        return f.b0
+    val = f.A @ x + f.b0
+    if f.kind == "affine":
+        return val
+    return f.profile.eval(t) * val
+
+
+def _point_diffusion(g, x):
+    """g(t, x) at one point, as the catalog evaluated it before the stacked
+    form, Frobenius clamp included."""
+    if g.kind == "zero":
+        return np.zeros((g.dim, g.noise_dim))
+    if g.kind == "constant":
+        return g.matrix
+    m = g.base + np.tensordot(x, g.gains, axes=(0, 0))
+    nrm = float(np.linalg.norm(m, "fro"))
+    if nrm > g.gsharp:
+        m = m * (g.gsharp / nrm)
+    return m
+
+
 def _cellwise_Mn(f, g, phi, x_hist, db, dt, win):
     """M by the per-cell recurrence that the block builder replaced: one
     projection and one f/g evaluation per cell.  Kept as the reference."""
@@ -189,9 +216,9 @@ def _cellwise_Mn(f, g, phi, x_hist, db, dt, win):
         xd = x_hist[i - win] if i >= win else x_hist[0]
         px = ok.project_set(phi.domain, xd)
         t = i * dt
-        ito[i + 1] = ito[i] + g.eval(t, px) @ db[i]
+        ito[i + 1] = ito[i] + _point_diffusion(g, px) @ db[i]
         if not f.is_zero():
-            drift[i + 1] = drift[i] + dt * f.eval(t, px)
+            drift[i + 1] = drift[i] + dt * _point_drift(f, t, px)
         run[i + 1] = run[i] + ito[i]
         lo = i + 1 - win if i + 1 - win > 0 else 0
         values[i + 1] = drift[i + 1] + (run[i + 1] - run[lo]) / win
@@ -280,20 +307,24 @@ class TestBlockBuilder:
             xs = 0.5 + rng.normal(size=(200, d))
             ts = rng.uniform(0.0, 1.0, size=200)
             for f in _drift_catalog(d, rng):
+                want = [_point_drift(f, t, x) for t, x in zip(ts, xs)]
+                np.testing.assert_array_equal(f.eval(ts, xs), want)
+                # a point is a one-row stack
                 np.testing.assert_array_equal(
-                    f.eval(ts, xs), [f.eval(t, x) for t, x in zip(ts, xs)])
+                    [f.eval(t, x) for t, x in zip(ts, xs)], want)
             for k in (1, 2):
                 for g in _diffusion_catalog(d, k, rng):
+                    want = [_point_diffusion(g, x) for x in xs]
                     rows = g.eval(ts, xs)
                     assert rows.shape == (200, d, k)
+                    np.testing.assert_array_equal(rows, want)
                     np.testing.assert_array_equal(
-                        rows, [g.eval(t, x) for t, x in zip(ts, xs)])
+                        [g.eval(t, x) for t, x in zip(ts, xs)], want)
                     # the stacked products of the window input's Ito sums
                     db = rng.normal(size=(200, k))
                     np.testing.assert_array_equal(
                         (rows @ db[:, :, None])[:, :, 0],
-                        [g.eval(t, x) @ b for t, x, b in zip(ts, xs, db)])
-
+                        [w @ b for w, b in zip(want, db)])
 
 def svi_inputs(dt=1.0 / 64.0, sigma=0.3):
     phi = halfline_phi()
