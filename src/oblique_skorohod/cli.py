@@ -47,7 +47,7 @@ def _say(args, text: str):
 
 def _apply_overrides(sc: scen.Scenario, args):
     if args.tol is not None:
-        if args.tol < 0.0:
+        if not args.tol >= 0.0:
             raise scen.ScenarioError("--tol must be >= 0")
         sc.tol = args.tol
     if getattr(args, "seed", None) is not None:

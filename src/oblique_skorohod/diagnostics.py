@@ -24,15 +24,6 @@ def _quad_mesh(sol: SkorohodSolution):
     return sol.x.times(), sol.x.values, sol.k.values
 
 
-def _values_on(phi: ConvexFunction, pts: np.ndarray) -> np.ndarray:
-    """phi at feasible points, vectorized (the finite part only)."""
-    if phi.kind == "indicator":
-        return np.zeros(pts.shape[0])
-    if phi.kind == "quadratic_plus_indicator":
-        return 0.5 * np.einsum("ij,ij->i", pts @ phi.A, pts) + pts @ phi.q
-    return pts @ phi.a + phi.beta
-
-
 def _trapz(vals: np.ndarray, dt: float) -> float:
     return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
 
@@ -60,7 +51,7 @@ def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
     if windows is None:
         windows = [(0.0, horizon)]
     xp = convex.project_set(phi.domain, xq)
-    phi_x = _values_on(phi, xp)
+    phi_x = eval_fn(phi, xp)
     dk = np.diff(kq, axis=0)
     dtq = float(tq[1] - tq[0])
 
@@ -71,12 +62,13 @@ def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
             if not contains(phi.domain, p, tol=1e-7):
                 raise ValueError(f"test point {p} is outside the domain")
             ys = np.tile(p, (xq.shape[0], 1))
-            tests.append((f"const[{idx}]", ys, _values_on(phi, ys)))
+            tests.append((f"const[{idx}]", ys,
+                          eval_fn(phi, ys, feas_tol=1e-7)))
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float).ravel()
         for theta in blend_weights:
             ys = convex.project_set(phi.domain, (1.0 - theta) * xp + theta * u0)
-            tests.append((f"blend[{theta}]", ys, _values_on(phi, ys)))
+            tests.append((f"blend[{theta}]", ys, eval_fn(phi, ys)))
     if not tests:
         raise ValueError("no test paths: pass test_points and/or u0")
 
@@ -140,17 +132,17 @@ def annexB_bound(sol: SkorohodSolution, phi: ConvexFunction, u0, r0: float,
         raise ValueError("r0 must be positive")
     u0 = np.asarray(u0, dtype=float).ravel()
     sphere = u0 + r0 * _probe_sphere(u0.size, n_sphere, seed)
-    for p in sphere:
-        if not contains(phi.domain, p, tol=1e-7):
-            raise ValueError(
-                f"u0={u0} with r0={r0} is not interior: {p} leaves the domain")
-    phi_sharp = float(max(eval_fn(phi, p, feas_tol=1e-6) for p in sphere))
+    outside = np.flatnonzero(~contains(phi.domain, sphere, tol=1e-7))
+    if outside.size:
+        raise ValueError(f"u0={u0} with r0={r0} is not interior: "
+                         f"{sphere[outside[0]]} leaves the domain")
+    phi_sharp = float(eval_fn(phi, sphere, feas_tol=1e-6).max())
     tq, xq, kq = _quad_mesh(sol)
     horizon = float(tq[-1])
     dtq = float(tq[1] - tq[0])
     dk = np.diff(kq, axis=0)
     tv_quad = float(np.linalg.norm(dk, axis=1).sum())
-    phi_x = _values_on(phi, convex.project_set(phi.domain, xq))
+    phi_x = eval_fn(phi, convex.project_set(phi.domain, xq))
     lhs = r0 * tv_quad + _trapz(phi_x, dtq)
     rhs = float(np.einsum("ij,ij->", xq[:-1] - u0, dk)) + horizon * phi_sharp
     return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs,

@@ -36,7 +36,6 @@ class ObliqueField:
     c: float
     b: float
     matrix: np.ndarray | None = None
-    inverse: np.ndarray | None = None
     base: np.ndarray | None = None
     slopes: np.ndarray | None = None
     offsets: np.ndarray | None = None
@@ -67,10 +66,8 @@ def constant_field(matrix, c: float, b: float = 0.0) -> ObliqueField:
         raise ValueError("c must be >= 1")
     _check_symmetric(mat, "matrix")
     _check_spectrum(mat, c, "matrix")
-    inv = np.linalg.inv(mat)
-    inv = 0.5 * (inv + inv.T)
     return ObliqueField(kind="constant", dim=mat.shape[0], c=float(c),
-                        b=float(b), matrix=mat, inverse=inv)
+                        b=float(b), matrix=mat)
 
 
 def diagonal_affine_field(base, slopes, c: float, b: float,
@@ -120,54 +117,50 @@ def _smoothstep(s: float) -> float:
     return s * s * (3.0 - 2.0 * s)
 
 
-def blend_weight(hf: ObliqueField, x: np.ndarray) -> float:
-    return _smoothstep(float(hf.w_direction @ x) + hf.w_offset)
-
-
-def eval_field(hf: ObliqueField, x) -> np.ndarray:
-    """H(x) as a (d, d) symmetric matrix."""
-    x = np.asarray(x, dtype=float).ravel()
-    if hf.kind == "constant":
-        return hf.matrix
-    if hf.kind == "diagonal_affine":
-        raw = hf.slopes @ x + hf.offsets
-        diag = hf.base + np.clip(raw, -hf.span, hf.span)
-        return np.diag(diag)
-    w = blend_weight(hf, x)
-    return (1.0 - w) * hf.m0 + w * hf.m1
-
-
 def make_field_eval(hf: ObliqueField):
-    """Closure computing eval_field(hf, .); constant fields capture the matrix."""
+    """Closure x -> H(x): (d, d) for one point (d,), (n, d, d) for a stack
+    (n, d), each row bit for bit as on its own.  The one place the field
+    dispatches on kind; the point paths serve the solvers' substeps."""
     if hf.kind == "constant":
         mat = hf.matrix
-        return lambda x: mat
+        return lambda x: mat if x.ndim == 1 else \
+            np.repeat(mat[None], x.shape[0], axis=0)
     if hf.kind == "diagonal_affine":
         base, slopes, offsets, span = hf.base, hf.slopes, hf.offsets, hf.span
+        i = np.arange(hf.dim)
 
         def _diag(x):
+            if x.ndim > 1:
+                raw = (slopes @ x[:, :, None])[:, :, 0] + offsets
+                out = np.zeros((x.shape[0], hf.dim, hf.dim))
+                out[:, i, i] = base + np.clip(raw, -span, span)
+                return out
             raw = slopes @ x + offsets
             return np.diag(base + np.clip(raw, -span, span))
         return _diag
     m0, m1, wd, wo = hf.m0, hf.m1, hf.w_direction, hf.w_offset
 
     def _blend(x):
+        if x.ndim > 1:
+            # the smoothstep of a clipped argument is _smoothstep's value
+            t = np.clip((wd @ x[:, :, None])[:, :, None] + wo, 0.0, 1.0)
+            w = t * t * (3.0 - 2.0 * t)
+            return (1.0 - w) * m0 + w * m1
         w = _smoothstep(float(wd @ x) + wo)
         return (1.0 - w) * m0 + w * m1
     return _blend
 
 
+def eval_field(hf: ObliqueField, x) -> np.ndarray:
+    """H(x) of one point or of each row of a stack; see make_field_eval."""
+    return make_field_eval(hf)(np.array(x, dtype=float, ndmin=1))
+
+
 def eval_inverse(hf: ObliqueField, x) -> np.ndarray:
-    """H(x)^-1; satisfies H(x) @ eval_inverse(x) = I to 1e-12."""
-    x = np.asarray(x, dtype=float).ravel()
-    if hf.kind == "constant":
-        return hf.inverse
-    if hf.kind == "diagonal_affine":
-        raw = hf.slopes @ x + hf.offsets
-        diag = hf.base + np.clip(raw, -hf.span, hf.span)
-        return np.diag(1.0 / diag)
+    """H(x)^-1, symmetrized, of one point or of each row of a stack;
+    satisfies H(x) @ eval_inverse(x) = I to 1e-12."""
     inv = np.linalg.inv(eval_field(hf, x))
-    return 0.5 * (inv + inv.T)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def direction_matrix(nu, n) -> np.ndarray:
@@ -216,22 +209,14 @@ def validate_field(hf: ObliqueField, probes) -> FieldValidationReport:
         probes = probes[:, None]
     if probes.shape[0] < 2:
         raise ValueError("need at least 2 probe points")
-    failures = []
-    sym_defect = 0.0
-    eig_min, eig_max = math.inf, -math.inf
-    mats, invs = [], []
-    for p in probes:
-        h = eval_field(hf, p)
-        hi = eval_inverse(hf, p)
-        mats.append(h)
-        invs.append(hi)
-        sym_defect = max(sym_defect, float(np.abs(h - h.T).max()))
-        resid = float(np.abs(h @ hi - np.eye(hf.dim)).max())
-        if resid > 1e-12:
-            failures.append(f"inverse residual {resid:.3e} at probe {p}")
-        ev = np.linalg.eigvalsh(h)
-        eig_min = min(eig_min, float(ev[0]))
-        eig_max = max(eig_max, float(ev[-1]))
+    mats = eval_field(hf, probes)
+    invs = eval_inverse(hf, probes)
+    sym_defect = float(np.abs(mats - np.swapaxes(mats, 1, 2)).max())
+    resid = np.abs(mats @ invs - np.eye(hf.dim)).max(axis=(1, 2))
+    failures = [f"inverse residual {resid[i]:.3e} at probe {probes[i]}"
+                for i in np.flatnonzero(resid > 1e-12)]
+    ev = np.linalg.eigvalsh(mats)
+    eig_min, eig_max = float(ev[:, 0].min()), float(ev[:, -1].max())
     if sym_defect > 0.0:
         failures.append(f"symmetry defect {sym_defect:.3e}")
     if eig_min < 1.0 / hf.c - 1e-9 or eig_max > hf.c + 1e-9:

@@ -276,7 +276,7 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     max_halvings = int(tols.get("max_halvings", 10))
     substep_ratio = int(tols.get("substep_ratio", 10))
     guard_radius = float(tols.get("guard_radius", 1e6))
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ScenarioError("tol must be >= 0")
     eff_eps0 = 0.1 * (n_cells * dt) if eps0 is None else eps0
     try:

@@ -297,7 +297,7 @@ def solve_skorohod(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     Widths are snapped up to grid multiples and recorded as snapped.
     """
     _require_time_zero(m)
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
     if max_halvings < 0:
         raise ValueError("max_halvings must be >= 0")

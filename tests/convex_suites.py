@@ -2,7 +2,8 @@
 acceptance battery.
 
 Each suite checks one stated inequality of the smoothed-constraint calculus
-over a cloud of random states per catalog function, at tight tolerances:
+over a cloud of random states per catalog function, at tight tolerances;
+the operators take each cloud as one stack per eps:
 
   1. gradient is (1/eps)-Lipschitz
   2. gradient is monotone (inner product >= -1e-12)
@@ -28,18 +29,21 @@ def _cloud(phi: ok.ConvexFunction, n: int, rng: np.random.Generator) -> np.ndarr
     return pts
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
 def suite_gradient_lipschitz(phi, n_samples: int, rng) -> float:
     """max violation of |g_eps(x) - g_eps(y)| <= (1/eps)|x-y|."""
     xs = _cloud(phi, n_samples, rng)
     ys = _cloud(phi, n_samples, rng)
     worst = -np.inf
     for eps in EPS_GRID:
-        for x, y in zip(xs, ys):
-            gx = ok.yosida_gradient(phi, eps, x)
-            gy = ok.yosida_gradient(phi, eps, y)
-            lhs = float(np.linalg.norm(gx - gy))
-            rhs = float(np.linalg.norm(x - y)) / eps
-            worst = max(worst, lhs - rhs)
+        gx = ok.yosida_gradient(phi, eps, xs)
+        gy = ok.yosida_gradient(phi, eps, ys)
+        lhs = np.linalg.norm(gx - gy, axis=1)
+        rhs = np.linalg.norm(xs - ys, axis=1) / eps
+        worst = max(worst, float((lhs - rhs).max()))
     return worst
 
 
@@ -49,10 +53,9 @@ def suite_gradient_monotone(phi, n_samples: int, rng) -> float:
     ys = _cloud(phi, n_samples, rng)
     worst = np.inf
     for eps in EPS_GRID:
-        for x, y in zip(xs, ys):
-            gx = ok.yosida_gradient(phi, eps, x)
-            gy = ok.yosida_gradient(phi, eps, y)
-            worst = min(worst, float((gx - gy) @ (x - y)))
+        gx = ok.yosida_gradient(phi, eps, xs)
+        gy = ok.yosida_gradient(phi, eps, ys)
+        worst = min(worst, float(_dot(gx - gy, xs - ys).min()))
     return worst
 
 
@@ -61,15 +64,14 @@ def suite_mixed_width(phi, n_samples: int, rng) -> float:
     contract >= -1e-10."""
     xs = _cloud(phi, n_samples, rng)
     ys = _cloud(phi, n_samples, rng)
+    gxs = {eps: ok.yosida_gradient(phi, eps, xs) for eps in EPS_GRID}
+    gys = {eps: ok.yosida_gradient(phi, eps, ys) for eps in EPS_GRID}
     worst = np.inf
     for eps in EPS_GRID:
         for delta in EPS_GRID:
-            for x, y in zip(xs, ys):
-                gx = ok.yosida_gradient(phi, eps, x)
-                gy = ok.yosida_gradient(phi, delta, y)
-                val = float((gx - gy) @ (x - y)) \
-                    + (eps + delta) * float(gx @ gy)
-                worst = min(worst, val)
+            gx, gy = gxs[eps], gys[delta]
+            val = _dot(gx - gy, xs - ys) + (eps + delta) * _dot(gx, gy)
+            worst = min(worst, float(val.min()))
     return worst
 
 
@@ -79,12 +81,11 @@ def suite_envelope_bracket(phi, n_samples: int, rng) -> float:
     xs = _cloud(phi, n_samples, rng)
     worst = -np.inf
     for eps in EPS_GRID:
-        for x in xs:
-            g = ok.yosida_gradient(phi, eps, x)
-            env = ok.moreau_envelope(phi, eps, x)
-            lower = 0.5 * eps * float(g @ g) - env
-            upper = env - float(g @ x)
-            worst = max(worst, lower, upper)
+        g = ok.yosida_gradient(phi, eps, xs)
+        env = ok.moreau_envelope(phi, eps, xs)
+        lower = 0.5 * eps * _dot(g, g) - env
+        upper = env - _dot(g, xs)
+        worst = max(worst, float(lower.max()), float(upper.max()))
     return worst
 
 
@@ -92,29 +93,28 @@ def suite_envelope_consistency(phi, n_samples: int, rng) -> float:
     """max |envelope - (|x-Jx|^2/(2 eps) + phi(Jx))| and sandwich defect
     phi(Jx) <= envelope <= phi(x); contract <= 1e-10."""
     xs = _cloud(phi, n_samples, rng)
+    fx = ok.eval_fn(phi, xs)
+    finite = np.isfinite(fx)
     worst = -np.inf
     for eps in EPS_GRID:
-        for x in xs:
-            j = ok.resolvent(phi, eps, x)
-            env = ok.moreau_envelope(phi, eps, x)
-            direct = float((x - j) @ (x - j)) / (2.0 * eps) + ok.eval_fn(phi, j)
-            worst = max(worst, abs(env - direct))
-            worst = max(worst, ok.eval_fn(phi, j) - env)
-            fx = ok.eval_fn(phi, x)
-            if np.isfinite(fx):
-                worst = max(worst, env - fx)
+        j = ok.resolvent(phi, eps, xs)
+        env = ok.moreau_envelope(phi, eps, xs)
+        fj = ok.eval_fn(phi, j)
+        direct = _dot(xs - j, xs - j) / (2.0 * eps) + fj
+        worst = max(worst, float(np.abs(env - direct).max()),
+                    float((fj - env).max()),
+                    float((env - fx)[finite].max(initial=-np.inf)))
     return worst
 
 
 def suite_envelope_width_monotone(phi, n_samples: int, rng) -> float:
     """max violation of envelope(delta) >= envelope(eps) for delta <= eps."""
     xs = _cloud(phi, n_samples, rng)
+    envs = {eps: ok.moreau_envelope(phi, eps, xs) for eps in EPS_GRID}
     worst = -np.inf
     pairs = [(e, d) for e in EPS_GRID for d in EPS_GRID if d <= e]
     for eps, delta in pairs:
-        for x in xs:
-            worst = max(worst, ok.moreau_envelope(phi, eps, x)
-                        - ok.moreau_envelope(phi, delta, x))
+        worst = max(worst, float((envs[eps] - envs[delta]).max()))
     return worst
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oblique_skorohod import cli
+from oblique_skorohod.scenario import ScenarioError, load_scenario
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 HALFLINE = os.path.join(SCEN, "halfline-ramp.json")
@@ -137,6 +138,30 @@ class TestSolveDet:
         err = json.loads(capsys.readouterr().err)
         assert code == 1
         assert err["error"]["type"] == "ScenarioError"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exit_1(self, tmp_path, capsys, tol):
+        code = cli.main(["solve-det", HALFLINE, "--out", str(tmp_path),
+                         "--tol", tol])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "ScenarioError"
+        assert "--tol" in err["error"]["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_bad_scenario_tol_exit_1(self, tmp_path, capsys, tol):
+        payload = read_json(HALFLINE)
+        payload["tolerances"]["tol"] = tol
+        path = write_json(tmp_path / "bad-tol.json", payload)
+        with pytest.raises(ScenarioError, match="tol must be >= 0"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        code = cli.main(["solve-det", path, "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "ScenarioError"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_no_convergence_exit_2_with_history(self, tmp_path, capsys):
         code = cli.main(["solve-det", HALFLINE, "--out", str(tmp_path),

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import oblique_skorohod as ok
 from oblique_skorohod.convex import (
@@ -225,16 +226,6 @@ class TestResolvent:
         j = ok.resolvent(phi, 2.0, [0.7, 0.2])
         assert np.allclose(j, [0.0, 0.0], atol=1e-14)
 
-    def test_fast_closures_match_generic(self, phi_catalog):
-        rng = np.random.default_rng(23)
-        for phi in phi_catalog.values():
-            for eps in (1.0, 0.05):
-                fast = make_resolvent(phi, eps)
-                for _ in range(25):
-                    x = rng.normal(0.0, 2.0, size=phi.dim)
-                    assert np.allclose(fast(x), ok.resolvent(phi, eps, x),
-                                       atol=1e-11)
-
     def test_prox_optimality_against_perturbations(self, phi_catalog):
         # J minimizes |z-x|^2/(2 eps) + phi(z): no feasible perturbation wins
         rng = np.random.default_rng(29)
@@ -382,3 +373,57 @@ class TestConstructorsValidate:
         s = ok.halfspace_intersection([[-2.0, 0.0]], [1.0])
         assert ok.contains(s, [-0.5, 0.0])
         assert not ok.contains(s, [-0.6, 0.0])
+
+
+class TestRowContract:
+    """Each operator takes one point (d,) or a stack (n, d), and every row
+    of a stack comes out bit for bit as that row does on its own."""
+
+    A2 = [[2.0, 0.7], [0.7, 1.0]]
+
+    def closure_kinds(self, phi_catalog):
+        # the catalog plus the closure kinds it lacks: quadratic on a box
+        # with a non-diagonal A, on one face and on the whole space in 2-D,
+        # and affine on a ball and on one face
+        half = ok.halfspace_intersection([[-1.0, -1.0]], [0.0])
+        ball = ok.ball([0.0, 0.0], 1.0)
+        return dict(phi_catalog, **{
+            "quad-box2": ok.quadratic_plus_indicator(
+                self.A2, [0.4, -0.3], ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1),
+            "quad-half2": ok.quadratic_plus_indicator(
+                self.A2, [0.4, -0.3], half, r0=0.2, h0=0.2, lipschitz_L=5.0),
+            "quad-whole2": ok.quadratic_plus_indicator(
+                self.A2, [0.4, -0.3], ok.whole_space(2), r0=1.0,
+                lipschitz_L=5.0),
+            "affine-ball": ok.lipschitz_affine_plus_indicator(
+                [0.5, -0.25], 0.1, ball, r0=0.3),
+            "affine-half2": ok.lipschitz_affine_plus_indicator(
+                [0.5, -0.25], 0.1, half, r0=0.2, h0=0.2),
+        })
+
+    def test_stack_rows_match_point_calls(self, phi_catalog):
+        rng = np.random.default_rng(43)
+        for name, phi in self.closure_kinds(phi_catalog).items():
+            xs = rng.normal(0.0, 2.0, size=(300, phi.dim))
+            ops = [lambda x: ok.eval_fn(phi, x),
+                   lambda x: ok.contains(phi.domain, x)]
+            for eps in (1.0, 0.05):
+                ops += [make_resolvent(phi, eps),
+                        lambda x, e=eps: ok.yosida_gradient(phi, e, x),
+                        lambda x, e=eps: ok.moreau_envelope(phi, e, x)]
+            for op in ops:
+                assert_array_equal(op(xs), np.array([op(x) for x in xs]),
+                                   err_msg=name)
+        fields = [
+            ok.constant_field([[1.5, 0.2], [0.2, 1.0]], c=2.0),
+            ok.diagonal_affine_field([1.0, 1.0], [[0.3, 0.1], [0.1, 0.3]],
+                                     c=2.0, b=0.5, span=[0.4, 0.4]),
+            ok.rotation_blend_field(np.eye(2), [[2.0, 0.0], [0.0, 0.5]],
+                                    [1.0, 0.0], 0.0, c=2.0, b=5.1),
+        ]
+        for hf in fields:
+            xs = rng.normal(0.0, 2.0, size=(300, 2))
+            for op in (ok.eval_field, ok.eval_inverse):
+                assert_array_equal(op(hf, xs),
+                                   np.array([op(hf, x) for x in xs]),
+                                   err_msg=hf.kind)

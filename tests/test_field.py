@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import oblique_skorohod as ok
-from oblique_skorohod.field import blend_weight, make_field_eval
 
 
 def identity_field(d=2, c=1.0):
@@ -50,11 +49,14 @@ class TestFieldCatalog:
         assert np.allclose(ok.eval_field(hf, [5.0, 0.0]), m1, atol=1e-15)
 
     def test_blend_weight_smoothstep(self):
+        # H[0, 0] = 1 + w: the weight is 0 for s <= 0, 1 for s >= 1 and
+        # s^2 (3 - 2 s) between, at a point and in a stack
         hf = ok.rotation_blend_field(np.eye(2), np.diag([2.0, 0.5]),
                                      [1.0, 0.0], 0.0, c=2.0, b=5.1)
-        assert blend_weight(hf, np.array([0.5, 0.0])) == pytest.approx(0.5)
-        assert blend_weight(hf, np.array([-1.0, 0.0])) == 0.0
-        assert blend_weight(hf, np.array([2.0, 0.0])) == 1.0
+        xs = np.array([[0.5, 0.0], [-1.0, 0.0], [2.0, 0.0], [0.25, 0.0]])
+        expected = [1.5, 1.0, 2.0, 1.15625]
+        assert [ok.eval_field(hf, x)[0, 0] for x in xs] == expected
+        assert ok.eval_field(hf, xs)[:, 0, 0].tolist() == expected
 
     def test_symmetry_is_exact(self):
         hf = ok.rotation_blend_field(np.eye(2), np.diag([2.0, 0.5]),
@@ -90,15 +92,6 @@ class TestFieldCatalog:
             n2 = float(u @ u)
             assert q >= n2 / hf.c - 1e-10
             assert q <= n2 * hf.c + 1e-10
-
-    def test_make_field_eval_matches(self):
-        hf = ok.diagonal_affine_field([1.0, 1.0], [[0.3, 0.0], [0.0, 0.3]],
-                                      c=2.0, b=0.3, span=[0.4, 0.4])
-        fast = make_field_eval(hf)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            x = rng.normal(size=2)
-            assert np.array_equal(fast(x), ok.eval_field(hf, x))
 
 
 class TestValidateField:

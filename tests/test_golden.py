@@ -4,7 +4,11 @@ The SHA-256 digests of x_quad and k_quad were recorded from the two
 separate substep loops that the shared kernel replaced; the kernel must
 reproduce them bit for bit.  The digests of the window input M and of the
 two polytope entries were recorded from the per-cell builder of M and the
-per-substep delayed drift that the block-causal step replaced.
+per-substep delayed drift that the block-causal step replaced.  The five
+closure-kind entries (quadratic on a box, on one face and on the whole
+space, affine on a box, a ball with a diagonal_affine field) were recorded
+from the two per-kind resolvent and field implementations that the single
+point-or-stack closures replaced.
 """
 
 import hashlib
@@ -79,6 +83,46 @@ def _penalized_time_modulated():
                               [0.3, 0.4], ok.PenalizedConfig(eps=eps))
 
 
+def _closure_level(phi, hf=None, x0=(0.5, 0.5)):
+    # one level, eps = 0.01, two substeps per cell, on a 2-D sinusoid-plus-
+    # ramp input that drives the state across the constraint
+    dt = 0.001
+    t = dt * np.arange(1001)
+    m = ok.SampledPath(t0=0.0, dt=dt, values=np.stack(
+        [1.4 * np.sin(6.0 * t) - 0.8 * t, 1.2 * np.cos(4.0 * t) - 1.1 * t],
+        axis=1), extension="zero")
+    if hf is None:
+        hf = ok.constant_field([[1.5, 0.2], [0.2, 1.0]], c=2.0)
+    eps = 0.01
+    return ok.solve_penalized(phi, hf, ok.zero_drift(2), ok.mollify(m, eps),
+                              x0, ok.PenalizedConfig(eps=eps))
+
+
+A2 = [[2.0, 0.7], [0.7, 1.0]]
+UNIT_BOX = ok.box([0.0, 0.0], [1.0, 1.0])
+HALF = ok.halfspace_intersection([[-1.0, -1.0]], [0.0])
+
+CLOSURE_KINDS = {
+    # projected-gradient prox
+    "quad-box-nondiagonal": lambda: _closure_level(
+        ok.quadratic_plus_indicator(A2, [0.4, -0.3], UNIT_BOX, r0=0.1)),
+    "quad-one-face": lambda: _closure_level(
+        ok.quadratic_plus_indicator(A2, [0.4, -0.3], HALF, r0=0.2, h0=0.2,
+                                    lipschitz_L=5.0)),
+    "quad-whole-space": lambda: _closure_level(
+        ok.quadratic_plus_indicator(A2, [0.4, -0.3], ok.whole_space(2),
+                                    r0=1.0, lipschitz_L=5.0)),
+    "affine-box": lambda: _closure_level(
+        ok.lipschitz_affine_plus_indicator([0.5, -0.25], 0.1, UNIT_BOX,
+                                           r0=0.1)),
+    "ball-diagonal-affine": lambda: _closure_level(
+        ok.indicator(ok.ball([0.0, 0.0], 1.0), r0=0.3),
+        ok.diagonal_affine_field([1.0, 1.0], [[0.3, 0.1], [0.1, 0.3]],
+                                 c=2.0, b=0.5, span=[0.4, 0.4]),
+        x0=(0.3, -0.3)),
+}
+
+
 # name -> (solve, substeps per cell, x_quad, k_quad, input_m.values or None)
 GOLDEN = {
     "box-rotation-eps0.007": (
@@ -105,6 +149,31 @@ GOLDEN = {
         _penalized_time_modulated, 4,
         "f7a085bad5119a72ae7daecabbf02ab34aa5ab43078ebc9ec9410f9990fa2d6d",
         "d5f741b59923e9fecb148c6c89d4acde6e6d29455ef7b5a7bccf3a45f569a422",
+        None),
+    "quad-box-nondiagonal-eps0.01": (
+        CLOSURE_KINDS["quad-box-nondiagonal"], 2,
+        "4d2db8a7f7919fb25032cdcd73a89876d94c7c0f35ed5f0c0eed7721c5240771",
+        "b87c7c1b748231c459a586f878d65b23753818f85671afcc24b6ca395bee9407",
+        None),
+    "quad-one-face-eps0.01": (
+        CLOSURE_KINDS["quad-one-face"], 2,
+        "cbb04792b1a25987a50ee3f1b92c42676e829798f17f43c0e6ea94128386e033",
+        "de20f23d2aff4351557186b06ec19b9c57014879bd7e42eb731e88faa411c34a",
+        None),
+    "quad-whole-space-eps0.01": (
+        CLOSURE_KINDS["quad-whole-space"], 2,
+        "5086aad4121f254852a8e6b3eabaf2befa7bb53e6bbf52171128ee64d33bdf59",
+        "5b02e4b4d12349d0391811196a7a68b1c9ce85d80a04712fdb6a1837779a1df4",
+        None),
+    "affine-box-eps0.01": (
+        CLOSURE_KINDS["affine-box"], 2,
+        "42ed0d62f1d58031663ba4565fed59851e45632790d1646d215bf317ef047869",
+        "12926ce8b674b10d0e8ca2d250e1e02ba9a5245a9daea4eaeaa1d448aad4346e",
+        None),
+    "ball-diagonal-affine-eps0.01": (
+        CLOSURE_KINDS["ball-diagonal-affine"], 2,
+        "8558489e0916a2c437f365f043e6de6a7bc3e7716b729f2d1ee841a274b9db22",
+        "31a1b2f849968f20bace052c6bb783508e409c872a0156dd87f3985a8e8d85f9",
         None),
 }
 

@@ -217,6 +217,12 @@ class TestPenalizedLevel:
 
 
 class TestRefinement:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        b = [b for b in make_bundles() if b.name == "halfline"][0]
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            solve_bundle(b, tol=tol)
+
     def test_halfline_matches_oracle(self):
         b = [b for b in make_bundles() if b.name == "halfline"][0]
         sol = solve_bundle(b)
@@ -356,3 +362,35 @@ class TestStabilityGap:
         s2 = ok.solve_skorohod(b.phi, b.hf, b.f, m_short, b.x0, tol=b.tol)
         with pytest.raises(ok.GridMismatch):
             ok.stability_gap(s1, s2, b.m, m_short)
+
+
+def test_tracer_patch_points_are_the_closure_builders(monkeypatch):
+    # the benchmark tracer counts resolvent and field calls by replacing
+    # make_resolvent and make_field_eval on solver and sde; a rename, or a
+    # call that bypasses these module names, would only zero its counts
+    from oblique_skorohod import convex, field, sde, solver
+    built = []
+
+    def counted(where, real):
+        def builder(*args):
+            built.append(where)
+            return real(*args)
+        return builder
+
+    for mod in (solver, sde):
+        assert mod.make_resolvent is convex.make_resolvent
+        assert mod.make_field_eval is field.make_field_eval
+        for name, real in (("make_resolvent", convex.make_resolvent),
+                           ("make_field_eval", field.make_field_eval)):
+            monkeypatch.setattr(mod, name, counted((mod.__name__, name), real))
+    phi = halfline_phi()
+    hf = ok.constant_field([[2.0]], c=2.0)
+    ok.solve_penalized(phi, hf, ok.zero_drift(1),
+                       ok.mollify(ramp_path(-1.0), 0.05), [0.0],
+                       ok.PenalizedConfig(eps=0.05))
+    drv = ok.BrownianDriver(seed=1, dt=DT, dims=1, horizon=0.1)
+    ok.solve_svi_path(phi, hf, ok.zero_drift(1),
+                      ok.constant_diffusion([[0.3]]), [0.0], drv, 8)
+    for mod in ("oblique_skorohod.solver", "oblique_skorohod.sde"):
+        assert (mod, "make_resolvent") in built
+        assert (mod, "make_field_eval") in built
