@@ -366,6 +366,8 @@ def quadratic_plus_indicator(A, q, domain: Set, r0: float,
                              lipschitz_L: float | None = None) -> ConvexFunction:
     A = np.asarray(A, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
+    if not (np.isfinite(A).all() and np.isfinite(q).all()):
+        raise ValueError("A and q must be finite")
     _sym_psd_check(A)
     if q.size != domain.dim or A.shape[0] != domain.dim:
         raise ValueError("A, q dimensions must match the domain")
@@ -385,6 +387,8 @@ def quadratic_plus_indicator(A, q, domain: Set, r0: float,
 def lipschitz_affine_plus_indicator(a, beta: float, domain: Set, r0: float,
                                     h0: float | None = None) -> ConvexFunction:
     a = np.asarray(a, dtype=float).ravel()
+    if not (np.isfinite(a).all() and math.isfinite(beta)):
+        raise ValueError("a and beta must be finite")
     if a.size != domain.dim:
         raise ValueError("a dimension must match the domain")
     h0v = _check_geometry(domain, r0, h0)
@@ -412,29 +416,54 @@ def eval_fn(phi: ConvexFunction, x, feas_tol: float = 1e-9):
 
 
 def _prox_quadratic(phi: ConvexFunction, eps: float):
-    # x -> argmin |z-x|^2/(2 eps) + 0.5 z'Az + q'z over the domain, by
-    # projected gradient steps of length 1 / (1/eps + lambda_max(A))
-    step = 1.0 / (1.0 / eps + float(np.linalg.eigvalsh(phi.A).max()))
+    # J_eps(x) minimizes z'Kz/2 - y'z over the domain, K = I/eps + A and
+    # y = x/eps - q; (M @ v[..., None])[..., 0] serves a point and a stack
+    s, d, q = phi.domain, phi.dim, phi.q
+    k = np.eye(d) / eps + phi.A
+    mul = lambda m, v: (m @ v[..., None])[..., 0]
+    if s.kind == "ball":
+        # K = V Lam V' and z = c + V u with (Lam + mu) u = -V'(K c - y), where
+        # mu = 0 if |u(0)| <= R and otherwise solves the secular equation
+        # 1/|u(mu)| = 1/R (More & Sorensen 1983).  K is positive definite, so
+        # there is no hard case, and Newton from mu = 0 climbs monotonically
+        # to the root; each row stops on its own once mu no longer grows.
+        lam, vecs = np.linalg.eigh(k)
+        kc, radius = k @ s.center, s.radius
 
-    def prox(x):
-        if x.ndim > 1:
-            return np.array([prox(r) for r in x]).reshape(x.shape)
-        z = project_set(phi.domain, x)
-        for _ in range(PROJ_MAX_ITERS):
-            grad = (z - x) / eps + phi.A @ z + phi.q
-            z_new = project_set(phi.domain, z - step * grad)
-            if float(np.linalg.norm(z_new - z)) <= PROJ_TOL:
-                return z_new
-            z = z_new
-        raise ProjectionError("proximal iteration for the quadratic kind "
-                              "stalled")
-    return prox
+        def _ball(x):
+            g = mul(vecs.T, kc - (x / eps - q)).reshape(-1, d)
+            mu, u = np.zeros(g.shape[0]), -g / lam
+            nu = _row_norms(u)
+            live = np.flatnonzero(nu > radius)
+            while live.size:
+                ui, ni = u[live], nu[live]
+                w2 = (ui[:, None, :]
+                      @ (ui / (lam + mu[live, None]))[:, :, None]).ravel()
+                new = mu[live] + (ni - radius) / radius * ni * ni / w2
+                grew = new > mu[live]
+                live, new = live[grew], new[grew]
+                mu[live] = new
+                u[live] = -g[live] / (lam + new[:, None])
+                nu[live] = _row_norms(u[live])
+                live = live[nu[live] > radius]
+            return s.center + mul(vecs, u).reshape(x.shape)
+        return _ball
+    # polytope or box: with K = L L' and w = L'z, the Euclidean projection of
+    # L^-1 y onto {w : N L^-T w <= o}; a box is [I; -I] z <= [hi; -lo]
+    linv = np.linalg.inv(np.linalg.cholesky(k))
+    if s.kind == "box":
+        normals = np.vstack((np.eye(d), -np.eye(d)))
+        offsets = np.concatenate((s.hi, -s.lo))
+    else:
+        normals, offsets = s.normals, s.offsets
+    t = halfspace_intersection(normals @ linv.T, offsets, dim=d)
+    return lambda x: mul(linv.T, project_set(t, mul(linv, x / eps - q)))
 
 
-def _one_face_rows(z, n1, b1, kn, denom):
+def _one_face_rows(z, n1, b1):
     # stack path of the one-face closures below, in a point's arithmetic
     v = (n1 @ z[:, :, None]) - b1
-    return np.where(v <= 0.0, z, z - (v / denom) * kn)
+    return np.where(v <= 0.0, z, z - v * n1)
 
 
 def make_resolvent(phi: ConvexFunction, eps: float):
@@ -442,9 +471,10 @@ def make_resolvent(phi: ConvexFunction, eps: float):
     of one point (d,) or a stack (n, d), each row bit for bit as on its own;
     the result may share memory with x.  The one place the resolvent
     dispatches on kind.  The solvers call it per substep on a point, so the
-    point paths skip project_set: 2.2 us a call against 6.4 us through it
-    for a one-face halfspace, 3.3 against 5.3 us for a ball.  A quadratic
-    on a box, ball or multi-face polytope takes a stack row by row."""
+    indicator and affine point paths skip project_set: 2.2 us a call against
+    6.4 us through it for a one-face halfspace, 3.3 against 5.3 us for a
+    ball.  The quadratic kind is exact: a projection in the metric
+    K = I/eps + A onto a polytope or box, a trust-region solve on a ball."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     s = phi.domain
@@ -474,37 +504,13 @@ def make_resolvent(phi: ConvexFunction, eps: float):
             def _half(x):
                 y = x if shift is None else x - shift
                 if y.ndim > 1:
-                    return _one_face_rows(y, n1, b1, n1, 1.0)
+                    return _one_face_rows(y, n1, b1)
                 v = float(n1 @ y) - b1
                 if v <= 0.0:
                     return y
                 return y - v * n1
             return _half
         return lambda x: project_set(s, x if shift is None else x - shift)
-    # quadratic kind
-    kinv = np.linalg.inv(np.eye(phi.dim) / eps + phi.A)
-    q = phi.q
-
-    def _free(x):
-        if x.ndim > 1:
-            return (kinv @ (x / eps - q)[:, :, None])[:, :, 0]
-        return kinv @ (x / eps - q)
-    if s.kind == "halfspace_intersection" and s.normals.shape[0] == 0:
-        return _free
-    if s.kind == "halfspace_intersection" and s.normals.shape[0] == 1:
-        n1, b1 = s.normals[0], float(s.offsets[0])
-        kn = kinv @ n1
-        denom = float(n1 @ kn)
-
-        def _quad_half(x):
-            if x.ndim > 1:
-                return _one_face_rows(_free(x), n1, b1, kn, denom)
-            z = kinv @ (x / eps - q)
-            v = float(n1 @ z) - b1
-            if v <= 0.0:
-                return z
-            return z - (v / denom) * kn
-        return _quad_half
     return _prox_quadratic(phi, eps)
 
 

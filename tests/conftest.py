@@ -21,6 +21,7 @@ HORIZON = 1.0
 GRID_N = 1000
 
 SQ2 = 0.70710678118654752
+A2 = [[2.0, 0.7], [0.7, 1.0]]
 
 
 def grid_times(n: int = GRID_N, dt: float = DT) -> np.ndarray:
@@ -68,6 +69,19 @@ def make_phis() -> dict[str, ok.ConvexFunction]:
             ok.halfspace_intersection(np.vstack([-np.eye(3), np.ones((1, 3))]),
                                       [0.0, 0.0, 0.0, 1.0]),
             r0=0.05, h0=0.2),
+        # quadratic kinds with a non-diagonal A, each >= phi(0) = 0 on its
+        # domain: on a box, on a ball through 0 (q along the center), and on
+        # the triangle x, y >= 0, x + y <= 1.5, whose acute corners are
+        # farthest from the r0-interior, at 2.613 r0 = 0.2613
+        "quad-box2": ok.quadratic_plus_indicator(
+            A2, [0.4, 0.3], ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1),
+        "quad-ball": ok.quadratic_plus_indicator(
+            A2, [0.4, 0.3], ok.ball([0.8, 0.6], 1.0), r0=0.3),
+        "quad-triangle": ok.quadratic_plus_indicator(
+            A2, [0.2, 0.1],
+            ok.halfspace_intersection([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                      [0.0, 0.0, 1.5]),
+            r0=0.1, h0=0.3, lipschitz_L=3.8),
     }
 
 
@@ -123,6 +137,11 @@ def make_bundles() -> list[Bundle]:
                                domain_radius=1.0),
                sinusoid_path([0.8, -1.3], 0.7), mk(0.3, -0.3), 5e-2,
                mk(0.0, 0.0), [mk(0.5, 0.5), mk(-0.7, 0.0)]),
+        Bundle("quad-box", phis["quad-box2"],
+               ok.constant_field([[1.5, 0.4], [0.4, 1.0]], c=2.0),
+               ok.zero_drift(2), sinusoid_path([-0.8, 1.1], 0.9),
+               mk(0.5, 0.5), 3e-2, mk(0.5, 0.5),
+               [mk(0.0, 0.0), mk(1.0, 1.0), mk(1.0, 0.0)]),
     ]
 
 

@@ -118,7 +118,7 @@ def test_criterion_05_convex_suites(capsys):
             rel = val - bound if sense == "max" else bound - val
             worst = rel if worst is None else max(worst, rel)
         margins[sname] = worst
-    passed = not failures and n_checks == 48
+    passed = not failures and n_checks == 66
     shown = " ".join(f"{k}={v:.1e}" for k, v in margins.items())
     report(capsys, 5, "regularized-gradient property suites", passed,
            f"{n_checks} suite runs x 1000 samples, worst defect minus "

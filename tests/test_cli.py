@@ -163,6 +163,23 @@ class TestSolveDet:
         assert err["error"]["type"] == "ScenarioError"
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("phi", [
+        {"kind": "quadratic_plus_indicator", "A": [[2.0, 0.5], [0.5, 1.0]],
+         "q": [float("nan"), 0.3]},
+        {"kind": "lipschitz_affine_plus_indicator", "a": [0.5, 0.25],
+         "beta": float("inf")}])
+    def test_non_finite_phi_exit_1(self, tmp_path, capsys, phi):
+        payload = read_json(BOX)
+        payload["phi"].update(phi)
+        path = write_json(tmp_path / "bad-phi.json", payload)
+        out = tmp_path / "out"
+        code = cli.main(["solve-det", path, "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "ScenarioError"
+        assert "must be finite" in err["error"]["message"]
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_no_convergence_exit_2_with_history(self, tmp_path, capsys):
         code = cli.main(["solve-det", HALFLINE, "--out", str(tmp_path),
                          "--tol", "1e-9"])

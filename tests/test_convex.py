@@ -16,7 +16,7 @@ from oblique_skorohod.convex import (
 )
 
 from convex_suites import SUITES, run_suite
-from conftest import halfline_set
+from conftest import A2, halfline_set
 
 
 class TestProjection:
@@ -173,6 +173,102 @@ class TestPolytopeProjectionReference:
         s = ok.halfspace_intersection([[1.0], [-1.0]], [-1.0, -1.0])
         with pytest.raises(ProjectionError):
             ok.project_set(s, [0.0])
+
+
+def _brute_quadratic_prox(phi: ok.ConvexFunction, eps: float,
+                          xs: np.ndarray) -> np.ndarray:
+    """J_eps of each row of xs for a quadratic on a polytope or box, by
+    enumeration in the metric K = I/eps + A.
+
+    The prox minimizes z'Kz/2 - y'z (y = x/eps - q) over the domain, so it
+    is the minimizer on the affine hull of its active faces: the feasible
+    one of lowest value among those of every set of at most d linearly
+    independent faces (and of no face) is exact.
+    """
+    s, d = phi.domain, phi.dim
+    if s.kind == "box":
+        normals = np.vstack([np.eye(d), -np.eye(d)])
+        offsets = np.concatenate([s.hi, -s.lo])
+    else:
+        normals, offsets = s.normals, s.offsets
+    k = np.eye(d) / eps + phi.A
+    ys = xs / eps - phi.q
+    value = lambda z: 0.5 * np.einsum("ij,jk,ik->i", z, k, z) \
+        - np.einsum("ij,ij->i", ys, z)
+    feasible = lambda z: (z @ normals.T - offsets).max(axis=1) <= 1e-9
+    best_z = np.linalg.solve(k, ys.T).T
+    best = np.where(feasible(best_z), value(best_z), np.inf)
+    for m in range(1, d + 1):
+        for faces in itertools.combinations(range(len(offsets)), m):
+            a, b = normals[list(faces)], offsets[list(faces)]
+            if np.linalg.matrix_rank(a) < m:
+                continue
+            kkt = np.block([[k, a.T], [a, np.zeros((m, m))]])
+            rhs = np.hstack([ys, np.broadcast_to(b, (len(ys), m))])
+            z = np.linalg.solve(kkt, rhs.T).T[:, :d]
+            val = np.where(feasible(z), value(z), np.inf)
+            better = val < best
+            best_z[better], best[better] = z[better], val[better]
+    return best_z
+
+
+class TestQuadraticProxReference:
+    SIMPLEX3 = ok.quadratic_plus_indicator(
+        [[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.5]],
+        [0.3, -0.4, 0.1],
+        ok.halfspace_intersection(np.vstack([-np.eye(3), np.ones((1, 3))]),
+                                  [0.0, 0.0, 0.0, 1.0]),
+        r0=0.05, h0=0.2, lipschitz_L=2.8)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.05])
+    @pytest.mark.parametrize("name", ["quad-box2", "quad-triangle",
+                                      "quad-simplex3"])
+    def test_polytope_and_box_against_enumeration(self, name, eps,
+                                                  phi_catalog):
+        phi = self.SIMPLEX3 if name == "quad-simplex3" else phi_catalog[name]
+        xs = np.random.default_rng(47).normal(0.0, 3.0, size=(400, phi.dim))
+        np.testing.assert_allclose(ok.resolvent(phi, eps, xs),
+                                   _brute_quadratic_prox(phi, eps, xs),
+                                   rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.05])
+    def test_ball_kkt(self, eps, phi_catalog):
+        # K z - y + mu (z - c) = 0 with mu >= 0, |z - c| <= R, and mu = 0
+        # unless |z - c| = R
+        rng = np.random.default_rng(53)
+        a3 = rng.standard_normal((3, 2))
+        ball3 = ok.quadratic_plus_indicator(
+            a3 @ a3.T, [0.5, -0.2, 0.3], ok.ball([0.2, -0.1, 0.4], 0.7),
+            r0=0.2)
+        for phi in (phi_catalog["quad-ball"], ball3):
+            c, radius = phi.domain.center, phi.domain.radius
+            xs = rng.normal(0.0, 3.0, size=(300, phi.dim))
+            z = ok.resolvent(phi, eps, xs)
+            ys = xs / eps - phi.q
+            grad = z @ (np.eye(phi.dim) / eps + phi.A) - ys
+            r = z - c
+            nr = np.linalg.norm(r, axis=1)
+            mu = np.maximum(-np.einsum("ij,ij->i", grad, r) / nr ** 2, 0.0)
+            scale = 1.0 + np.linalg.norm(ys, axis=1)
+            assert (np.linalg.norm(grad + mu[:, None] * r, axis=1)
+                    <= 1e-13 * scale).all()
+            assert (nr <= radius * (1.0 + 1e-15)).all()
+            assert (mu * (radius - nr) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("lam", [1000.0, 300.0])
+    def test_separable_box_closed_form(self, lam):
+        # a diagonal A on a box is separable: J = clip((x/eps - q) / (1/eps
+        # + diag A), lo, hi) coordinatewise.  K = diag(1 + lam, 1) is badly
+        # conditioned, where a gradient iteration stopped on its step
+        # length is inexact (300) or runs out of steps (1000).
+        phi = ok.quadratic_plus_indicator(
+            np.diag([lam, 0.0]), [0.0, -1.0],
+            ok.box([-10.0, -10.0], [10.0, 10.0]), r0=0.1)
+        x, eps = np.array([3.0, 0.0]), 1.0
+        closed = np.clip((x / eps - phi.q) / (1.0 / eps + np.diag(phi.A)),
+                         -10.0, 10.0)
+        np.testing.assert_allclose(ok.resolvent(phi, eps, x), closed,
+                                   rtol=0.0, atol=1e-14)
 
 
 class TestSetGeometry:
@@ -369,6 +465,18 @@ class TestConstructorsValidate:
             ok.quadratic_plus_indicator([[1.0]], [0.0], halfline_set(),
                                         r0=0.5, h0=0.5)
 
+    @pytest.mark.parametrize("A, q", [([[np.inf]], [0.0]),
+                                      ([[1.0]], [np.nan])])
+    def test_quadratic_needs_finite_coefficients(self, A, q):
+        with pytest.raises(ValueError, match="finite"):
+            ok.quadratic_plus_indicator(A, q, ok.box([0.0], [1.0]), r0=0.1)
+
+    @pytest.mark.parametrize("a, beta", [([np.nan], 0.0), ([1.0], np.inf)])
+    def test_affine_needs_finite_coefficients(self, a, beta):
+        with pytest.raises(ValueError, match="finite"):
+            ok.lipschitz_affine_plus_indicator(a, beta, ok.box([0.0], [1.0]),
+                                               r0=0.1)
+
     def test_halfspace_rows_are_normalized(self):
         s = ok.halfspace_intersection([[-2.0, 0.0]], [1.0])
         assert ok.contains(s, [-0.5, 0.0])
@@ -379,21 +487,16 @@ class TestRowContract:
     """Each operator takes one point (d,) or a stack (n, d), and every row
     of a stack comes out bit for bit as that row does on its own."""
 
-    A2 = [[2.0, 0.7], [0.7, 1.0]]
-
     def closure_kinds(self, phi_catalog):
-        # the catalog plus the closure kinds it lacks: quadratic on a box
-        # with a non-diagonal A, on one face and on the whole space in 2-D,
-        # and affine on a ball and on one face
+        # the catalog plus the closure kinds it lacks: quadratic on one face
+        # and on the whole space in 2-D, and affine on a ball and on one face
         half = ok.halfspace_intersection([[-1.0, -1.0]], [0.0])
         ball = ok.ball([0.0, 0.0], 1.0)
         return dict(phi_catalog, **{
-            "quad-box2": ok.quadratic_plus_indicator(
-                self.A2, [0.4, -0.3], ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1),
             "quad-half2": ok.quadratic_plus_indicator(
-                self.A2, [0.4, -0.3], half, r0=0.2, h0=0.2, lipschitz_L=5.0),
+                A2, [0.4, -0.3], half, r0=0.2, h0=0.2, lipschitz_L=5.0),
             "quad-whole2": ok.quadratic_plus_indicator(
-                self.A2, [0.4, -0.3], ok.whole_space(2), r0=1.0,
+                A2, [0.4, -0.3], ok.whole_space(2), r0=1.0,
                 lipschitz_L=5.0),
             "affine-ball": ok.lipschitz_affine_plus_indicator(
                 [0.5, -0.25], 0.1, ball, r0=0.3),
