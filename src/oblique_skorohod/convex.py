@@ -152,48 +152,68 @@ def _row_norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt((r[:, None, :] @ r[:, :, None]).ravel())
 
 
-def _project_rows(s: Set, x: np.ndarray) -> np.ndarray:
+def _projector(s: Set):
+    """Closure x -> the Euclidean projection onto s of one point (d,) or of
+    each row of a stack (n, d), each row bit for bit as on its own; the
+    result is x itself or a new array.  Built once per set, and the one
+    place a projection dispatches on the kind of s."""
     if s.kind == "box":
-        return np.clip(x, s.lo, s.hi)
-    out = x.copy()
+        lo, hi = s.lo, s.hi
+        return lambda x: np.clip(x, lo, hi)
     if s.kind == "ball":
-        r = x - s.center
-        nr = _row_norms(r)
-        far = nr > s.radius
-        out[far] = s.center + (s.radius / nr[far])[:, None] * r[far]
-        return out
-    # the same residuals as the single-point path; only violating rows move
-    resid = (s.normals @ x[:, :, None])[:, :, 0] - s.offsets
-    rows = np.flatnonzero(resid.max(axis=1, initial=0.0) > PROJ_TOL)
-    if s.normals.shape[0] == 1:
-        out[rows] = x[rows] - resid[rows, :1] * s.normals[0]
-        return out
-    for i in rows:
-        out[i] = _project_polytope(x[i], s.normals, s.offsets)
-    return out
+        center, radius = s.center, s.radius
+
+        def _ball(x):
+            r = x - center
+            if x.ndim > 1:
+                nr = _row_norms(r)
+                far = nr > radius
+                out = x.copy()
+                out[far] = center + (radius / nr[far])[:, None] * r[far]
+                return out
+            nr = math.sqrt(float(r @ r))
+            if nr <= radius:
+                return x
+            return center + (radius / nr) * r
+        return _ball
+    normals, offsets = s.normals, s.offsets
+    if normals.shape[0] == 0:
+        return lambda x: x
+    if normals.shape[0] == 1:
+        # the closed form: a row moves along the normal once it is outside
+        n1, b1 = normals[0], float(offsets[0])
+
+        def _face(x):
+            if x.ndim > 1:
+                v = (n1 @ x[:, :, None]) - b1
+                return np.where(v <= 0.0, x, x - v * n1)
+            v = float(n1 @ x) - b1
+            if v <= 0.0:
+                return x
+            return x - v * n1
+        return _face
+
+    def _polytope(x):
+        # rows outside some face by more than PROJ_TOL take the active set
+        if x.ndim > 1:
+            resid = (normals @ x[:, :, None])[:, :, 0] - offsets
+            out = x.copy()
+            for i in np.flatnonzero(resid.max(axis=1) > PROJ_TOL):
+                out[i] = _project_polytope(x[i], normals, offsets)
+            return out
+        if float((normals @ x - offsets).max()) <= PROJ_TOL:
+            return x
+        return _project_polytope(x, normals, offsets)
+    return _polytope
 
 
 def project_set(s: Set, x) -> np.ndarray:
     """Euclidean projection onto s of one point (d,) or of each row of a
-    stack (n, d); every row comes out as it would on its own."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        return _project_rows(s, x)
-    x = x.ravel()
-    if s.kind == "box":
-        return np.clip(x, s.lo, s.hi)
-    if s.kind == "ball":
-        r = x - s.center
-        nr = float(np.linalg.norm(r))
-        if nr <= s.radius:
-            return x.copy()
-        return s.center + (s.radius / nr) * r
-    resid = s.normals @ x - s.offsets
-    if float(resid.max(initial=0.0)) <= PROJ_TOL:
-        return x.copy()
-    if s.normals.shape[0] == 1:
-        return x - resid[0] * s.normals[0]
-    return _project_polytope(x, s.normals, s.offsets)
+    stack (n, d), as a fresh array; every row comes out as it would on its
+    own."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    p = _projector(s)(x)
+    return p.copy() if p is x else p
 
 
 def contains(s: Set, x, tol: float = 1e-9):
@@ -302,8 +322,7 @@ class ConvexFunction:
     r0 > 0 is the declared interior radius (the r0-interior of the domain is
     nonempty); h0 bounds the distance from any domain point to that interior
     and is computed exactly for boxes, balls, and the whole space, declared
-    otherwise.  lipschitz_L is the constant of the finite part over the
-    domain (None when not certified).
+    otherwise.
     """
 
     kind: str
@@ -314,7 +333,6 @@ class ConvexFunction:
     beta: float = 0.0
     r0: float = 0.0
     h0: float = 0.0
-    lipschitz_L: float | None = 0.0
 
     @property
     def dim(self) -> int:
@@ -358,12 +376,11 @@ def _sym_psd_check(A: np.ndarray):
 def indicator(domain: Set, r0: float, h0: float | None = None) -> ConvexFunction:
     h0v = _check_geometry(domain, r0, h0)
     return ConvexFunction(kind="indicator", domain=domain, r0=float(r0),
-                          h0=h0v, lipschitz_L=0.0)
+                          h0=h0v)
 
 
 def quadratic_plus_indicator(A, q, domain: Set, r0: float,
-                             h0: float | None = None,
-                             lipschitz_L: float | None = None) -> ConvexFunction:
+                             h0: float | None = None) -> ConvexFunction:
     A = np.asarray(A, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
     if not (np.isfinite(A).all() and np.isfinite(q).all()):
@@ -372,16 +389,8 @@ def quadratic_plus_indicator(A, q, domain: Set, r0: float,
     if q.size != domain.dim or A.shape[0] != domain.dim:
         raise ValueError("A, q dimensions must match the domain")
     h0v = _check_geometry(domain, r0, h0)
-    if lipschitz_L is None:
-        rad = bounding_radius(domain)
-        if rad is None:
-            raise ValueError("quadratic part on an unbounded domain needs a "
-                             "declared lipschitz_L")
-        lam = float(np.linalg.eigvalsh(A).max())
-        lipschitz_L = lam * rad + float(np.linalg.norm(q))
     return ConvexFunction(kind="quadratic_plus_indicator", domain=domain,
-                          A=A, q=q, r0=float(r0), h0=h0v,
-                          lipschitz_L=lipschitz_L)
+                          A=A, q=q, r0=float(r0), h0=h0v)
 
 
 def lipschitz_affine_plus_indicator(a, beta: float, domain: Set, r0: float,
@@ -393,8 +402,7 @@ def lipschitz_affine_plus_indicator(a, beta: float, domain: Set, r0: float,
         raise ValueError("a dimension must match the domain")
     h0v = _check_geometry(domain, r0, h0)
     return ConvexFunction(kind="lipschitz_affine_plus_indicator", domain=domain,
-                          a=a, beta=float(beta), r0=float(r0), h0=h0v,
-                          lipschitz_L=float(np.linalg.norm(a)))
+                          a=a, beta=float(beta), r0=float(r0), h0=h0v)
 
 
 def eval_fn(phi: ConvexFunction, x, feas_tol: float = 1e-9):
@@ -456,62 +464,27 @@ def _prox_quadratic(phi: ConvexFunction, eps: float):
         offsets = np.concatenate((s.hi, -s.lo))
     else:
         normals, offsets = s.normals, s.offsets
-    t = halfspace_intersection(normals @ linv.T, offsets, dim=d)
-    return lambda x: mul(linv.T, project_set(t, mul(linv, x / eps - q)))
-
-
-def _one_face_rows(z, n1, b1):
-    # stack path of the one-face closures below, in a point's arithmetic
-    v = (n1 @ z[:, :, None]) - b1
-    return np.where(v <= 0.0, z, z - v * n1)
+    proj = _projector(halfspace_intersection(normals @ linv.T, offsets, dim=d))
+    return lambda x: mul(linv.T, proj(mul(linv, x / eps - q)))
 
 
 def make_resolvent(phi: ConvexFunction, eps: float):
     """Closure x -> J_eps(x), the minimizer of |z - x|^2 / (2 eps) + phi(z),
     of one point (d,) or a stack (n, d), each row bit for bit as on its own;
     the result may share memory with x.  The one place the resolvent
-    dispatches on kind.  The solvers call it per substep on a point, so the
-    indicator and affine point paths skip project_set: 2.2 us a call against
-    6.4 us through it for a one-face halfspace, 3.3 against 5.3 us for a
-    ball.  The quadratic kind is exact: a projection in the metric
-    K = I/eps + A onto a polytope or box, a trust-region solve on a ball."""
+    dispatches on kind: the projector of the domain for the indicator, the
+    same projector of x - eps a for the affine kind, and for the quadratic
+    kind an exact projection in the metric K = I/eps + A onto a polytope or
+    box, a trust-region solve on a ball."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    s = phi.domain
-    if phi.kind in ("indicator", "lipschitz_affine_plus_indicator"):
-        shift = None if phi.kind == "indicator" else eps * phi.a
-        if s.kind == "box":
-            lo, hi = s.lo, s.hi
-            if shift is None:
-                return lambda x: np.clip(x, lo, hi)
-            return lambda x: np.clip(x - shift, lo, hi)
-        if s.kind == "ball":
-            center, radius = s.center, s.radius
-
-            def _ball(x):
-                y = x if shift is None else x - shift
-                if y.ndim > 1:
-                    return project_set(s, y)
-                r = y - center
-                nr = math.sqrt(float(r @ r))
-                if nr <= radius:
-                    return y
-                return center + (radius / nr) * r
-            return _ball
-        if s.normals.shape[0] == 1:
-            n1, b1 = s.normals[0], float(s.offsets[0])
-
-            def _half(x):
-                y = x if shift is None else x - shift
-                if y.ndim > 1:
-                    return _one_face_rows(y, n1, b1)
-                v = float(n1 @ y) - b1
-                if v <= 0.0:
-                    return y
-                return y - v * n1
-            return _half
-        return lambda x: project_set(s, x if shift is None else x - shift)
-    return _prox_quadratic(phi, eps)
+    if phi.kind == "quadratic_plus_indicator":
+        return _prox_quadratic(phi, eps)
+    proj = _projector(phi.domain)
+    if phi.kind == "indicator":
+        return proj
+    shift = eps * phi.a
+    return lambda x: proj(x - shift)
 
 
 def resolvent(phi: ConvexFunction, eps: float, x) -> np.ndarray:
@@ -562,7 +535,7 @@ class DomainGeometry:
 def domain_geometry(r0: float, h0: float, b: float, c: float) -> DomainGeometry:
     if not r0 > 0.0:
         raise ValueError("r0 must be positive")
-    if h0 < 0.0 or b < 0.0:
+    if not (h0 >= 0.0 and b >= 0.0):
         raise ValueError("h0 and b must be >= 0")
     if not c >= 1.0:
         raise ValueError("c must be >= 1")

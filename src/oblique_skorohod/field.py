@@ -214,12 +214,12 @@ def validate_field(hf: ObliqueField, probes) -> FieldValidationReport:
     sym_defect = float(np.abs(mats - np.swapaxes(mats, 1, 2)).max())
     resid = np.abs(mats @ invs - np.eye(hf.dim)).max(axis=(1, 2))
     failures = [f"inverse residual {resid[i]:.3e} at probe {probes[i]}"
-                for i in np.flatnonzero(resid > 1e-12)]
+                for i in np.flatnonzero(~(resid <= 1e-12))]
     ev = np.linalg.eigvalsh(mats)
     eig_min, eig_max = float(ev[:, 0].min()), float(ev[:, -1].max())
-    if sym_defect > 0.0:
+    if not sym_defect <= 0.0:
         failures.append(f"symmetry defect {sym_defect:.3e}")
-    if eig_min < 1.0 / hf.c - 1e-9 or eig_max > hf.c + 1e-9:
+    if not (eig_min >= 1.0 / hf.c - 1e-9 and eig_max <= hf.c + 1e-9):
         failures.append(
             f"spectrum [{eig_min:.6g}, {eig_max:.6g}] outside [1/c, c], c={hf.c}")
     lip_h = 0.0
@@ -239,10 +239,10 @@ def validate_field(hf: ObliqueField, probes) -> FieldValidationReport:
         if qi[j] > lip_inv:
             lip_inv = float(qi[j])
             worst_pair = (i, i + 1 + j)
-    if lip_h > hf.b + 1e-9 or lip_inv > hf.b + 1e-9:
+    if not (lip_h <= hf.b + 1e-9 and lip_inv <= hf.b + 1e-9):
         failures.append(
-            f"Lipschitz quotient {max(lip_h, lip_inv):.6g} exceeds declared "
-            f"b={hf.b} (worst inverse pair {worst_pair})")
+            f"Lipschitz quotient {max(lip_h, lip_inv):.6g} not within "
+            f"declared b={hf.b} (worst inverse pair {worst_pair})")
     return FieldValidationReport(passed=not failures,
                                  symmetry_defect=sym_defect,
                                  eig_min=eig_min, eig_max=eig_max,

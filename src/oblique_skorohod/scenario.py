@@ -89,8 +89,7 @@ def _build_phi(raw: dict, dim: int) -> convex.ConvexFunction:
             return convex.indicator(dom, r0, h0)
         if kind == "quadratic_plus_indicator":
             return convex.quadratic_plus_indicator(
-                _need(raw, "A"), _need(raw, "q"), dom, r0, h0,
-                lipschitz_L=raw.get("lipschitz_L"))
+                _need(raw, "A"), _need(raw, "q"), dom, r0, h0)
         if kind == "lipschitz_affine_plus_indicator":
             return convex.lipschitz_affine_plus_indicator(
                 _need(raw, "a"), float(raw.get("beta", 0.0)), dom, r0, h0)
@@ -391,9 +390,13 @@ def validation_report(sc: Scenario, n_probes: int = 200,
         f"lip {rep.lipschitz_H:.6g}+{rep.lipschitz_inverse:.6g} "
         f"vs b={sc.hf.b}; " + "; ".join(rep.failures))
 
-    geom = convex.domain_geometry(sc.phi.r0, sc.phi.h0, sc.hf.b, sc.hf.c)
-    add("geometry_constants", geom.delta0 > 0.0,
-        f"rho0={geom.rho0:.6g}, delta0={geom.delta0:.6g}")
+    try:
+        geom = convex.domain_geometry(sc.phi.r0, sc.phi.h0, sc.hf.b, sc.hf.c)
+    except ValueError as exc:
+        add("geometry_constants", False, str(exc))
+    else:
+        add("geometry_constants", geom.delta0 > 0.0,
+            f"rho0={geom.rho0:.6g}, delta0={geom.delta0:.6g}")
 
     head = probes[:100]
     if not sc.f.is_zero():

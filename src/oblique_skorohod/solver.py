@@ -203,7 +203,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
             else:
                 x = x - h * (field_at(x) @ g)
             k = k + h * g
-            if float(x @ x) > guard2:
+            if not float(x @ x) <= guard2:
                 raise StabilityBreach(
                     f"state norm {float(np.linalg.norm(x)):.3e} left the guard "
                     f"ball at t={(q + 1) * h:.6g} ({where})")

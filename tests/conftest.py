@@ -52,7 +52,7 @@ def make_phis() -> dict[str, ok.ConvexFunction]:
         "box2": ok.indicator(ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1),
         "ball2": ok.indicator(ok.ball([0.0, 0.0], 1.0), r0=0.3),
         "quad-halfline": ok.quadratic_plus_indicator(
-            [[1.0]], [0.0], halfline_set(), r0=0.5, h0=0.5, lipschitz_L=5.0),
+            [[1.0]], [0.0], halfline_set(), r0=0.5, h0=0.5),
         "affine-box": ok.lipschitz_affine_plus_indicator(
             [0.5, 0.25], 0.0, ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1),
         "wedge": ok.indicator(
@@ -81,7 +81,7 @@ def make_phis() -> dict[str, ok.ConvexFunction]:
             A2, [0.2, 0.1],
             ok.halfspace_intersection([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
                                       [0.0, 0.0, 1.5]),
-            r0=0.1, h0=0.3, lipschitz_L=3.8),
+            r0=0.1, h0=0.3),
     }
 
 

@@ -1,5 +1,6 @@
 """Command-line interface tests, run in process against real scenario files."""
 
+import dataclasses
 import json
 import os
 
@@ -77,6 +78,26 @@ class TestValidate:
         assert "[FAIL] h0_bound" in out
         rep = read_json(tmp_path / "wedge-bad-validate.json")
         assert rep["status"] == "fail"
+
+    @pytest.mark.parametrize("field, failed", [
+        ({"b": float("nan")}, {"field_bounds", "geometry_constants"}),
+        ({"kind": "diagonal_affine", "base": [1.0],
+          "slopes": [[float("nan")]], "span": [0.4], "b": 0.5},
+         {"field_bounds"}),
+        ({"b": -1.0}, {"field_bounds", "geometry_constants"}),
+        ({"b": float("inf")}, {"geometry_constants"})])
+    def test_bad_field_constants_fail(self, tmp_path, capsys, field, failed):
+        # a NaN compares false both ways, so each check must fail on it;
+        # the geometry constants are a failed check, not an exception
+        payload = read_json(HALFLINE)
+        payload["H"].update(field)
+        path = write_json(tmp_path / "bad-field.json", payload)
+        code = cli.main(["validate", path, "--out", str(tmp_path)])
+        assert code == 1
+        assert "validate: fail" in capsys.readouterr().out
+        rep = read_json(tmp_path / "halfline-ramp-validate.json")
+        assert rep["status"] == "fail"
+        assert {c["name"] for c in rep["checks"] if not c["passed"]} == failed
 
 
 class TestSolveDet:
@@ -179,6 +200,29 @@ class TestSolveDet:
         assert err["error"]["type"] == "ScenarioError"
         assert "must be finite" in err["error"]["message"]
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_declared_lipschitz_l_is_ignored(self, tmp_path):
+        # a quadratic on the half-line needs no Lipschitz constant; one that
+        # is still declared builds the same phi
+        payload = read_json(HALFLINE)
+        payload["phi"].update(kind="quadratic_plus_indicator", A=[[1.0]],
+                              q=[0.0])
+        plain = load_scenario(write_json(tmp_path / "plain.json", payload))
+        payload["phi"]["lipschitz_L"] = 5.0
+        declared = load_scenario(write_json(tmp_path / "lip.json", payload))
+        np.testing.assert_equal(dataclasses.asdict(declared.phi),
+                                dataclasses.asdict(plain.phi))
+
+    def test_nan_drift_exit_2(self, tmp_path, capsys):
+        # a NaN state trips the guard instead of running the level out
+        payload = read_json(HALFLINE)
+        payload["f"] = {"kind": "constant", "vector": [float("nan")]}
+        path = write_json(tmp_path / "nan-drift.json", payload)
+        code = cli.main(["solve-det", path, "--out", str(tmp_path)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"]["type"] == "StabilityBreach"
+        assert "eps=" in err["error"]["message"]
 
     def test_no_convergence_exit_2_with_history(self, tmp_path, capsys):
         code = cli.main(["solve-det", HALFLINE, "--out", str(tmp_path),

@@ -100,6 +100,29 @@ class TestProjection:
                 ok.set_distance(s, xs), [ok.set_distance(s, x) for x in xs])
             assert all(ok.contains(s, p, tol=PROJ_TOL) for p in ps)
 
+    def test_indicator_resolvent_is_project_set(self, phi_catalog):
+        # one projector serves both, so they agree bit for bit on points and
+        # stacks, band rows included: each face crossed by +-5e-13 along its
+        # normal, where a threshold of its own would leave a row unmoved
+        rng = np.random.default_rng(59)
+        sets = [phi.domain for phi in phi_catalog.values()]
+        sets += list(_reference_polytopes().values()) + [ok.whole_space(2)]
+        for s in sets:
+            xs = rng.normal(0.0, 2.0, size=(300, s.dim))
+            band = _band_rows(s, rng)
+            xs[:len(band)] = band
+            res = make_resolvent(ok.ConvexFunction(kind="indicator", domain=s),
+                                 0.05)
+            ps = ok.project_set(s, xs)
+            assert_array_equal(res(xs), ps)
+            assert_array_equal(ps, [ok.project_set(s, x) for x in xs])
+            assert_array_equal(ps, [res(x) for x in xs])
+
+    def test_distance_just_outside_one_face(self):
+        s = ok.halfspace_intersection([[-1.0]], [0.0])
+        assert_array_equal(ok.project_set(s, [-5e-13]), [0.0])
+        assert ok.set_distance(s, [-5e-13]) == 5e-13
+
     def test_whole_space_identity(self):
         x = np.array([5.0, -7.0, 1.0])
         assert np.array_equal(ok.project_set(ok.whole_space(3), x), x)
@@ -108,6 +131,27 @@ class TestProjection:
         s = ok.ball([0.0], 1.0)
         assert ok.set_distance(s, [3.0]) == pytest.approx(2.0)
         assert ok.contains(s, [0.5]) and not ok.contains(s, [1.5])
+
+
+def _band_rows(s: ok.Set, rng: np.random.Generator) -> np.ndarray:
+    """Points 5e-13 inside and outside each face of s (the sphere of a
+    ball), two of each on every face."""
+    if s.kind == "ball":
+        u = rng.standard_normal((4, s.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        radii = s.radius + np.array([5e-13, -5e-13, 5e-13, -5e-13])
+        return s.center + radii[:, None] * u
+    if s.kind == "box":
+        normals = np.vstack([np.eye(s.dim), -np.eye(s.dim)])
+        offsets = np.concatenate([s.hi, -s.lo])
+    else:
+        normals, offsets = s.normals, s.offsets
+    rows = []
+    for n, b in zip(normals, offsets):
+        for shift in (5e-13, -5e-13, 5e-13, -5e-13):
+            x = rng.normal(0.0, 1.0, size=s.dim)
+            rows.append(x - (float(n @ x) - b - shift) * n)
+    return np.array(rows).reshape(-1, s.dim)
 
 
 def _reference_polytopes() -> dict[str, ok.Set]:
@@ -218,7 +262,7 @@ class TestQuadraticProxReference:
         [0.3, -0.4, 0.1],
         ok.halfspace_intersection(np.vstack([-np.eye(3), np.ones((1, 3))]),
                                   [0.0, 0.0, 0.0, 1.0]),
-        r0=0.05, h0=0.2, lipschitz_L=2.8)
+        r0=0.05, h0=0.2)
 
     @pytest.mark.parametrize("eps", [1.0, 0.05])
     @pytest.mark.parametrize("name", ["quad-box2", "quad-triangle",
@@ -299,18 +343,18 @@ class TestResolvent:
 
     def test_quadratic_whole_space_closed_form(self):
         phi = ok.quadratic_plus_indicator([[1.0]], [0.0], ok.whole_space(1),
-                                          r0=1.0, h0=0.0, lipschitz_L=10.0)
+                                          r0=1.0, h0=0.0)
         assert ok.resolvent(phi, 1.0, [2.0])[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_fixed_point_at_minimizer(self):
         phi = ok.quadratic_plus_indicator([[1.0]], [0.0], ok.whole_space(1),
-                                          r0=1.0, h0=0.0, lipschitz_L=10.0)
+                                          r0=1.0, h0=0.0)
         assert ok.resolvent(phi, 0.5, [0.0])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_halfspace_kkt(self):
         # phi = x^2/2 on [0, inf): prox is max(0, x/(1+eps))
         phi = ok.quadratic_plus_indicator([[1.0]], [0.0], halfline_set(),
-                                          r0=0.5, h0=0.5, lipschitz_L=5.0)
+                                          r0=0.5, h0=0.5)
         assert ok.resolvent(phi, 1.0, [2.0])[0] == pytest.approx(1.0, abs=1e-12)
         assert ok.resolvent(phi, 1.0, [-3.0])[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -347,12 +391,12 @@ class TestYosidaGradient:
 
     def test_zero_at_minimizer(self):
         phi = ok.quadratic_plus_indicator([[1.0]], [0.0], ok.whole_space(1),
-                                          r0=1.0, h0=0.0, lipschitz_L=10.0)
+                                          r0=1.0, h0=0.0)
         assert ok.yosida_gradient(phi, 1.0, [0.0])[0] == 0.0
 
     def test_quadratic_value(self):
         phi = ok.quadratic_plus_indicator([[1.0]], [0.0], ok.whole_space(1),
-                                          r0=1.0, h0=0.0, lipschitz_L=10.0)
+                                          r0=1.0, h0=0.0)
         assert ok.yosida_gradient(phi, 1.0, [2.0])[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_gradient_in_subdifferential_at_resolvent(self, phi_catalog):
@@ -383,7 +427,7 @@ class TestMoreauEnvelope:
     def test_quadratic_value_against_grid_search(self):
         # envelope of x^2/2 at x=2, eps=1: brute-force the defining infimum
         phi = ok.quadratic_plus_indicator([[1.0]], [0.0], ok.whole_space(1),
-                                          r0=1.0, h0=0.0, lipschitz_L=10.0)
+                                          r0=1.0, h0=0.0)
         z = np.linspace(-1.0, 3.0, 2_000_001)
         brute = np.min((z - 2.0) ** 2 / 2.0 + z ** 2 / 2.0)
         env = ok.moreau_envelope(phi, 1.0, [2.0])
@@ -458,12 +502,7 @@ class TestConstructorsValidate:
     def test_quadratic_needs_psd(self):
         with pytest.raises(ValueError):
             ok.quadratic_plus_indicator([[-1.0]], [0.0], ok.whole_space(1),
-                                        r0=1.0, h0=0.0, lipschitz_L=1.0)
-
-    def test_quadratic_unbounded_needs_declared_l(self):
-        with pytest.raises(ValueError):
-            ok.quadratic_plus_indicator([[1.0]], [0.0], halfline_set(),
-                                        r0=0.5, h0=0.5)
+                                        r0=1.0, h0=0.0)
 
     @pytest.mark.parametrize("A, q", [([[np.inf]], [0.0]),
                                       ([[1.0]], [np.nan])])
@@ -489,19 +528,22 @@ class TestRowContract:
 
     def closure_kinds(self, phi_catalog):
         # the catalog plus the closure kinds it lacks: quadratic on one face
-        # and on the whole space in 2-D, and affine on a ball and on one face
+        # and on the whole space in 2-D, and affine on a ball, on one face
+        # and on two faces
         half = ok.halfspace_intersection([[-1.0, -1.0]], [0.0])
         ball = ok.ball([0.0, 0.0], 1.0)
         return dict(phi_catalog, **{
             "quad-half2": ok.quadratic_plus_indicator(
-                A2, [0.4, -0.3], half, r0=0.2, h0=0.2, lipschitz_L=5.0),
+                A2, [0.4, -0.3], half, r0=0.2, h0=0.2),
             "quad-whole2": ok.quadratic_plus_indicator(
-                A2, [0.4, -0.3], ok.whole_space(2), r0=1.0,
-                lipschitz_L=5.0),
+                A2, [0.4, -0.3], ok.whole_space(2), r0=1.0),
             "affine-ball": ok.lipschitz_affine_plus_indicator(
                 [0.5, -0.25], 0.1, ball, r0=0.3),
             "affine-half2": ok.lipschitz_affine_plus_indicator(
                 [0.5, -0.25], 0.1, half, r0=0.2, h0=0.2),
+            "affine-wedge": ok.lipschitz_affine_plus_indicator(
+                [0.5, -0.25], 0.1, phi_catalog["wedge"].domain, r0=0.5,
+                h0=0.545),
         })
 
     def test_stack_rows_match_point_calls(self, phi_catalog):

@@ -110,11 +110,10 @@ CLOSURE_KINDS = {
     "quad-box-nondiagonal": lambda: _closure_level(
         ok.quadratic_plus_indicator(A2, [0.4, -0.3], UNIT_BOX, r0=0.1)),
     "quad-one-face": lambda: _closure_level(
-        ok.quadratic_plus_indicator(A2, [0.4, -0.3], HALF, r0=0.2, h0=0.2,
-                                    lipschitz_L=5.0)),
+        ok.quadratic_plus_indicator(A2, [0.4, -0.3], HALF, r0=0.2, h0=0.2)),
     "quad-whole-space": lambda: _closure_level(
         ok.quadratic_plus_indicator(A2, [0.4, -0.3], ok.whole_space(2),
-                                    r0=1.0, lipschitz_L=5.0)),
+                                    r0=1.0)),
     "affine-box": lambda: _closure_level(
         ok.lipschitz_affine_plus_indicator([0.5, -0.25], 0.1, UNIT_BOX,
                                            r0=0.1)),

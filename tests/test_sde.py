@@ -424,6 +424,14 @@ class TestSviPath:
         with pytest.raises(ok.StabilityBreach, match="seed=5"):
             ok.solve_svi_path(phi, hf, f, g, [1.0], drv, 8, cfg)
 
+    def test_nan_state_breaches_the_guard(self):
+        phi, hf, _, g = svi_inputs()
+        drv = ok.BrownianDriver(seed=5, dt=1.0 / 64.0, dims=1, horizon=1.0)
+        with pytest.raises(ok.StabilityBreach,
+                           match=r"state norm nan .*seed=5"):
+            ok.solve_svi_path(phi, hf, ok.constant_drift([np.nan]), g, [1.0],
+                              drv, 8)
+
     def test_dimension_checks(self):
         phi, hf, f, g = svi_inputs()
         drv = ok.BrownianDriver(seed=1, dt=1.0 / 64.0, dims=1, horizon=1.0)

@@ -200,6 +200,14 @@ class TestPenalizedLevel:
                                ok.constant_field([[2.0]], c=2.0),
                                ok.zero_drift(1), ramp_path(-1.0), [0.5], cfg)
 
+    def test_nan_state_breaches_the_guard(self):
+        with pytest.raises(ok.StabilityBreach,
+                           match=r"state norm nan .* \(eps=0\.01\)$"):
+            ok.solve_penalized(halfline_phi(),
+                               ok.constant_field([[2.0]], c=2.0),
+                               ok.constant_drift([np.nan]), ramp_path(-1.0),
+                               [0.5], ok.PenalizedConfig(eps=0.01))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ok.solve_penalized(halfline_phi(),
@@ -254,7 +262,7 @@ class TestRefinement:
     def test_quadratic_part_drives_decay(self):
         # phi = x^2/2 on the half-line, no input: x' = -1.5 x in the limit
         phi = ok.quadratic_plus_indicator([[1.0]], [0.0], halfline_set(),
-                                          r0=0.5, h0=0.5, lipschitz_L=5.0)
+                                          r0=0.5, h0=0.5)
         sol = ok.solve_skorohod(phi, ok.constant_field([[1.5]], c=2.0),
                                 ok.zero_drift(1), zero_path(), [0.5],
                                 tol=1e-3)
