@@ -16,6 +16,18 @@ import numpy as np
 from .convex import _row_norms
 
 
+def _check_finite(**arrays):
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
+def _check_bound(name: str, value: float):
+    # false on NaN as well
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class TimeProfile:
     """Scalar time profile: constant value, ramp slope*t, or a sinusoid
@@ -31,6 +43,9 @@ class TimeProfile:
     def __post_init__(self):
         if self.kind not in ("constant", "ramp", "sinusoid"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        _check_finite(value=self.value, slope=self.slope,
+                      amplitude=self.amplitude, period=self.period,
+                      phase=self.phase)
         if self.kind == "sinusoid" and not self.period > 0.0:
             raise ValueError("sinusoid period must be positive")
 
@@ -98,6 +113,7 @@ def zero_drift(dim: int) -> DriftSpec:
 
 def constant_drift(b0) -> DriftSpec:
     b0 = np.asarray(b0, dtype=float).ravel()
+    _check_finite(b0=b0)
     return DriftSpec(kind="constant", dim=b0.size, b0=b0,
                      fsharp=float(np.linalg.norm(b0)), mu=0.0)
 
@@ -116,10 +132,12 @@ def affine_drift(A, b0, domain_radius: float | None = None,
     b0 = np.asarray(b0, dtype=float).ravel()
     if A.shape != (b0.size, b0.size):
         raise ValueError("A must be (d, d) matching b0")
+    _check_finite(A=A, b0=b0)
     if fsharp is None:
         fsharp = _affine_bound(A, b0, domain_radius)
         if fsharp is None:
             raise ValueError("affine drift needs a domain radius or explicit fsharp")
+    _check_bound("fsharp", fsharp)
     return DriftSpec(kind="affine", dim=b0.size, A=A, b0=b0,
                      fsharp=float(fsharp), mu=float(np.linalg.norm(A, 2)))
 
@@ -131,12 +149,14 @@ def time_modulated_drift(A, b0, profile: TimeProfile, horizon: float,
     b0 = np.asarray(b0, dtype=float).ravel()
     if A.shape != (b0.size, b0.size):
         raise ValueError("A must be (d, d) matching b0")
+    _check_finite(A=A, b0=b0)
     pb = profile.bound(horizon)
     if fsharp is None:
         base = _affine_bound(A, b0, domain_radius)
         if base is None:
             raise ValueError("time_modulated drift needs a domain radius or explicit fsharp")
         fsharp = pb * base
+    _check_bound("fsharp", fsharp)
     return DriftSpec(kind="time_modulated", dim=b0.size, A=A, b0=b0,
                      profile=profile, fsharp=float(fsharp),
                      mu=pb * float(np.linalg.norm(A, 2)))
@@ -188,6 +208,7 @@ def constant_diffusion(matrix) -> DiffusionSpec:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("diffusion matrix must be (d, k)")
+    _check_finite(matrix=matrix)
     return DiffusionSpec(kind="constant", dim=matrix.shape[0],
                          noise_dim=matrix.shape[1], matrix=matrix,
                          gsharp=float(np.linalg.norm(matrix, "fro")), ell=0.0)
@@ -201,8 +222,9 @@ def affine_diffusion(base, gains, gsharp: float) -> DiffusionSpec:
     d, k = base.shape
     if gains.shape != (d, d, k):
         raise ValueError("gains must be (d, d, k): per-state sensitivities")
-    if not gsharp > 0.0:
-        raise ValueError("gsharp must be positive")
+    _check_finite(base=base, gains=gains)
+    if not (gsharp > 0.0 and math.isfinite(gsharp)):
+        raise ValueError("gsharp must be finite and positive")
     ell = float(np.sqrt(np.sum(gains * gains)))
     return DiffusionSpec(kind="affine_in_x", dim=d, noise_dim=k, base=base,
                          gains=gains, gsharp=float(gsharp), ell=ell)

@@ -60,10 +60,20 @@ def _check_spectrum(mat: np.ndarray, c: float, name: str):
             f"{name} spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] outside [1/c, c] for c={c}")
 
 
+def _check_constants(c: float, b: float, **arrays):
+    # every comparison is false on NaN, so each test is written to fail it
+    if not (c >= 1.0 and math.isfinite(c)):
+        raise ValueError("c must be finite and >= 1")
+    if not (b >= 0.0 and math.isfinite(b)):
+        raise ValueError("b must be finite and >= 0")
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def constant_field(matrix, c: float, b: float = 0.0) -> ObliqueField:
     mat = np.asarray(matrix, dtype=float)
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
+    _check_constants(c, b, matrix=mat)
     _check_symmetric(mat, "matrix")
     _check_spectrum(mat, c, "matrix")
     return ObliqueField(kind="constant", dim=mat.shape[0], c=float(c),
@@ -77,13 +87,12 @@ def diagonal_affine_field(base, slopes, c: float, b: float,
     d = base.size
     if slopes.shape != (d, d):
         raise ValueError("slopes must be (d, d)")
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
     offsets = np.zeros(d) if offsets is None else np.asarray(offsets, dtype=float).ravel()
+    _check_constants(c, b, base=base, slopes=slopes, offsets=offsets)
     if span is None:
         span = np.minimum(base - 1.0 / c, c - base)
     span = np.asarray(span, dtype=float).ravel()
-    if np.any(span < 0.0):
+    if not np.all(span >= 0.0):
         raise ValueError("span must be >= 0")
     if np.any(base - span < 1.0 / c - 1e-12) or np.any(base + span > c + 1e-12):
         raise ValueError("base +- span must stay inside [1/c, c]")
@@ -96,8 +105,7 @@ def rotation_blend_field(m0, m1, w_direction, w_offset: float,
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
     wd = np.asarray(w_direction, dtype=float).ravel()
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
+    _check_constants(c, b, m0=m0, m1=m1, w_direction=wd, w_offset=w_offset)
     _check_symmetric(m0, "m0")
     _check_symmetric(m1, "m1")
     _check_spectrum(m0, c, "m0")
@@ -213,8 +221,11 @@ def validate_field(hf: ObliqueField, probes) -> FieldValidationReport:
     invs = eval_inverse(hf, probes)
     sym_defect = float(np.abs(mats - np.swapaxes(mats, 1, 2)).max())
     resid = np.abs(mats @ invs - np.eye(hf.dim)).max(axis=(1, 2))
-    failures = [f"inverse residual {resid[i]:.3e} at probe {probes[i]}"
-                for i in np.flatnonzero(~(resid <= 1e-12))]
+    bad = np.flatnonzero(~(resid <= 1e-12))
+    failures = []
+    if bad.size:
+        failures.append(f"inverse residual {resid[bad[0]]:.3e} at probe "
+                        f"{probes[bad[0]]}, first of {bad.size} probes")
     ev = np.linalg.eigvalsh(mats)
     eig_min, eig_max = float(ev[:, 0].min()), float(ev[:, -1].max())
     if not sym_defect <= 0.0:
@@ -222,26 +233,27 @@ def validate_field(hf: ObliqueField, probes) -> FieldValidationReport:
     if not (eig_min >= 1.0 / hf.c - 1e-9 and eig_max <= hf.c + 1e-9):
         failures.append(
             f"spectrum [{eig_min:.6g}, {eig_max:.6g}] outside [1/c, c], c={hf.c}")
-    lip_h = 0.0
-    lip_inv = 0.0
-    worst_pair = None
     n = probes.shape[0]
     mats, invs = np.reshape(mats, (n, -1)), np.reshape(invs, (n, -1))
+    # per probe the largest quotient against the later probes; max and
+    # argmax carry a NaN quotient through, so it fails the check below
+    top_h, top_inv = np.empty(n - 1), np.empty(n - 1)
+    partner = np.empty(n - 1, dtype=int)
     for i in range(n - 1):
-        # quotients against every later probe in one stacked pass; a
-        # coincident pair gets an infinite distance and so a zero quotient
+        # a coincident pair gets an infinite distance and so a zero quotient
         dist = _row_norms(probes[i] - probes[i + 1:])
         dist[dist < 1e-12] = math.inf
-        qh = _row_norms(mats[i] - mats[i + 1:]) / dist
         qi = _row_norms(invs[i] - invs[i + 1:]) / dist
-        lip_h = max(lip_h, float(qh.max()))
+        top_h[i] = (_row_norms(mats[i] - mats[i + 1:]) / dist).max()
         j = int(qi.argmax())
-        if qi[j] > lip_inv:
-            lip_inv = float(qi[j])
-            worst_pair = (i, i + 1 + j)
+        top_inv[i], partner[i] = qi[j], i + 1 + j
+    lip_h = float(top_h.max())
+    i = int(top_inv.argmax())
+    lip_inv = float(top_inv[i])
+    worst_pair = None if lip_inv <= 0.0 else (i, int(partner[i]))
     if not (lip_h <= hf.b + 1e-9 and lip_inv <= hf.b + 1e-9):
         failures.append(
-            f"Lipschitz quotient {max(lip_h, lip_inv):.6g} not within "
+            f"Lipschitz quotient {np.maximum(lip_h, lip_inv):.6g} not within "
             f"declared b={hf.b} (worst inverse pair {worst_pair})")
     return FieldValidationReport(passed=not failures,
                                  symmetry_defect=sym_defect,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -161,55 +162,110 @@ def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
 def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
            drift=None):
     """The explicit substep kernel shared by the deterministic and the
-    stochastic solvers; returns (kq, largest regularized-gradient norm).
+    stochastic solvers, for one path or a chunk of paths; returns (kq,
+    largest regularized-gradient norm, breaches).
 
+    Time is the first axis: xq is (Q + 1, d) for one path and (Q + 1, B, d)
+    for a chunk of B paths, and rates (cells, d) or (cells, B, d) likewise.
     xq[0] holds x0; xq receives the state and kq the reflection at every
     substep h = dt / n_sub.  At substep q the delayed input rate is
     rates[cell] plus drift[q] when given, cell being the grid cell of
     tau = q h - eps; before time eps only the field term acts.  The delayed
     inputs are filled causally, one block at a time: before cell j, when
-    the blocks filled so far end at cell j, fill(j) computes the next block
-    from the states through substep j n_sub and returns the cell where it
-    ends.
-    StabilityBreach names `where` when the state leaves the guard ball.
+    the blocks filled so far end at cell j, fill(j, rows) computes the next
+    block of the given rows from the states through substep j n_sub and
+    returns the cell where it ends.
+
+    The state leaving the guard ball (a NaN state included) is a
+    StabilityBreach naming `where`.  One path raises it and gets a float
+    norm.  In a chunk, `where` holds one label per row; a breaching row is
+    recorded in breaches (row -> the StabilityBreach its own run raises)
+    and leaves the chunk, so neither the kernel nor fill reads it again;
+    the norms are one per row.  Each row comes out bit for bit as on its
+    own: the row operations below are the point products, stacked.
     """
     eps = cfg.eps
     h = dt / n_sub
     guard2 = cfg.guard_radius * cfg.guard_radius
     n_cells = (xq.shape[0] - 1) // n_sub
     x = xq[0].copy()
-    k = np.zeros(x.size)
+    k = np.zeros(x.shape)
     kq = np.empty_like(xq)
     kq[0] = 0.0
-    max_grad = 0.0
+    breaches = {}
+    # rows: the rows still in the sweep, every row until one breaches
+    rows = slice(None)
+
+    def message(x_row, q, label):
+        return (f"state norm {float(np.linalg.norm(x_row)):.3e} left the "
+                f"guard ball at t={(q + 1) * h:.6g} ({label})")
+
+    if xq.ndim == 2:
+        apply, max_grad = operator.matmul, 0.0
+
+        def top(m, g):
+            gn = float(g @ g)
+            return gn if gn > m else m
+
+        def inside(v):
+            return float(v @ v) <= guard2
+
+        def leave(q):
+            raise StabilityBreach(message(x, q, where))
+    else:
+        def sq(v):
+            return (v[:, None, :] @ v[:, :, None]).ravel()
+
+        def apply(m, v):
+            return (m @ v[:, :, None])[:, :, 0]
+
+        def top(m, g):
+            # fmax keeps m where the norm is NaN, as the point's test does
+            return np.fmax(m, sq(g))
+
+        def inside(v):
+            return bool((sq(v) <= guard2).all())
+
+        def leave(q):
+            nonlocal x, k, max_grad, live, rows
+            keep = sq(x) <= guard2
+            for i in np.flatnonzero(~keep):
+                breaches[int(live[i])] = StabilityBreach(
+                    message(x[i], q, where[live[i]]))
+            x, k, max_grad, live = x[keep], k[keep], max_grad[keep], live[keep]
+            rows = live
+        max_grad = np.zeros(x.shape[0])
+        live = np.arange(x.shape[0])
     ready = 0
     for j in range(n_cells):
         if j == ready and fill is not None:
-            ready = fill(j)
+            ready = fill(j, rows)
         for q in range(j * n_sub, (j + 1) * n_sub):
             g = (x - prox(x)) / eps
-            gn = float(g @ g)
-            if gn > max_grad:
-                max_grad = gn
+            max_grad = top(max_grad, g)
             tau = q * h - eps
             if tau >= -1e-12:
                 cell = int(tau / dt + 1e-9)
                 if cell >= n_cells:
                     cell = n_cells - 1
-                u = rates[cell]
+                u = rates[cell, rows]
                 if drift is not None:
                     u = u + drift[q]
-                x = x + h * (u - field_at(x) @ g)
+                x = x + h * (u - apply(field_at(x), g))
             else:
-                x = x - h * (field_at(x) @ g)
+                x = x - h * apply(field_at(x), g)
             k = k + h * g
-            if not float(x @ x) <= guard2:
-                raise StabilityBreach(
-                    f"state norm {float(np.linalg.norm(x)):.3e} left the guard "
-                    f"ball at t={(q + 1) * h:.6g} ({where})")
-            xq[q + 1] = x
-            kq[q + 1] = k
-    return kq, math.sqrt(max_grad)
+            if not inside(x):
+                leave(q)
+                if not x.shape[0]:
+                    return kq, np.zeros(xq.shape[1]), breaches
+            xq[q + 1, rows] = x
+            kq[q + 1, rows] = k
+    if xq.ndim == 2:
+        return kq, math.sqrt(max_grad), breaches
+    norms = np.zeros(xq.shape[1])
+    norms[live] = np.sqrt(max_grad)
+    return kq, norms, breaches
 
 
 def _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag,
@@ -255,7 +311,7 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     xq[0] = x0
     drift = None if f.is_zero() else np.empty((m.n_cells * n_sub, d))
 
-    def fill(j):
+    def fill(j, _rows):
         # substep q reads the state at q - lag_sub (x0 before time 0), so
         # the states through substep j n_sub give the next lag cells
         hi = min(j + lag, m.n_cells)
@@ -264,9 +320,10 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
         drift[j * n_sub:hi * n_sub] = f.eval(q * h - eps, xd)
         return hi
 
-    kq, max_grad = _sweep(xq, n_sub, dt, cfg, make_resolvent(phi, eps),
-                          make_field_eval(hf), np.diff(m.values, axis=0) / dt,
-                          f"eps={eps}", None if drift is None else fill, drift)
+    kq, max_grad, _ = _sweep(
+        xq, n_sub, dt, cfg, make_resolvent(phi, eps), make_field_eval(hf),
+        np.diff(m.values, axis=0) / dt, f"eps={eps}",
+        None if drift is None else fill, drift)
     diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": h}
     return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag, m)
 

@@ -9,7 +9,7 @@ eps0 = 0.1) so every bundle converges inside the default ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -43,6 +43,12 @@ def sinusoid_path(amps, period: float, dt: float = DT,
 
 def halfline_set() -> ok.Set:
     return ok.halfspace_intersection([[-1.0]], [0.0])
+
+
+def nan_drift(d: int) -> ok.DriftSpec:
+    """A constant NaN drift, built around constant_drift (which rejects
+    it), to drive a state to NaN."""
+    return replace(ok.constant_drift(np.zeros(d)), b0=np.full(d, np.nan))
 
 
 def make_phis() -> dict[str, ok.ConvexFunction]:

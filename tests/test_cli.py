@@ -1,6 +1,7 @@
 """Command-line interface tests, run in process against real scenario files."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 from oblique_skorohod import cli
-from oblique_skorohod.scenario import ScenarioError, load_scenario
+from oblique_skorohod.scenario import (ScenarioError, load_scenario,
+                                       validation_report)
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 HALFLINE = os.path.join(SCEN, "halfline-ramp.json")
 BOX = os.path.join(SCEN, "box-rotation.json")
 SVI = os.path.join(SCEN, "halfline-svi.json")
+SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
 
 def write_json(path, payload):
@@ -82,20 +85,31 @@ class TestValidate:
     @pytest.mark.parametrize("field, failed", [
         ({"b": float("nan")}, {"field_bounds", "geometry_constants"}),
         ({"kind": "diagonal_affine", "base": [1.0],
-          "slopes": [[float("nan")]], "span": [0.4], "b": 0.5},
+          "slopes": [[float("nan")]], "offsets": [0.0], "span": [0.4],
+          "b": 0.5},
          {"field_bounds"}),
         ({"b": -1.0}, {"field_bounds", "geometry_constants"}),
         ({"b": float("inf")}, {"geometry_constants"})])
     def test_bad_field_constants_fail(self, tmp_path, capsys, field, failed):
-        # a NaN compares false both ways, so each check must fail on it;
-        # the geometry constants are a failed check, not an exception
+        # the field constructors reject such constants, so the scenario
+        # fails at load, with no report
         payload = read_json(HALFLINE)
         payload["H"].update(field)
         path = write_json(tmp_path / "bad-field.json", payload)
         code = cli.main(["validate", path, "--out", str(tmp_path)])
+        err = json.loads(capsys.readouterr().err)
         assert code == 1
-        assert "validate: fail" in capsys.readouterr().out
-        rep = read_json(tmp_path / "halfline-ramp-validate.json")
+        assert err["error"]["type"] == "ScenarioError"
+        assert "bad field declaration" in err["error"]["message"]
+        assert not (tmp_path / "halfline-ramp-validate.json").exists()
+        # a field that gets them around the constructors still fails the
+        # report's checks; a NaN compares false both ways, so each check
+        # must fail on it
+        sc = load_scenario(HALFLINE)
+        sc.hf = dataclasses.replace(sc.hf, **{
+            k: np.asarray(v, dtype=float) if isinstance(v, list) else v
+            for k, v in field.items()})
+        rep = validation_report(sc)
         assert rep["status"] == "fail"
         assert {c["name"] for c in rep["checks"] if not c["passed"]} == failed
 
@@ -213,16 +227,43 @@ class TestSolveDet:
         np.testing.assert_equal(dataclasses.asdict(declared.phi),
                                 dataclasses.asdict(plain.phi))
 
-    def test_nan_drift_exit_2(self, tmp_path, capsys):
-        # a NaN state trips the guard instead of running the level out
+    def test_nan_drift_exit_1(self, tmp_path, capsys):
+        # rejected at load, before a NaN state could reach the guard
         payload = read_json(HALFLINE)
         payload["f"] = {"kind": "constant", "vector": [float("nan")]}
         path = write_json(tmp_path / "nan-drift.json", payload)
-        code = cli.main(["solve-det", path, "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = cli.main(["solve-det", path, "--out", str(out)])
         err = json.loads(capsys.readouterr().err)
-        assert code == 2
-        assert err["error"]["type"] == "StabilityBreach"
-        assert "eps=" in err["error"]["message"]
+        assert code == 1
+        assert err["error"]["type"] == "ScenarioError"
+        assert "b0 must be finite" in err["error"]["message"]
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("block, entry, message", [
+        ("H", {"b": float("nan")}, "b must be finite and >= 0"),
+        ("H", {"c": float("inf")}, "c must be finite and >= 1"),
+        ("f", {"kind": "affine", "matrix": [[float("inf")]], "vector": [0.0],
+               "fsharp": 1.0}, "A must be finite"),
+        ("f", {"kind": "affine", "matrix": [[0.0]], "vector": [0.0],
+               "fsharp": float("nan")}, "fsharp must be finite and >= 0"),
+        ("f", {"kind": "time_modulated", "matrix": [[0.0]], "vector": [1.0],
+               "fsharp": 1.0, "profile": {"kind": "ramp",
+                                          "slope": float("nan")}},
+         "slope must be finite")])
+    def test_bad_coefficient_constants_exit_1(self, tmp_path, capsys, block,
+                                              entry, message):
+        # each used to load: a NaN b ran solve-det to exit 0
+        payload = read_json(HALFLINE)
+        payload.setdefault(block, {}).update(entry)
+        path = write_json(tmp_path / "bad-coeff.json", payload)
+        out = tmp_path / "out"
+        code = cli.main(["solve-det", path, "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "ScenarioError"
+        assert message in err["error"]["message"]
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_no_convergence_exit_2_with_history(self, tmp_path, capsys):
         code = cli.main(["solve-det", HALFLINE, "--out", str(tmp_path),
@@ -318,3 +359,26 @@ class TestSolveSvi:
         det_csv = (tmp_path / "flat-det-solution.csv").read_text()
         svi_csv = (tmp_path / "flat-svi-solution.csv").read_text()
         assert det_csv == svi_csv
+
+
+def test_traced_ensemble_has_no_failures(tmp_path):
+    # the benchmark's traced run wraps library names and checks some of
+    # their results; a chunk that reached a wrapper taking one point would
+    # fail, and its paths would rerun one at a time (or fail) here
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        code = cli.main(["solve-svi", SVI, "--paths", "8", "--out",
+                         str(tmp_path), "--quiet"])
+    finally:
+        tracer.restore()
+    assert code == 0
+    ens = read_json(tmp_path / "halfline-svi-ensemble.json")["ensemble"]
+    assert ens["failures"] == []
+    assert ens["n_ok"] == 8
+    calls = spans.aggregate(tracer.spans(), tracer.names)
+    assert calls["sde.solve_svi_path"][0] == 0
+    assert calls["field.eval"][0] > 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,35 @@ class TestDirectionMatrix:
     def test_rejects_non_unit_normal(self):
         with pytest.raises(ValueError):
             ok.direction_matrix([1.0, 0.0], [2.0, 0.0])
+
+
+def test_nan_field_fails_with_nan_quotients():
+    # a NaN slope gets around the constructor only by replace; every
+    # quotient is NaN, and the residual failures fold into one entry
+    hf = dataclasses.replace(
+        ok.diagonal_affine_field([1.0], [[0.5]], c=2.0, b=0.5, span=[0.4]),
+        slopes=np.array([[np.nan]]))
+    probes = np.linspace(0.0, 2.0, 50)
+    rep = ok.validate_field(hf, probes)
+    assert not rep.passed
+    assert np.isnan(rep.lipschitz_H) and np.isnan(rep.lipschitz_inverse)
+    resid = [f for f in rep.failures if f.startswith("inverse residual")]
+    assert resid == ["inverse residual nan at probe [0.], first of 50 probes"]
+    assert any(f.startswith("Lipschitz quotient nan") for f in rep.failures)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ok.constant_field([[1.0]], c=1.0, b=np.nan), "b must be"),
+    (lambda: ok.constant_field([[1.0]], c=1.0, b=-1.0), "b must be"),
+    (lambda: ok.constant_field([[1.0]], c=np.inf), "c must be"),
+    (lambda: ok.constant_field([[np.nan]], c=1.0), "matrix must be"),
+    (lambda: ok.diagonal_affine_field([1.0], [[np.nan]], c=2.0, b=0.5),
+     "slopes must be"),
+    (lambda: ok.diagonal_affine_field([1.0], [[0.5]], c=2.0, b=0.5,
+                                      span=[np.nan]), "span must be"),
+    (lambda: ok.rotation_blend_field(np.eye(2), np.eye(2), [1.0, 0.0],
+                                     np.inf, c=2.0, b=1.0), "w_offset must"),
+])
+def test_constructors_reject_bad_constants(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

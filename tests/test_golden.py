@@ -11,7 +11,8 @@ implementations that the single point-or-stack closures replaced.  The
 three quadratic entries (on a box, on one face and on the whole space) were
 re-recorded from the exact prox, a projection in the metric I/eps + A, once
 it matched the enumeration reference in test_convex; they moved by at most
-3.4e-14 in x_quad and 3.7e-14 in k_quad.
+3.4e-14 in x_quad and 3.7e-14 in k_quad.  The ensemble digests were
+recorded from the Monte Carlo loop that ran one path at a time.
 """
 
 import hashlib
@@ -189,3 +190,22 @@ def test_substep_mesh_is_bit_identical(name):
     assert _digest(sol.k_quad) == k_hash
     if m_hash is not None:
         assert _digest(sol.input_m.values) == m_hash
+
+
+# digests of mean_x and var_x of monte_carlo on halfline-svi, 256 paths
+# from base seed 42, recorded from the one-path-at-a-time loop that the
+# chunked sweep replaced
+ENSEMBLE_GOLDEN = (
+    "4589941aae5c2deeea78d75eff81d609b4ab57edf3ecb9a3f2b0f03bf7017c96",
+    "1c9f3aafd0e40233ed4672a3425de1e4b8fad7ebf887747a364162d981391da3")
+
+
+def test_ensemble_moments_are_bit_identical():
+    sc = ok.load_scenario(os.path.join(SCEN, "halfline-svi.json"))
+    problem = ok.SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
+                            dt=sc.dt, horizon=sc.horizon,
+                            noise_dims=sc.noise_dims, n=sc.n_window,
+                            u0=sc.u0, test_points=tuple(sc.test_points))
+    out = ok.monte_carlo(problem, 256, 42)
+    assert out["n_ok"] == 256
+    assert (_digest(out["mean_x"]), _digest(out["var_x"])) == ENSEMBLE_GOLDEN

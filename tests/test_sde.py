@@ -1,11 +1,15 @@
 """Stochastic layer tests: generators, window-averaged inputs, sample paths."""
 
+import functools
+import os
+
 import numpy as np
 import pytest
 
 import oblique_skorohod as ok
+from oblique_skorohod import convex, sde
 
-from conftest import halfline_set
+from conftest import halfline_set, nan_drift
 
 
 def halfline_phi() -> ok.ConvexFunction:
@@ -429,8 +433,7 @@ class TestSviPath:
         drv = ok.BrownianDriver(seed=5, dt=1.0 / 64.0, dims=1, horizon=1.0)
         with pytest.raises(ok.StabilityBreach,
                            match=r"state norm nan .*seed=5"):
-            ok.solve_svi_path(phi, hf, ok.constant_drift([np.nan]), g, [1.0],
-                              drv, 8)
+            ok.solve_svi_path(phi, hf, nan_drift(1), g, [1.0], drv, 8)
 
     def test_dimension_checks(self):
         phi, hf, f, g = svi_inputs()
@@ -495,3 +498,191 @@ class TestMonteCarlo:
         xT = out["mean_x"][-1, 0]
         assert xT >= 0.99
         assert out["max_feasibility_defect"] <= 1.0 / 8.0 * 5.0
+
+
+def _scenario_problem() -> ok.SviProblem:
+    sc = ok.load_scenario(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "scenarios", "halfline-svi.json"))
+    return ok.SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
+                         dt=sc.dt, horizon=sc.horizon,
+                         noise_dims=sc.noise_dims, n=sc.n_window, u0=sc.u0,
+                         test_points=tuple(sc.test_points))
+
+
+def _triangle_problem() -> ok.SviProblem:
+    # the inputs of the golden 2-D polytope path: affine drift, affine-in-x
+    # diffusion clamped at about half the nodes, 2-D noise
+    tri = ok.halfspace_intersection([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                    [0.0, 0.0, 1.5])
+    gains = np.array([[[0.6, -0.2], [0.3, 0.5]], [[-0.4, 0.7], [0.2, -0.3]]])
+    return ok.SviProblem(
+        phi=ok.indicator(tri, r0=0.1, h0=0.3),
+        hf=ok.constant_field([[1.5, 0.2], [0.2, 1.0]], c=2.0),
+        f=ok.affine_drift([[-0.6, 0.3], [0.1, -0.4]], [-0.5, -0.8],
+                          fsharp=2.0),
+        g=ok.affine_diffusion([[0.4, 0.1], [-0.2, 0.5]], gains, gsharp=0.8),
+        x0=np.array([0.3, 0.4]), dt=1.0 / 256.0, horizon=1.0, noise_dims=2,
+        n=16)
+
+
+def _ball_problem() -> ok.SviProblem:
+    # a rotation-blend field and a sinusoid-modulated drift on the unit ball
+    return ok.SviProblem(
+        phi=ok.indicator(ok.ball([0.0, 0.0], 1.0), r0=0.3),
+        hf=ok.rotation_blend_field(np.eye(2), np.diag([2.0, 0.5]),
+                                   [0.6, 0.8], 0.1, c=2.0, b=5.1),
+        f=ok.time_modulated_drift(
+            [[-0.3, 0.2], [0.1, -0.2]], [0.6, 0.3],
+            ok.TimeProfile(kind="sinusoid", amplitude=1.3, period=0.3,
+                           phase=0.2), horizon=0.5, fsharp=3.0),
+        g=ok.constant_diffusion([[0.9, 0.2], [-0.1, 0.7]]),
+        x0=np.array([0.2, -0.3]), dt=1.0 / 128.0, horizon=0.5, noise_dims=2,
+        n=16, u0=np.array([0.0, 0.0]))
+
+
+def _quad_box_problem() -> ok.SviProblem:
+    # a quadratic on a box: the prox is an active-set projection in the
+    # metric I/eps + A, under a diagonal_affine field
+    phi = ok.quadratic_plus_indicator([[2.0, 0.7], [0.7, 1.0]], [0.4, -0.3],
+                                      ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1)
+    return ok.SviProblem(
+        phi=phi,
+        hf=ok.diagonal_affine_field([1.0, 1.0], [[0.3, 0.1], [0.1, 0.3]],
+                                    c=2.0, b=0.5, span=[0.4, 0.4]),
+        f=ok.constant_drift([0.8, -0.9]),
+        g=ok.constant_diffusion([[0.8, 0.0], [0.3, 0.6]]),
+        x0=np.array([0.5, 0.5]), dt=1.0 / 128.0, horizon=0.5, noise_dims=2,
+        n=16, test_points=(np.array([0.5, 0.5]),))
+
+
+# name -> (problem, paths, base seed)
+CHUNK_CASES = {
+    "halfline-svi": (_scenario_problem, 70, 42),
+    "triangle-affine": (_triangle_problem, 20, 7),
+    "ball-rotation-blend": (_ball_problem, 20, 100),
+    "quad-box": (_quad_box_problem, 20, 300),
+}
+
+
+def _solo(p, seeds) -> dict:
+    """seed -> what solve_svi_path gives: a solution or a StabilityBreach."""
+    sols = {}
+    for seed in seeds:
+        drv = ok.BrownianDriver(seed=seed, dt=p.dt, dims=p.noise_dims,
+                                horizon=p.horizon)
+        try:
+            sols[seed] = ok.solve_svi_path(p.phi, p.hf, p.f, p.g, p.x0, drv,
+                                           p.n, p.cfg)
+        except ok.StabilityBreach as exc:
+            sols[seed] = exc
+    return sols
+
+
+@functools.lru_cache(maxsize=None)
+def _solo_runs(name):
+    make, paths, base = CHUNK_CASES[name]
+    p = make()
+    return p, _solo(p, range(base, base + paths))
+
+
+def _with_rows(monkeypatch, p, rows):
+    monkeypatch.setattr(sde, "_CHUNK_BYTES", rows * sde._row_bytes(p))
+    assert sde._chunk_rows(p) == rows
+
+
+def _assert_solo(sol, ref):
+    np.testing.assert_array_equal(sol.x_quad, ref.x_quad)
+    np.testing.assert_array_equal(sol.k_quad, ref.k_quad)
+    np.testing.assert_array_equal(sol.input_m.values, ref.input_m.values)
+    assert sol.diagnostics == ref.diagnostics
+    assert sol.tv_k == ref.tv_k
+
+
+class TestChunks:
+    @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+    def test_every_path_is_its_solo_run_at_any_chunk_size(self, monkeypatch,
+                                                           name):
+        p, solo = _solo_runs(name)
+        assert all(isinstance(s, ok.SkorohodSolution) for s in solo.values())
+        vi = None
+        if p.test_points or p.u0 is not None:
+            vi = max(ok.vi_residual(s, p.phi, test_points=list(p.test_points)
+                                    or None, u0=p.u0)["residual"]
+                     for s in solo.values())
+        summaries = []
+        for rows in (1, 64, 256):
+            _with_rows(monkeypatch, p, rows)
+            out = ok.monte_carlo(p, len(solo), min(solo), collect_paths=True)
+            assert out["seeds_ok"] == sorted(solo)
+            for seed, sol in zip(out["seeds_ok"], out.pop("paths")):
+                _assert_solo(sol, solo[seed])
+            assert out["max_vi_residual"] == vi
+            summaries.append(out)
+            # uncollected paths are views of the chunk's arrays
+            summaries.append(ok.monte_carlo(p, len(solo), min(solo)))
+        for out in summaries[1:]:
+            np.testing.assert_equal(out, summaries[0])
+
+    @pytest.mark.parametrize("rows", [8, 64])
+    def test_guard_breaches_leave_the_chunk(self, monkeypatch, rows):
+        # paths that leave the guard ball at different times fail with
+        # their solo messages; the rest of their chunks stay bit-identical
+        phi, hf, _, _ = svi_inputs()
+        p = ok.SviProblem(
+            phi=phi, hf=hf, f=ok.zero_drift(1),
+            g=ok.constant_diffusion([[1.0]]), x0=np.array([1.0]),
+            dt=1.0 / 64.0, horizon=1.0, noise_dims=1, n=8,
+            cfg=ok.PenalizedConfig(eps=1.0 / 8.0, guard_radius=1.8))
+        solo = _solo(p, range(500, 540))
+        _with_rows(monkeypatch, p, rows)
+        out = ok.monte_carlo(p, 40, 500, collect_paths=True)
+        failed = [{"seed": s, "error": "StabilityBreach", "message": str(e)}
+                  for s, e in solo.items() if isinstance(e, Exception)]
+        assert len(failed) >= 5
+        assert out["failures"] == failed
+        assert len({f["message"].split("t=")[1] for f in failed}) > 1
+        for seed, sol in zip(out["seeds_ok"], out["paths"]):
+            _assert_solo(sol, solo[seed])
+        assert len(out["seeds_ok"]) + len(failed) == 40
+
+    def test_a_failing_chunk_reruns_its_paths_alone(self, monkeypatch):
+        # a chunk whose stacked prox raises falls back to one run per seed
+        real = convex.make_resolvent
+
+        def point_only(phi, eps):
+            prox = real(phi, eps)
+
+            def checked(x):
+                if x.ndim > 1:
+                    raise RuntimeError("no stacks")
+                return prox(x)
+            return checked
+
+        p, solo = _solo_runs("halfline-svi")
+        monkeypatch.setattr(convex, "make_resolvent", point_only)
+        _with_rows(monkeypatch, p, 64)
+        out = ok.monte_carlo(p, 10, 42, collect_paths=True)
+        assert out["failures"] == []
+        for seed, sol in zip(out["seeds_ok"], out["paths"]):
+            _assert_solo(sol, solo[seed])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ok.constant_drift([np.nan]), "b0 must be finite"),
+    (lambda: ok.affine_drift([[np.inf]], [0.0], fsharp=1.0),
+     "A must be finite"),
+    (lambda: ok.affine_drift([[1.0]], [0.0], domain_radius=np.inf),
+     "fsharp must be finite"),
+    (lambda: ok.affine_drift([[1.0]], [0.0], fsharp=-1.0),
+     "fsharp must be finite and >= 0"),
+    (lambda: ok.TimeProfile(kind="sinusoid", phase=np.nan),
+     "phase must be finite"),
+    (lambda: ok.constant_diffusion([[np.inf]]), "matrix must be finite"),
+    (lambda: ok.affine_diffusion([[0.1]], [[[np.nan]]], gsharp=1.0),
+     "gains must be finite"),
+    (lambda: ok.affine_diffusion([[0.1]], [[[0.2]]], gsharp=np.inf),
+     "gsharp must be finite"),
+])
+def test_coefficient_constructors_reject_bad_constants(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -8,7 +8,8 @@ import pytest
 import oblique_skorohod as ok
 
 from conftest import (DT, GRID_N, Bundle, grid_times, halfline_set,
-                      make_bundles, ramp_path, sinusoid_path, solve_bundle)
+                      make_bundles, nan_drift, ramp_path, sinusoid_path,
+                      solve_bundle)
 
 
 def zero_path(n: int = GRID_N, dt: float = DT, dim: int = 1) -> ok.SampledPath:
@@ -205,7 +206,7 @@ class TestPenalizedLevel:
                            match=r"state norm nan .* \(eps=0\.01\)$"):
             ok.solve_penalized(halfline_phi(),
                                ok.constant_field([[2.0]], c=2.0),
-                               ok.constant_drift([np.nan]), ramp_path(-1.0),
+                               nan_drift(1), ramp_path(-1.0),
                                [0.5], ok.PenalizedConfig(eps=0.01))
 
     def test_dimension_mismatch_rejected(self):
