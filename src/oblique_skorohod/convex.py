@@ -22,6 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # the ufunc behind np.clip, without np.clip's Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 PROJ_TOL = 1e-12
 PROJ_MAX_ITERS = 10_000
 
@@ -99,18 +104,20 @@ def whole_space(dim: int) -> Set:
     return halfspace_intersection(np.zeros((0, dim)), np.zeros(0), dim=dim)
 
 
-def _project_polytope(x, normals, offsets):
+def _project_polytope(x, normals, offsets, resid):
     # Goldfarb-Idnani dual active-set method for min |z - x|^2 / 2 subject
-    # to normals @ z <= offsets.  z stays the projection of x onto the
-    # active faces, u >= 0 are their multipliers and pinv the pseudo-inverse
-    # of their normals (one row per face).  Each pass adds the most violated
+    # to normals @ z <= offsets (Goldfarb & Idnani 1983), from resid =
+    # normals @ x - offsets.  z stays the projection of x onto the active
+    # faces, u >= 0 are their multipliers and pinv the pseudo-inverse of
+    # their normals (one row per face).  Each pass adds the most violated
     # face; an active face whose multiplier would reach zero first leaves.
+    # _project_rows takes the same steps on many rows at once.
     z = x.copy()
     active, u = [], []
     pinv = np.zeros((0, x.size))
     for _ in range(PROJ_MAX_ITERS):
-        resid = normals @ z - offsets
-        resid[active] = -math.inf
+        if active:
+            resid[active] = -math.inf
         p = int(resid.argmax())
         if resid[p] <= PROJ_TOL:
             return z
@@ -118,8 +125,12 @@ def _project_polytope(x, normals, offsets):
         while True:
             # z moves along the part of n orthogonal to the active normals
             # while the active multipliers fall at the rates r
-            r = pinv @ n
-            step = n - normals[active].T @ r
+            if active:
+                r = pinv @ n
+                step = n - normals[active].T @ r
+            else:
+                # no active face: the products above are empty, step is n
+                r, step = pinv[:, 0], n.copy()
             ss = float(step @ step)
             t = (float(n @ z) - offsets[p]) / ss \
                 if ss > PROJ_TOL * PROJ_TOL else math.inf
@@ -138,12 +149,118 @@ def _project_polytope(x, normals, offsets):
             row = pinv[k]
             pinv = np.delete(pinv, k, axis=0)
             pinv -= (pinv @ row)[:, None] * (row / float(row @ row))
+        step /= ss
+        pinv = np.concatenate((pinv - r[:, None] * step, step[None])) \
+            if active else step[None]
         active.append(p)
         u.append(up)
-        step /= ss
-        pinv = np.concatenate((pinv - r[:, None] * step, step[None]))
+        resid = normals @ z - offsets
     raise ProjectionError(
         f"active-set projection exceeded {PROJ_MAX_ITERS} passes")
+
+
+def _by_count(counts):
+    # (count, the positions holding it) for each nonzero count, so that a
+    # product over the first `count` active faces has the point's shape
+    for a in np.unique(counts):
+        if a:
+            yield int(a), np.flatnonzero(counts == a)
+
+
+def _project_rows(z, normals, offsets, resid):
+    # _project_polytope on every row of z (n, d) at once, from resid =
+    # normals @ z - offsets (n, m); each row comes out bit for bit as the
+    # point routine gives it.  A row keeps its active faces in act[:, :na],
+    # their multipliers in u and the rows of pinv in the same slots (padded
+    # to m faces).  Every pass lets the rows that wait for a face pick one
+    # (or finish) and then takes one step on every row.  Elementwise work
+    # runs on all rows together; a product over the active faces runs once
+    # per active count, in the point's shapes, so numpy takes the same
+    # float operations as for the point.
+    m, d = normals.shape
+    z, out = z.copy(), np.empty_like(z)
+    n_rows = z.shape[0]
+    at = np.arange(n_rows)            # the output row of each live row
+    act = np.zeros((n_rows, m), dtype=np.intp)
+    na = np.zeros(n_rows, dtype=np.intp)
+    u = np.zeros((n_rows, m))
+    pinv = np.zeros((n_rows, m, d))
+    member = np.zeros((n_rows, m), dtype=bool)
+    p = np.zeros(n_rows, dtype=np.intp)
+    up = np.zeros(n_rows)
+    pick = np.ones(n_rows, dtype=bool)  # the rows that wait for a face
+    passes = np.zeros(n_rows, dtype=np.intp)
+    slot = np.arange(m)
+    tol2 = PROJ_TOL * PROJ_TOL
+    while True:
+        s = np.flatnonzero(pick)
+        if s.size:
+            if passes[s].max() >= PROJ_MAX_ITERS:
+                raise ProjectionError(
+                    f"active-set projection exceeded {PROJ_MAX_ITERS} passes")
+            passes[s] += 1
+            if resid is None:  # the caller's resid serves the first pass
+                resid = (normals @ z[s, :, None])[:, :, 0] - offsets
+            resid[member[s]] = -math.inf
+            ps = resid.argmax(axis=1)
+            fin = np.take_along_axis(resid, ps[:, None], 1)[:, 0] <= PROJ_TOL
+            resid = None
+            p[s], up[s], pick[s] = ps, 0.0, False
+            if fin.any():
+                out[at[s[fin]]] = z[s[fin]]
+                keep = np.ones(at.size, dtype=bool)
+                keep[s[fin]] = False
+                if not keep.any():
+                    return out
+                z, at, act, na, u, pinv, member, p, up, pick, passes = (
+                    v[keep] for v in (z, at, act, na, u, pinv, member, p,
+                                      up, pick, passes))
+        n = normals[p]
+        r, step = np.zeros(u.shape), n.copy()
+        for a, g in _by_count(na):
+            r[g, :a] = (pinv[g, :a] @ n[g, :, None])[:, :, 0]
+            step[g] = n[g] - (normals[act[g, :a]].swapaxes(1, 2)
+                              @ r[g, :a, None])[:, :, 0]
+        ss = (step[:, None, :] @ step[:, :, None]).ravel()
+        t = np.full(ss.size, math.inf)
+        ok = np.flatnonzero(ss > tol2)
+        t[ok] = ((n[ok, None, :] @ z[ok, :, None]).ravel()
+                 - offsets[p[ok]]) / ss[ok]
+        # the ratio test: the first active face with the least u / r, r > 0
+        ratio = np.full(u.shape, math.inf)
+        np.divide(u, r, out=ratio, where=(slot < na[:, None]) & (r > 0.0))
+        k = ratio.argmin(axis=1)
+        rk = np.take_along_axis(ratio, k[:, None], 1)[:, 0]
+        drop = rk < t
+        t[drop] = rk[drop]
+        if (t == math.inf).any():
+            raise ProjectionError("halfspace intersection is empty")
+        z -= t[:, None] * step
+        u -= t[:, None] * r
+        up += t
+        dr = np.flatnonzero(drop)
+        if dr.size:
+            kd = k[dr]
+            row = pinv[dr, kd]
+            member[dr, act[dr, kd]] = False
+            src = np.minimum(slot + (slot >= kd[:, None]), m - 1)
+            act[dr] = np.take_along_axis(act[dr], src, 1)
+            u[dr] = np.take_along_axis(u[dr], src, 1)
+            pinv[dr] = np.take_along_axis(pinv[dr], src[:, :, None], 1)
+            na[dr] -= 1
+            scaled = row / (row[:, None, :] @ row[:, :, None])[:, :, 0]
+            for a, g in _by_count(na[dr]):
+                pg = pinv[dr[g], :a]
+                pinv[dr[g], :a] = pg - (pg @ row[g, :, None]) * scaled[g, None]
+        ad = np.flatnonzero(~drop)
+        if ad.size:
+            a = na[ad]
+            st = step[ad] / ss[ad, None]
+            pinv[ad] -= r[ad, :, None] * st[:, None, :]
+            pinv[ad, a], act[ad, a], u[ad, a] = st, p[ad], up[ad]
+            member[ad, p[ad]] = True
+            na[ad] += 1
+            pick[ad] = True
 
 
 def _row_norms(r: np.ndarray) -> np.ndarray:
@@ -159,7 +276,7 @@ def _projector(s: Set):
     place a projection dispatches on the kind of s."""
     if s.kind == "box":
         lo, hi = s.lo, s.hi
-        return lambda x: np.clip(x, lo, hi)
+        return lambda x: _clip(x, lo, hi)
     if s.kind == "ball":
         center, radius = s.center, s.radius
 
@@ -167,7 +284,8 @@ def _projector(s: Set):
             r = x - center
             if x.ndim > 1:
                 nr = _row_norms(r)
-                far = nr > radius
+                # a NaN norm moves its row, as the point's test does
+                far = ~(nr <= radius)
                 out = x.copy()
                 out[far] = center + (radius / nr[far])[:, None] * r[far]
                 return out
@@ -194,16 +312,28 @@ def _projector(s: Set):
         return _face
 
     def _polytope(x):
-        # rows outside some face by more than PROJ_TOL take the active set
+        # rows outside some face by more than PROJ_TOL take the active set;
+        # such a row with a NaN or infinite coordinate has no projection
+        # and comes back as NaN
         if x.ndim > 1:
             resid = (normals @ x[:, :, None])[:, :, 0] - offsets
+            rows = np.flatnonzero(~(resid.max(axis=1) <= PROJ_TOL))
+            if not rows.size:
+                return x
             out = x.copy()
-            for i in np.flatnonzero(resid.max(axis=1) > PROJ_TOL):
-                out[i] = _project_polytope(x[i], normals, offsets)
+            finite = np.isfinite(x[rows]).all(axis=1)
+            out[rows[~finite]] = math.nan
+            rows = rows[finite]
+            if rows.size:
+                out[rows] = _project_rows(x[rows], normals, offsets,
+                                          resid[rows])
             return out
-        if float((normals @ x - offsets).max()) <= PROJ_TOL:
+        resid = normals @ x - offsets
+        if np.maximum.reduce(resid) <= PROJ_TOL:
             return x
-        return _project_polytope(x, normals, offsets)
+        if not np.isfinite(x).all():
+            return np.full_like(x, math.nan)
+        return _project_polytope(x, normals, offsets, resid)
     return _polytope
 
 

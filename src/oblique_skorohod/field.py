@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .convex import _row_norms
+from .convex import _clip, _row_norms
 
 
 @dataclass(frozen=True)
@@ -135,16 +135,20 @@ def make_field_eval(hf: ObliqueField):
             np.repeat(mat[None], x.shape[0], axis=0)
     if hf.kind == "diagonal_affine":
         base, slopes, offsets, span = hf.base, hf.slopes, hf.offsets, hf.span
-        i = np.arange(hf.dim)
+        lo, d = -span, hf.dim
+        i = np.arange(d)
 
         def _diag(x):
+            # the clip ufunc and a strided write: np.clip and np.diag's
+            # values without their Python wrappers
             if x.ndim > 1:
                 raw = (slopes @ x[:, :, None])[:, :, 0] + offsets
-                out = np.zeros((x.shape[0], hf.dim, hf.dim))
-                out[:, i, i] = base + np.clip(raw, -span, span)
+                out = np.zeros((x.shape[0], d, d))
+                out[:, i, i] = base + _clip(raw, lo, span)
                 return out
-            raw = slopes @ x + offsets
-            return np.diag(base + np.clip(raw, -span, span))
+            out = np.zeros((d, d))
+            out.ravel()[::d + 1] = base + _clip(slopes @ x + offsets, lo, span)
+            return out
         return _diag
     m0, m1, wd, wo = hf.m0, hf.m1, hf.w_direction, hf.w_offset
 

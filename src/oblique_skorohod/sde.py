@@ -45,7 +45,7 @@ from .diagnostics import vi_residual
 from .field import ObliqueField, make_field_eval
 from .paths import SampledPath
 from .solver import (GridMismatch, PenalizedConfig, SkorohodSolution,
-                     _solution, _substep_mesh, _sweep)
+                     _solution, _substep_mesh, _sweep, system_id)
 
 GENERATOR_ID = "philox4x64-boxmuller-v1"
 
@@ -210,7 +210,7 @@ def _svi_mesh(hf: ObliqueField, n: int, dt: float,
     return win, cfg, _substep_mesh(cfg, dt, hf.c)[1]
 
 
-def _path_solution(phi, hf, dt, n_sub, cfg, xq, kq, max_grad, seed, n, win,
+def _path_solution(phi, sid, dt, n_sub, cfg, xq, kq, max_grad, seed, n, win,
                    mvals) -> SkorohodSolution:
     diag = {
         "generator": GENERATOR_ID,
@@ -220,7 +220,7 @@ def _path_solution(phi, hf, dt, n_sub, cfg, xq, kq, max_grad, seed, n, win,
         "eps": cfg.eps,
         "n_substeps_per_cell": n_sub,
     }
-    return _solution(phi, hf, dt, n_sub, cfg.eps, xq, kq, max_grad, diag,
+    return _solution(phi, sid, dt, n_sub, cfg.eps, xq, kq, max_grad, diag,
                      SampledPath(t0=0.0, dt=dt, values=mvals, extension="zero"))
 
 
@@ -255,8 +255,8 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     kq, max_grad, _ = _sweep(xq, n_sub, dt, cfg, make_resolvent(phi, cfg.eps),
                              make_field_eval(hf), rates,
                              f"seed={seed_label}, n={n}", fill)
-    return _path_solution(phi, hf, dt, n_sub, cfg, xq, kq, max_grad,
-                          seed_label, n, win, mvals)
+    return _path_solution(phi, system_id(phi, hf), dt, n_sub, cfg, xq, kq,
+                          max_grad, seed_label, n, win, mvals)
 
 
 @dataclass(frozen=True)
@@ -331,11 +331,12 @@ def _solve_chunk(problem: SviProblem, seeds, copy: bool) -> list:
         make_field_eval(p.hf), rates,
         [f"seed={seed}, n={p.n}" for seed in seeds], fill)
     take = np.copy if copy else (lambda a: a)
+    sid = system_id(p.phi, p.hf)
 
     def solution(i, seed):
         if i in breaches:
             raise breaches[i]
-        return _path_solution(p.phi, p.hf, p.dt, n_sub, cfg, take(xq[:, i]),
+        return _path_solution(p.phi, sid, p.dt, n_sub, cfg, take(xq[:, i]),
                               take(kq[:, i]), float(max_grad[i]), seed, p.n,
                               win, take(mvals[:, i]))
     return [functools.partial(solution, i, seed)

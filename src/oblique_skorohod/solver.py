@@ -24,6 +24,11 @@ stochastic solver in `sde`; the callers differ only in the input rate they
 supply (m' plus the delayed drift here, the window input M there).  Both
 delayed inputs read the state one delay width back, so the kernel has them
 computed one block at a time, each block with one stacked projection.
+Only state-dependent work runs per substep (the prox, g, H(x) g, the
+update, the guard test, storing x and g); the delayed cell of each
+substep is computed once per level, the drift gets its rates once per
+filled block, and k and the largest gradient norm come from the stored g
+after the sweep, with the same sequential sums as a per-substep k += h g.
 """
 
 from __future__ import annotations
@@ -159,6 +164,22 @@ def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
                                      - 1e-12)))
 
 
+# State rows (substeps times paths) per slice of the pass that follows a
+# sweep: its temporaries stay at a few thousand floats, well below xq.
+_SLICE_ROWS = 4096
+
+
+def _delayed_cells(n_steps, h, dt, eps, n_cells):
+    """(first, cells): substeps q < first come before the delay ends, and
+    substep q >= first reads grid cell cells[q - first], from the float
+    expressions tau = q h - eps, cell = int(tau / dt + 1e-9) of each
+    substep, vectorized."""
+    tau = np.arange(n_steps) * h - eps
+    first = int(np.count_nonzero(tau < -1e-12))
+    return first, np.minimum((tau[first:] / dt + 1e-9).astype(np.intp),
+                             n_cells - 1)
+
+
 def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
            drift=None):
     """The explicit substep kernel shared by the deterministic and the
@@ -176,22 +197,37 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     block of the given rows from the states through substep j n_sub and
     returns the cell where it ends.
 
+    The work is split by what it depends on.  Once per call, before the
+    loop: the delayed cell of every substep, vectorized.  Once per filled
+    block: fill, and with a drift the block's rates[cell] added into
+    drift[q] in place.  Per substep, only what reads the state: the prox,
+    g, H(x) g, the state update, the guard test and storing x and g.  After
+    the sweep, in slices of time: the largest g.g (np.fmax, so a NaN norm
+    is skipped), then kq scaled by h and summed along time with
+    np.add.accumulate, the same sequential sums as k = k + h g.
+
     The state leaving the guard ball (a NaN state included) is a
     StabilityBreach naming `where`.  One path raises it and gets a float
     norm.  In a chunk, `where` holds one label per row; a breaching row is
     recorded in breaches (row -> the StabilityBreach its own run raises)
     and leaves the chunk, so neither the kernel nor fill reads it again;
-    the norms are one per row.  Each row comes out bit for bit as on its
-    own: the row operations below are the point products, stacked.
+    its stored g stays zero from there on (its k constant) and its norm
+    is 0.  Each row comes out bit for bit as on its own: the row operations
+    below are the point products, stacked.
     """
     eps = cfg.eps
     h = dt / n_sub
     guard2 = cfg.guard_radius * cfg.guard_radius
-    n_cells = (xq.shape[0] - 1) // n_sub
+    n_steps = xq.shape[0] - 1
+    n_cells = n_steps // n_sub
+    first, cells = _delayed_cells(n_steps, h, dt, eps, n_cells)
+    # substep q >= first reads inputs[at[q - first]]
+    if drift is None:
+        inputs, at = rates, cells
+    else:
+        inputs, at = drift[first:], range(n_steps - first)
     x = xq[0].copy()
-    k = np.zeros(x.shape)
-    kq = np.empty_like(xq)
-    kq[0] = 0.0
+    kq = np.zeros(xq.shape)
     breaches = {}
     # rows: the rows still in the sweep, every row until one breaches
     rows = slice(None)
@@ -200,12 +236,12 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         return (f"state norm {float(np.linalg.norm(x_row)):.3e} left the "
                 f"guard ball at t={(q + 1) * h:.6g} ({label})")
 
-    if xq.ndim == 2:
-        apply, max_grad = operator.matmul, 0.0
+    def sq(v):
+        # v.v of each row, as the point's float(v @ v) computes it
+        return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
-        def top(m, g):
-            gn = float(g @ g)
-            return gn if gn > m else m
+    if xq.ndim == 2:
+        apply = operator.matmul
 
         def inside(v):
             return float(v @ v) <= guard2
@@ -213,65 +249,61 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         def leave(q):
             raise StabilityBreach(message(x, q, where))
     else:
-        def sq(v):
-            return (v[:, None, :] @ v[:, :, None]).ravel()
-
         def apply(m, v):
             return (m @ v[:, :, None])[:, :, 0]
-
-        def top(m, g):
-            # fmax keeps m where the norm is NaN, as the point's test does
-            return np.fmax(m, sq(g))
 
         def inside(v):
             return bool((sq(v) <= guard2).all())
 
         def leave(q):
-            nonlocal x, k, max_grad, live, rows
+            nonlocal x, live, rows
             keep = sq(x) <= guard2
             for i in np.flatnonzero(~keep):
                 breaches[int(live[i])] = StabilityBreach(
                     message(x[i], q, where[live[i]]))
-            x, k, max_grad, live = x[keep], k[keep], max_grad[keep], live[keep]
+            x, live = x[keep], live[keep]
             rows = live
-        max_grad = np.zeros(x.shape[0])
         live = np.arange(x.shape[0])
     ready = 0
     for j in range(n_cells):
         if j == ready and fill is not None:
             ready = fill(j, rows)
+            if drift is not None:
+                lo, hi = max(j * n_sub, first), ready * n_sub
+                drift[lo:hi] += rates[cells[lo - first:hi - first]]
         for q in range(j * n_sub, (j + 1) * n_sub):
             g = (x - prox(x)) / eps
-            max_grad = top(max_grad, g)
-            tau = q * h - eps
-            if tau >= -1e-12:
-                cell = int(tau / dt + 1e-9)
-                if cell >= n_cells:
-                    cell = n_cells - 1
-                u = rates[cell, rows]
-                if drift is not None:
-                    u = u + drift[q]
-                x = x + h * (u - apply(field_at(x), g))
+            hg = apply(field_at(x), g)
+            if q < first:
+                x = x - h * hg
             else:
-                x = x - h * apply(field_at(x), g)
-            k = k + h * g
+                x = x + h * (inputs[at[q - first], rows] - hg)
+            kq[q + 1, rows] = g
             if not inside(x):
                 leave(q)
                 if not x.shape[0]:
                     return kq, np.zeros(xq.shape[1]), breaches
             xq[q + 1, rows] = x
-            kq[q + 1, rows] = k
+    top = np.zeros(xq.shape[1:-1])
+    step = max(1, _SLICE_ROWS // top.size)
+    for lo in range(1, n_steps + 1, step):
+        block = kq[lo:lo + step]
+        top = np.fmax(top, np.fmax.reduce(sq(block), axis=0))
+        block *= h
+        np.add.accumulate(kq[lo - 1:lo + step], axis=0,
+                          out=kq[lo - 1:lo + step])
     if xq.ndim == 2:
-        return kq, math.sqrt(max_grad), breaches
-    norms = np.zeros(xq.shape[1])
-    norms[live] = np.sqrt(max_grad)
+        return kq, math.sqrt(top), breaches
+    norms = np.sqrt(top)
+    norms[list(breaches)] = 0.0
     return kq, norms, breaches
 
 
-def _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag,
+def _solution(phi, sid, dt, n_sub, eps, xq, kq, max_grad, diag,
               input_m) -> SkorohodSolution:
-    """One level's solution on the grid (every n_sub-th substep).  diag gets
-    the gradient and feasibility entries."""
+    """One level's solution on the grid (every n_sub-th substep).  sid is
+    system_id(phi, H), hashed once by the caller; diag gets the gradient and
+    feasibility entries."""
     xg = xq[::n_sub].copy()
     k_path = SampledPath(t0=0.0, dt=dt, values=kq[::n_sub].copy(),
                          extension="zero")
@@ -281,7 +313,7 @@ def _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag,
     return SkorohodSolution(
         x=SampledPath(t0=0.0, dt=dt, values=xg, extension="frozen"),
         k=k_path, tv_k=total_variation(k_path), eps=eps,
-        system_id=system_id(phi, hf),
+        system_id=sid,
         refinement_history=[(eps, None)], diagnostics=diag,
         t_quad=dt / n_sub * np.arange(xq.shape[0]), x_quad=xq, k_quad=kq,
         input_m=input_m)
@@ -325,7 +357,8 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
         np.diff(m.values, axis=0) / dt, f"eps={eps}",
         None if drift is None else fill, drift)
     diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": h}
-    return _solution(phi, hf, dt, n_sub, eps, xq, kq, max_grad, diag, m)
+    return _solution(phi, system_id(phi, hf), dt, n_sub, eps, xq, kq,
+                     max_grad, diag, m)
 
 
 def _tv_ratio(tv_levels) -> float:

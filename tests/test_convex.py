@@ -219,6 +219,107 @@ class TestPolytopeProjectionReference:
             ok.project_set(s, [0.0])
 
 
+def _generated_polytopes() -> dict[str, ok.Set]:
+    """Polytopes in d = 2..5 that stress the active set: an acute cone
+    (its apex takes d faces, and the most violated face often leaves on the
+    way), a simplex with redundant shifted copies and an exact duplicate of
+    a face, and a random polytope with a copy of every face tilted by 1e-7."""
+    rng = np.random.default_rng(20260)
+    sets = {}
+    for d in range(2, 6):
+        u = rng.standard_normal((d + 1, d - 1))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        a = 0.15
+        sets[f"acute-d{d}"] = ok.halfspace_intersection(
+            np.hstack((np.sin(a) * u, np.full((d + 1, 1), np.cos(a)))),
+            np.zeros(d + 1))
+        simplex = np.vstack((-np.eye(d), np.ones((1, d))))
+        sets[f"redundant-d{d}"] = ok.halfspace_intersection(
+            np.vstack((simplex, simplex[:2], simplex[-1:])),
+            np.r_[np.zeros(d), 1.0, 0.5, 0.5, 1.0])
+        normals = rng.standard_normal((d + 2, d))
+        offsets = normals @ rng.standard_normal(d) + rng.random(d + 2)
+        tilted = normals + 1e-7 * rng.standard_normal(normals.shape)
+        sets[f"near-parallel-d{d}"] = ok.halfspace_intersection(
+            np.vstack((normals, tilted)), np.r_[offsets, offsets])
+    return sets
+
+
+def _generated_rows(s: ok.Set, rng: np.random.Generator) -> np.ndarray:
+    """About 500 rows: a wide cloud, and rows beyond the apex of the cone
+    (or the far corner), whose projections drop faces."""
+    d = s.dim
+    cloud = rng.normal(0.0, 3.0, size=(400, d))
+    axis = -s.normals.sum(axis=0)
+    axis /= np.linalg.norm(axis)
+    beyond = (-rng.uniform(0.5, 5.0, size=(100, 1)) * axis
+              + rng.normal(0.0, 0.5, size=(100, d)))
+    return np.vstack((cloud, beyond))
+
+
+def _assert_kkt(s: ok.Set, xs: np.ndarray, zs: np.ndarray):
+    """KKT of each projection z of x, without the active-set code: z is
+    feasible, and x - z = N_S' lam with lam >= 0 on some set S of faces
+    active at z (complementarity: lam_i (n_i z - o_i) = 0)."""
+    normals, offsets = s.normals, s.offsets
+    resid = zs @ normals.T - offsets
+    assert resid.max() <= 1e-9
+    g = xs - zs
+    scale = 1.0 + np.linalg.norm(g, axis=1)
+    near = resid >= -1e-8
+    best = np.where(np.linalg.norm(g, axis=1) <= 1e-12, 0.0, np.inf)
+    best_comp = np.zeros(g.shape[0])
+    m, d = normals.shape
+    for k in range(1, min(m, d) + 1):
+        for faces in itertools.combinations(range(m), k):
+            faces = list(faces)
+            rows = np.flatnonzero(near[:, faces].all(axis=1))
+            if not rows.size:
+                continue
+            a = normals[faces]
+            lam = np.linalg.lstsq(a.T, g[rows].T, rcond=None)[0].T
+            res = np.linalg.norm(lam @ a - g[rows], axis=1)
+            comp = np.abs(lam * resid[rows][:, faces]).max(axis=1)
+            better = (lam >= -1e-9 * scale[rows, None]).all(axis=1) \
+                & (res < best[rows])
+            best[rows[better]] = res[better]
+            best_comp[rows[better]] = comp[better]
+    assert (best <= 1e-7 * scale).all()
+    assert (best_comp <= 1e-7 * scale).all()
+
+
+class TestBatchedActiveSet:
+    """A stack takes the active set on all its violating rows at once; each
+    row must come out as its point call gives it."""
+
+    @pytest.mark.parametrize("name", sorted(_generated_polytopes()))
+    def test_rows_match_point_calls_and_kkt(self, name):
+        s = _generated_polytopes()[name]
+        xs = _generated_rows(s, np.random.default_rng(7))
+        zs = ok.project_set(s, xs)
+        assert_array_equal(zs, np.array([ok.project_set(s, x) for x in xs]))
+        _assert_kkt(s, xs, zs)
+
+    def test_stack_of_the_quadratic_prox_matches_point_calls(self):
+        # the quad-box prox: a K-metric box, i.e. four skewed faces
+        phi = ok.quadratic_plus_indicator(A2, [-0.5, 0.3],
+                                          ok.box([0.0, 0.0], [1.0, 1.0]),
+                                          r0=0.1)
+        xs = np.random.default_rng(8).normal(0.5, 1.5, size=(500, 2))
+        for eps in (1.0, 0.01):
+            prox = make_resolvent(phi, eps)
+            assert_array_equal(prox(xs), np.array([prox(x) for x in xs]))
+
+    def test_empty_polytope_raises_for_a_point_and_a_stack(self):
+        s = ok.halfspace_intersection([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                                      [-1.0, -1.0, 0.0])
+        xs = np.array([[0.0, -1.0], [3.0, 2.0], [0.5, 0.5]])
+        for x in (xs[1], xs):
+            with pytest.raises(ProjectionError,
+                               match="halfspace intersection is empty"):
+                ok.project_set(s, x)
+
+
 def _brute_quadratic_prox(phi: ok.ConvexFunction, eps: float,
                           xs: np.ndarray) -> np.ndarray:
     """J_eps of each row of xs for a quadratic on a polytope or box, by
@@ -545,6 +646,30 @@ class TestRowContract:
                 [0.5, -0.25], 0.1, phi_catalog["wedge"].domain, r0=0.5,
                 h0=0.545),
         })
+
+    @pytest.mark.parametrize("s", [
+        ok.box([0.0, 0.0], [1.0, 1.0]),
+        ok.ball([0.0, 0.0], 1.0),
+        ok.halfspace_intersection([[-1.0, -1.0]], [0.0]),
+        ok.halfspace_intersection([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                  [0.0, 0.0, 1.0]),
+        ok.whole_space(2),
+    ], ids=["box", "ball", "one-face", "triangle", "whole-space"])
+    def test_nonfinite_rows_match_point_calls(self, s):
+        nan, inf = np.nan, np.inf
+        xs = np.array([[nan, 0.2], [0.2, nan], [nan, nan], [inf, 0.2],
+                       [-inf, 0.2], [0.2, -inf], [inf, -inf], [0.3, 0.4],
+                       [2.0, -1.0], [-0.5, 0.1]])
+        with np.errstate(invalid="ignore"):
+            stack = ok.project_set(s, xs)
+            points = np.array([ok.project_set(s, x) for x in xs])
+            dists = ok.set_distance(s, xs)
+            point_dists = np.array([ok.set_distance(s, x) for x in xs])
+        assert_array_equal(stack, points)
+        assert_array_equal(dists, point_dists)
+        if s.kind == "halfspace_intersection" and s.normals.shape[0] > 1:
+            # outside a face with a non-finite coordinate: no projection
+            assert np.isnan(stack[:7]).all()
 
     def test_stack_rows_match_point_calls(self, phi_catalog):
         rng = np.random.default_rng(43)

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -644,6 +645,62 @@ class TestChunks:
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             _assert_solo(sol, solo[seed])
         assert len(out["seeds_ok"]) + len(failed) == 40
+
+    def test_a_breach_inside_a_fill_block(self, monkeypatch):
+        # seed 503 leaves the guard ball at t = 0.328125: substep 41 of
+        # h = 1/128, in cell 20, inside the fill block of cells 18..26
+        # (window 8 cells, blocks of 9).  Its stored gradient stays zero
+        # from there on, so the pass after the sweep reads no uninitialized
+        # memory and warns of nothing; the other rows are their solo runs.
+        swept = []
+
+        def spy(*args):
+            swept.append(real_sweep(*args))
+            return swept[-1]
+
+        real_sweep = sde._sweep
+        monkeypatch.setattr(sde, "_sweep", spy)
+        phi, hf, _, _ = svi_inputs()
+        p = ok.SviProblem(
+            phi=phi, hf=hf, f=ok.zero_drift(1),
+            g=ok.constant_diffusion([[1.0]]), x0=np.array([1.0]),
+            dt=1.0 / 64.0, horizon=1.0, noise_dims=1, n=8,
+            cfg=ok.PenalizedConfig(eps=1.0 / 8.0, guard_radius=1.8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solo = _solo(p, range(500, 508))
+            _with_rows(monkeypatch, p, 8)
+            out = ok.monte_carlo(p, 8, 500, collect_paths=True)
+        assert [s for s, e in solo.items() if isinstance(e, Exception)] \
+            == [503]
+        assert "t=0.328125" in str(solo[503])
+        assert out["failures"] == [{"seed": 503, "error": "StabilityBreach",
+                                    "message": str(solo[503])}]
+        assert out["seeds_ok"] == [500, 501, 502, 504, 505, 506, 507]
+        kq, norms, breaches = swept[-1]
+        assert list(breaches) == [3] and norms[3] == 0.0
+        assert (kq[43:, 3] == kq[42, 3]).all()
+        for seed, sol in zip(out["seeds_ok"], out["paths"]):
+            ref = solo[seed]
+            np.testing.assert_array_equal(sol.x_quad, ref.x_quad)
+            np.testing.assert_array_equal(sol.k_quad, ref.k_quad)
+            assert sol.diagnostics["max_gradient_norm"] \
+                == ref.diagnostics["max_gradient_norm"]
+
+    def test_system_id_is_hashed_once_per_chunk(self, monkeypatch):
+        p, solo = _solo_runs("halfline-svi")
+        real, calls = sde.system_id, []
+
+        def counted(phi, hf):
+            calls.append(1)
+            return real(phi, hf)
+
+        monkeypatch.setattr(sde, "system_id", counted)
+        _with_rows(monkeypatch, p, 32)
+        out = ok.monte_carlo(p, len(solo), min(solo), collect_paths=True)
+        assert len(calls) == 3  # 70 paths in chunks of 24, 24 and 22
+        assert {sol.system_id for sol in out["paths"]} \
+            == {real(p.phi, p.hf)}
 
     def test_a_failing_chunk_reruns_its_paths_alone(self, monkeypatch):
         # a chunk whose stacked prox raises falls back to one run per seed
