@@ -24,7 +24,8 @@ import numpy as np
 from . import diagnostics, output, scenario as scen
 from .convex import ProjectionError
 from .sde import GENERATOR_ID, BrownianDriver, SviProblem, monte_carlo, solve_svi_path
-from .solver import NoConvergence, StabilityBreach, solve_skorohod
+from .solver import (NoConvergence, PenalizedConfig, StabilityBreach,
+                     solve_skorohod)
 
 
 def _stem(name: str) -> str:
@@ -45,13 +46,33 @@ def _say(args, text: str):
         print(text)
 
 
-def _apply_overrides(sc: scen.Scenario, args):
-    if args.tol is not None:
-        if not args.tol >= 0.0:
-            raise scen.ScenarioError("--tol must be >= 0")
-        sc.tol = args.tol
-    if getattr(args, "seed", None) is not None:
-        sc.seed = args.seed
+def _load(args):
+    """The scenario of a solve subcommand with the command line's
+    overrides, and the scheme options the solver takes from it: the
+    keyword arguments of solve_skorohod, or for solve-svi the
+    PenalizedConfig of every sample path."""
+    sc = scen.load_scenario(args.scenario)
+    svi = args.command == "solve-svi"
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol >= 0.0:
+        raise scen.ScenarioError("--tol must be >= 0")
+    if sc.mode != ("svi" if svi else "det"):
+        raise scen.ScenarioError(f"{args.command} needs a " + (
+            "stochastic scenario (brownian + g)" if svi else
+            "deterministic scenario (an m block, not brownian + g)"))
+    if svi:
+        if args.seed is not None:
+            sc.seed = args.seed
+        # a sample path smooths over its window 1/n
+        return sc, PenalizedConfig(eps=sc.snapped["window_cells"] * sc.dt,
+                                   substep_ratio=sc.substep_ratio,
+                                   guard_radius=sc.guard_radius)
+    if tol is None:
+        # converge runs the whole ladder by default: it is after the rate
+        tol = 0.0 if args.command == "converge" else sc.tol
+    return sc, dict(tol=tol, eps0=sc.eps0, max_halvings=sc.max_halvings,
+                    substep_ratio=sc.substep_ratio,
+                    guard_radius=sc.guard_radius)
 
 
 def _run_checks(sc: scen.Scenario, sol) -> dict:
@@ -99,15 +120,8 @@ def _write_det_outputs(sc: scen.Scenario, sol, args, mode: str) -> tuple[str, st
 
 
 def _cmd_solve_det(args) -> int:
-    sc = scen.load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    if sc.mode != "det":
-        raise scen.ScenarioError("solve-det needs a deterministic scenario "
-                                 "(an m block, not brownian + g)")
-    sol = solve_skorohod(sc.phi, sc.hf, sc.f, sc.m, sc.x0, tol=sc.tol,
-                         eps0=sc.eps0, max_halvings=sc.max_halvings,
-                         substep_ratio=sc.substep_ratio,
-                         guard_radius=sc.guard_radius)
+    sc, options = _load(args)
+    sol = solve_skorohod(sc.phi, sc.hf, sc.f, sc.m, sc.x0, **options)
     csv_path, json_path = _write_det_outputs(sc, sol, args, "solve-det")
     _say(args, f"solve-det: eps={sol.eps:.6g} tv_k={sol.tv_k:.6g} "
                f"levels={len(sol.refinement_history)}")
@@ -116,16 +130,8 @@ def _cmd_solve_det(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    sc = scen.load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    if sc.mode != "det":
-        raise scen.ScenarioError("converge needs a deterministic scenario")
-    # tol 0 = run the whole ladder; the point here is the rate, not early exit.
-    tol = sc.tol if args.tol is not None else 0.0
-    sol = solve_skorohod(sc.phi, sc.hf, sc.f, sc.m, sc.x0, tol=tol,
-                         eps0=sc.eps0, max_halvings=sc.max_halvings,
-                         substep_ratio=sc.substep_ratio,
-                         guard_radius=sc.guard_radius)
+    sc, options = _load(args)
+    sol = solve_skorohod(sc.phi, sc.hf, sc.f, sc.m, sc.x0, **options)
     try:
         slope = diagnostics.convergence_slope(sol.refinement_history)
         slope_info = {"slope": slope}
@@ -155,17 +161,13 @@ def _cmd_converge(args) -> int:
 def _cmd_solve_svi(args) -> int:
     if args.paths < 1:
         raise scen.ScenarioError("--paths must be >= 1")
-    sc = scen.load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    if sc.mode != "svi":
-        raise scen.ScenarioError("solve-svi needs a stochastic scenario "
-                                 "(brownian + g blocks)")
+    sc, cfg = _load(args)
     stem = _stem(sc.name)
     if args.paths == 1:
         drv = BrownianDriver(seed=sc.seed, dt=sc.dt, dims=sc.noise_dims,
                              horizon=sc.horizon)
         sol = solve_svi_path(sc.phi, sc.hf, sc.f, sc.g, sc.x0, drv,
-                             sc.n_window)
+                             sc.n_window, cfg)
         csv_path, json_path = _write_det_outputs(sc, sol, args, "solve-svi")
         _say(args, f"solve-svi: seed={sc.seed} n={sc.n_window} "
                    f"tv_k={sol.tv_k:.6g}")
@@ -174,7 +176,7 @@ def _cmd_solve_svi(args) -> int:
 
     problem = SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
                          dt=sc.dt, horizon=sc.horizon,
-                         noise_dims=sc.noise_dims, n=sc.n_window,
+                         noise_dims=sc.noise_dims, n=sc.n_window, cfg=cfg,
                          u0=sc.u0, test_points=tuple(sc.test_points))
     mc = monte_carlo(problem, args.paths, sc.seed,
                      collect_paths=args.dump_paths)
@@ -235,35 +237,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "and validation tooling.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, fn, text in (
+            ("solve-det", _cmd_solve_det, "solve a deterministic scenario"),
+            ("solve-svi", _cmd_solve_svi, "solve a stochastic scenario"),
+            ("converge", _cmd_converge, "run the refinement ladder"),
+            ("validate", _cmd_validate, "check scenario declarations")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the scenario tolerance (0 = full ladder)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress lines")
-
-    p = sub.add_parser("solve-det", help="solve a deterministic scenario")
-    common(p)
-    p.set_defaults(fn=_cmd_solve_det)
-
-    p = sub.add_parser("solve-svi", help="solve a stochastic scenario")
-    common(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario base seed")
-    p.add_argument("--paths", type=int, default=1,
-                   help="number of Monte Carlo paths (default 1)")
-    p.add_argument("--dump-paths", action="store_true",
-                   help="write one CSV per sample path")
-    p.set_defaults(fn=_cmd_solve_svi)
-
-    p = sub.add_parser("converge", help="run the refinement ladder")
-    common(p)
-    p.set_defaults(fn=_cmd_converge)
-
-    p = sub.add_parser("validate", help="check scenario declarations")
-    common(p)
-    p.set_defaults(fn=_cmd_validate)
+        if name in ("solve-det", "converge"):
+            p.add_argument("--tol", type=float, default=None, help=(
+                "override the scenario tolerance (0 = full ladder)"))
+        if name == "solve-svi":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario base seed")
+            p.add_argument("--paths", type=int, default=1,
+                           help="number of Monte Carlo paths (default 1)")
+            p.add_argument("--dump-paths", action="store_true",
+                           help="write one CSV per sample path")
     return ap
 
 

@@ -13,19 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import _row_norms
-
-
-def _check_finite(**arrays):
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
-
-
-def _check_bound(name: str, value: float):
-    # false on NaN as well
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and >= 0")
+from .convex import _check_finite, _row_norms
 
 
 @dataclass(frozen=True)
@@ -137,7 +125,7 @@ def affine_drift(A, b0, domain_radius: float | None = None,
         fsharp = _affine_bound(A, b0, domain_radius)
         if fsharp is None:
             raise ValueError("affine drift needs a domain radius or explicit fsharp")
-    _check_bound("fsharp", fsharp)
+    _check_finite(fsharp=fsharp, low=0.0)
     return DriftSpec(kind="affine", dim=b0.size, A=A, b0=b0,
                      fsharp=float(fsharp), mu=float(np.linalg.norm(A, 2)))
 
@@ -156,7 +144,7 @@ def time_modulated_drift(A, b0, profile: TimeProfile, horizon: float,
         if base is None:
             raise ValueError("time_modulated drift needs a domain radius or explicit fsharp")
         fsharp = pb * base
-    _check_bound("fsharp", fsharp)
+    _check_finite(fsharp=fsharp, low=0.0)
     return DriftSpec(kind="time_modulated", dim=b0.size, A=A, b0=b0,
                      profile=profile, fsharp=float(fsharp),
                      mu=pb * float(np.linalg.norm(A, 2)))
@@ -223,8 +211,9 @@ def affine_diffusion(base, gains, gsharp: float) -> DiffusionSpec:
     if gains.shape != (d, d, k):
         raise ValueError("gains must be (d, d, k): per-state sensitivities")
     _check_finite(base=base, gains=gains)
-    if not (gsharp > 0.0 and math.isfinite(gsharp)):
-        raise ValueError("gsharp must be finite and positive")
+    _check_finite(gsharp=gsharp, low=0.0)
+    if gsharp == 0.0:
+        raise ValueError("gsharp must be positive")
     ell = float(np.sqrt(np.sum(gains * gains)))
     return DiffusionSpec(kind="affine_in_x", dim=d, noise_dim=k, base=base,
                          gains=gains, gsharp=float(gsharp), ell=ell)

@@ -35,6 +35,22 @@ class ProjectionError(RuntimeError):
     """A projection failed: an empty polytope, or an iteration cap hit."""
 
 
+# the constant checks of the catalogs here and in `coeffs` and `field`
+def _check_finite(low: float | None = None, **constants):
+    # each constant must be finite and, given low, >= low (a NaN is neither)
+    for name, a in constants.items():
+        if not (np.isfinite(a).all() and (low is None or np.all(a >= low))):
+            raise ValueError(f"{name} must be finite"
+                             + ("" if low is None else f" and >= {low:g}"))
+
+
+def _check_symmetric(mat: np.ndarray, name: str):
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if not np.array_equal(mat, mat.T):
+        raise ValueError(f"{name} must be exactly symmetric")
+
+
 # ---------------------------------------------------------------------------
 # sets
 
@@ -300,11 +316,15 @@ def _projector(s: Set):
     if normals.shape[0] == 1:
         # the closed form: a row moves along the normal once it is outside
         n1, b1 = normals[0], float(offsets[0])
+        # zeros whose products with n1 are +0.0, and x - +0.0 is x bit for
+        # bit: a row inside takes this shift, and an infinite coordinate
+        # there makes no NaN
+        still = np.copysign(0.0, n1)
 
         def _face(x):
             if x.ndim > 1:
                 v = (n1 @ x[:, :, None]) - b1
-                return np.where(v <= 0.0, x, x - v * n1)
+                return x - np.where(v <= 0.0, still, v) * n1
             v = float(n1 @ x) - b1
             if v <= 0.0:
                 return x
@@ -469,38 +489,22 @@ class ConvexFunction:
         return self.domain.dim
 
 
-def _auto_h0(s: Set, r0: float) -> float | None:
+def _check_geometry(s: Set, r0: float, h0: float | None) -> float:
+    # the h0 of a declaration with interior radius r0 on s: the declared
+    # one, else the exact one of a box, a ball or the whole space
+    if not r0 > 0.0:
+        raise ValueError("r0 must be positive")
+    interior_witness(s, r0)
+    if h0 is not None:
+        _check_finite(h0=h0, low=0.0)
+        return float(h0)
     if s.kind == "box":
         return r0 * math.sqrt(s.dim)
     if s.kind == "ball":
         return r0
     if s.normals.shape[0] == 0:
         return 0.0
-    return None
-
-
-def _check_geometry(s: Set, r0: float, h0: float | None) -> float:
-    if not r0 > 0.0:
-        raise ValueError("r0 must be positive")
-    interior_witness(s, r0)
-    auto = _auto_h0(s, r0)
-    if h0 is None:
-        if auto is None:
-            raise ValueError("h0 must be declared for halfspace intersections")
-        return auto
-    if not h0 >= 0.0:
-        raise ValueError("h0 must be >= 0")
-    return float(h0)
-
-
-def _sym_psd_check(A: np.ndarray):
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if not np.array_equal(A, A.T):
-        raise ValueError("A must be exactly symmetric")
-    evals = np.linalg.eigvalsh(A)
-    if evals.min() < -1e-12:
-        raise ValueError("A must be positive semidefinite")
+    raise ValueError("h0 must be declared for halfspace intersections")
 
 
 def indicator(domain: Set, r0: float, h0: float | None = None) -> ConvexFunction:
@@ -513,9 +517,10 @@ def quadratic_plus_indicator(A, q, domain: Set, r0: float,
                              h0: float | None = None) -> ConvexFunction:
     A = np.asarray(A, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
-    if not (np.isfinite(A).all() and np.isfinite(q).all()):
-        raise ValueError("A and q must be finite")
-    _sym_psd_check(A)
+    _check_finite(A=A, q=q)
+    _check_symmetric(A, "A")
+    if np.linalg.eigvalsh(A).min() < -1e-12:
+        raise ValueError("A must be positive semidefinite")
     if q.size != domain.dim or A.shape[0] != domain.dim:
         raise ValueError("A, q dimensions must match the domain")
     h0v = _check_geometry(domain, r0, h0)
@@ -526,8 +531,7 @@ def quadratic_plus_indicator(A, q, domain: Set, r0: float,
 def lipschitz_affine_plus_indicator(a, beta: float, domain: Set, r0: float,
                                     h0: float | None = None) -> ConvexFunction:
     a = np.asarray(a, dtype=float).ravel()
-    if not (np.isfinite(a).all() and math.isfinite(beta)):
-        raise ValueError("a and beta must be finite")
+    _check_finite(a=a, beta=beta)
     if a.size != domain.dim:
         raise ValueError("a dimension must match the domain")
     h0v = _check_geometry(domain, r0, h0)
@@ -665,10 +669,8 @@ class DomainGeometry:
 def domain_geometry(r0: float, h0: float, b: float, c: float) -> DomainGeometry:
     if not r0 > 0.0:
         raise ValueError("r0 must be positive")
-    if not (h0 >= 0.0 and b >= 0.0):
-        raise ValueError("h0 and b must be >= 0")
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
+    _check_finite(h0=h0, b=b, low=0.0)
+    _check_finite(c=c, low=1.0)
     rho0 = r0 / (2.0 * (1.0 + r0 + h0))
     if b * c > 0.0:
         delta0 = min(rho0 / (2.0 * b * c), rho0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .convex import _clip, _row_norms
+from .convex import _check_finite, _check_symmetric, _clip, _row_norms
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,8 @@ class ObliqueField:
     w_offset: float = 0.0
 
 
-def _check_symmetric(mat: np.ndarray, name: str):
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if not np.array_equal(mat, mat.T):
-        raise ValueError(f"{name} must be exactly symmetric")
-
-
 def _check_spectrum(mat: np.ndarray, c: float, name: str):
+    _check_symmetric(mat, name)
     ev = np.linalg.eigvalsh(mat)
     if ev[0] < 1.0 / c - 1e-12 or ev[-1] > c + 1e-12:
         raise ValueError(
@@ -61,20 +55,14 @@ def _check_spectrum(mat: np.ndarray, c: float, name: str):
 
 
 def _check_constants(c: float, b: float, **arrays):
-    # every comparison is false on NaN, so each test is written to fail it
-    if not (c >= 1.0 and math.isfinite(c)):
-        raise ValueError("c must be finite and >= 1")
-    if not (b >= 0.0 and math.isfinite(b)):
-        raise ValueError("b must be finite and >= 0")
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
+    _check_finite(c=c, low=1.0)
+    _check_finite(b=b, low=0.0)
+    _check_finite(**arrays)
 
 
 def constant_field(matrix, c: float, b: float = 0.0) -> ObliqueField:
     mat = np.asarray(matrix, dtype=float)
     _check_constants(c, b, matrix=mat)
-    _check_symmetric(mat, "matrix")
     _check_spectrum(mat, c, "matrix")
     return ObliqueField(kind="constant", dim=mat.shape[0], c=float(c),
                         b=float(b), matrix=mat)
@@ -106,8 +94,6 @@ def rotation_blend_field(m0, m1, w_direction, w_offset: float,
     m1 = np.asarray(m1, dtype=float)
     wd = np.asarray(w_direction, dtype=float).ravel()
     _check_constants(c, b, m0=m0, m1=m1, w_direction=wd, w_offset=w_offset)
-    _check_symmetric(m0, "m0")
-    _check_symmetric(m1, "m1")
     _check_spectrum(m0, c, "m0")
     _check_spectrum(m1, c, "m1")
     if m0.shape != m1.shape or wd.size != m0.shape[0]:
@@ -115,14 +101,6 @@ def rotation_blend_field(m0, m1, w_direction, w_offset: float,
     return ObliqueField(kind="rotation_blend", dim=m0.shape[0], c=float(c),
                         b=float(b), m0=m0, m1=m1, w_direction=wd,
                         w_offset=float(w_offset))
-
-
-def _smoothstep(s: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    if s >= 1.0:
-        return 1.0
-    return s * s * (3.0 - 2.0 * s)
 
 
 def make_field_eval(hf: ObliqueField):
@@ -153,12 +131,15 @@ def make_field_eval(hf: ObliqueField):
     m0, m1, wd, wo = hf.m0, hf.m1, hf.w_direction, hf.w_offset
 
     def _blend(x):
+        # the smoothstep of the weight argument clipped to [0, 1]; a point
+        # takes the clamps as branches, which cost less than min and max
         if x.ndim > 1:
-            # the smoothstep of a clipped argument is _smoothstep's value
             t = np.clip((wd @ x[:, :, None])[:, :, None] + wo, 0.0, 1.0)
             w = t * t * (3.0 - 2.0 * t)
-            return (1.0 - w) * m0 + w * m1
-        w = _smoothstep(float(wd @ x) + wo)
+        else:
+            s = float(wd @ x) + wo
+            w = 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else \
+                s * s * (3.0 - 2.0 * s)
         return (1.0 - w) * m0 + w * m1
     return _blend
 
@@ -187,8 +168,9 @@ def direction_matrix(nu, n) -> np.ndarray:
         raise ValueError("nu and n must have the same dimension")
     if abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise ValueError("n must be a unit vector")
-    if not np.all(np.isfinite(nu)) or float(nu @ nu) == 0.0:
-        raise ValueError("nu must be finite and nonzero")
+    _check_finite(nu=nu)
+    if float(nu @ nu) == 0.0:
+        raise ValueError("nu must be nonzero")
     dot = float(nu @ n)
     if dot <= 0.0:
         raise ValueError("<nu, n> must be positive")

@@ -115,6 +115,20 @@ def total_variation(p: SampledPath, t_from: float | None = None,
     return float(np.sum(np.linalg.norm(np.diff(arr, axis=0), axis=1)))
 
 
+class GridMismatch(ValueError):
+    """A width is off the grid, or paths do not share one."""
+
+
+def grid_cells(width: float, dt: float, what: str) -> int:
+    """Number of dt cells in width, which must be a whole number >= 1 to
+    a relative 1e-9; raises GridMismatch naming `what` otherwise."""
+    n = width / dt
+    cells = int(round(n)) if math.isfinite(n) else 0
+    if cells < 1 or abs(cells * dt - width) > 1e-9 * max(width, dt):
+        raise GridMismatch(f"{what} is not a grid multiple of dt = {dt}")
+    return cells
+
+
 def snapped_width(eps: float, dt: float) -> float:
     """Smallest grid multiple of dt that is >= eps (and >= dt)."""
     if not eps > 0.0:

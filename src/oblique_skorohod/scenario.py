@@ -9,7 +9,6 @@ the snapped values echoed in `snapped`; nothing is modified silently.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import coeffs, convex, field as fieldmod
-from .paths import SampledPath, snapped_width
+from .paths import GridMismatch, SampledPath, grid_cells, snapped_width
 
 
 class ScenarioError(ValueError):
@@ -57,46 +56,47 @@ def _need(raw: dict, key: str):
     return raw[key]
 
 
-def _build_set(raw: dict, dim: int) -> convex.Set:
-    kind = _need(raw, "kind")
+def _declared(what: str, build, *args):
+    """build(*args) for the `what` block, any error but a ScenarioError
+    reported as the ScenarioError "bad <what> declaration"."""
     try:
-        if kind == "box":
-            return convex.box(_need(raw, "lo"), _need(raw, "hi"))
-        if kind == "ball":
-            return convex.ball(_need(raw, "center"), float(_need(raw, "radius")))
-        if kind == "halfspace_intersection":
-            normals = np.asarray(raw.get("normals", []), dtype=float)
-            if normals.size == 0:
-                return convex.whole_space(dim)
-            return convex.halfspace_intersection(normals, _need(raw, "offsets"))
+        return build(*args)
     except ScenarioError:
         raise
     except Exception as exc:
-        raise ScenarioError(f"bad set declaration: {exc}") from exc
+        raise ScenarioError(f"bad {what} declaration: {exc}") from exc
+
+
+def _build_set(raw: dict, dim: int) -> convex.Set:
+    kind = _need(raw, "kind")
+    if kind == "box":
+        return convex.box(_need(raw, "lo"), _need(raw, "hi"))
+    if kind == "ball":
+        return convex.ball(_need(raw, "center"), float(_need(raw, "radius")))
+    if kind == "halfspace_intersection":
+        normals = np.asarray(raw.get("normals", []), dtype=float)
+        if normals.size == 0:
+            return convex.whole_space(dim)
+        return convex.halfspace_intersection(normals, _need(raw, "offsets"))
     raise ScenarioError(f"unknown set kind {kind!r}")
 
 
 def _build_phi(raw: dict, dim: int) -> convex.ConvexFunction:
     kind = _need(raw, "kind")
-    dom = _build_set(_need(raw, "set"), dim)
+    dom = _declared("set", _build_set, _need(raw, "set"), dim)
     if dom.dim != dim:
         raise ScenarioError(f"set dimension {dom.dim} != scenario dimension {dim}")
     r0 = float(_need(raw, "r0"))
     h0 = raw.get("h0")
     h0 = None if h0 is None else float(h0)
-    try:
-        if kind == "indicator":
-            return convex.indicator(dom, r0, h0)
-        if kind == "quadratic_plus_indicator":
-            return convex.quadratic_plus_indicator(
-                _need(raw, "A"), _need(raw, "q"), dom, r0, h0)
-        if kind == "lipschitz_affine_plus_indicator":
-            return convex.lipschitz_affine_plus_indicator(
-                _need(raw, "a"), float(raw.get("beta", 0.0)), dom, r0, h0)
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"bad phi declaration: {exc}") from exc
+    if kind == "indicator":
+        return convex.indicator(dom, r0, h0)
+    if kind == "quadratic_plus_indicator":
+        return convex.quadratic_plus_indicator(
+            _need(raw, "A"), _need(raw, "q"), dom, r0, h0)
+    if kind == "lipschitz_affine_plus_indicator":
+        return convex.lipschitz_affine_plus_indicator(
+            _need(raw, "a"), float(raw.get("beta", 0.0)), dom, r0, h0)
     raise ScenarioError(f"unknown phi kind {kind!r}")
 
 
@@ -104,24 +104,18 @@ def _build_field(raw: dict, dim: int) -> fieldmod.ObliqueField:
     kind = _need(raw, "kind")
     c = float(_need(raw, "c"))
     b = float(raw.get("b", 0.0))
-    try:
-        if kind == "constant":
-            hf = fieldmod.constant_field(_need(raw, "matrix"), c, b)
-        elif kind == "diagonal_affine":
-            hf = fieldmod.diagonal_affine_field(
-                _need(raw, "base"), _need(raw, "slopes"), c, b,
-                offsets=raw.get("offsets"), span=raw.get("span"))
-        elif kind == "rotation_blend":
-            hf = fieldmod.rotation_blend_field(
-                _need(raw, "m0"), _need(raw, "m1"),
-                _need(raw, "w_direction"), float(raw.get("w_offset", 0.0)),
-                c, b)
-        else:
-            raise ScenarioError(f"unknown field kind {kind!r}")
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"bad field declaration: {exc}") from exc
+    if kind == "constant":
+        hf = fieldmod.constant_field(_need(raw, "matrix"), c, b)
+    elif kind == "diagonal_affine":
+        hf = fieldmod.diagonal_affine_field(
+            _need(raw, "base"), _need(raw, "slopes"), c, b,
+            offsets=raw.get("offsets"), span=raw.get("span"))
+    elif kind == "rotation_blend":
+        hf = fieldmod.rotation_blend_field(
+            _need(raw, "m0"), _need(raw, "m1"),
+            _need(raw, "w_direction"), float(raw.get("w_offset", 0.0)), c, b)
+    else:
+        raise ScenarioError(f"unknown field kind {kind!r}")
     if hf.dim != dim:
         raise ScenarioError(f"field dimension {hf.dim} != scenario dimension {dim}")
     return hf
@@ -137,45 +131,33 @@ def _build_profile(raw: dict) -> coeffs.TimeProfile:
 
 def _build_drift(raw: dict | None, dim: int, domain: convex.Set,
                  horizon: float) -> coeffs.DriftSpec:
-    if raw is None:
+    kind = "zero" if raw is None else raw.get("kind", "zero")
+    if kind == "zero":
         return coeffs.zero_drift(dim)
-    kind = raw.get("kind", "zero")
-    try:
-        if kind == "zero":
-            return coeffs.zero_drift(dim)
-        if kind == "constant":
-            return coeffs.constant_drift(_need(raw, "vector"))
-        rad = convex.bounding_radius(domain)
-        fsharp = raw.get("fsharp")
-        if kind == "affine":
-            return coeffs.affine_drift(_need(raw, "matrix"), _need(raw, "vector"),
-                                       domain_radius=rad, fsharp=fsharp)
-        if kind == "time_modulated":
-            return coeffs.time_modulated_drift(
-                _need(raw, "matrix"), _need(raw, "vector"),
-                _build_profile(_need(raw, "profile")), horizon,
-                domain_radius=rad, fsharp=fsharp)
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"bad drift declaration: {exc}") from exc
+    if kind == "constant":
+        return coeffs.constant_drift(_need(raw, "vector"))
+    rad = convex.bounding_radius(domain)
+    fsharp = raw.get("fsharp")
+    if kind == "affine":
+        return coeffs.affine_drift(_need(raw, "matrix"), _need(raw, "vector"),
+                                   domain_radius=rad, fsharp=fsharp)
+    if kind == "time_modulated":
+        return coeffs.time_modulated_drift(
+            _need(raw, "matrix"), _need(raw, "vector"),
+            _build_profile(_need(raw, "profile")), horizon,
+            domain_radius=rad, fsharp=fsharp)
     raise ScenarioError(f"unknown drift kind {kind!r}")
 
 
 def _build_diffusion(raw: dict, dim: int) -> coeffs.DiffusionSpec:
     kind = _need(raw, "kind")
-    try:
-        if kind == "zero":
-            return coeffs.zero_diffusion(dim, int(raw.get("noise_dims", 1)))
-        if kind == "constant":
-            return coeffs.constant_diffusion(_need(raw, "matrix"))
-        if kind == "affine_in_x":
-            return coeffs.affine_diffusion(_need(raw, "base"), _need(raw, "gains"),
-                                           float(_need(raw, "gsharp")))
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"bad diffusion declaration: {exc}") from exc
+    if kind == "zero":
+        return coeffs.zero_diffusion(dim, int(raw.get("noise_dims", 1)))
+    if kind == "constant":
+        return coeffs.constant_diffusion(_need(raw, "matrix"))
+    if kind == "affine_in_x":
+        return coeffs.affine_diffusion(_need(raw, "base"), _need(raw, "gains"),
+                                       float(_need(raw, "gsharp")))
     raise ScenarioError(f"unknown diffusion kind {kind!r}")
 
 
@@ -253,14 +235,16 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     if not dt > 0.0:
         raise ScenarioError("dt must be positive")
     horizon = float(_need(raw, "horizon"))
-    n_cells = int(round(horizon / dt))
-    if n_cells < 1 or abs(n_cells * dt - horizon) > 1e-9 * max(horizon, dt):
-        raise ScenarioError("horizon must be a positive grid multiple of dt")
+    try:
+        n_cells = grid_cells(horizon, dt, "horizon")
+    except GridMismatch as exc:
+        raise ScenarioError("horizon must be a positive grid multiple of dt") from exc
     snapped = {"horizon": n_cells * dt, "n_cells": n_cells}
 
-    phi = _build_phi(_need(raw, "phi"), dim)
-    hf = _build_field(_need(raw, "H"), dim)
-    f = _build_drift(raw.get("f"), dim, phi.domain, horizon)
+    phi = _declared("phi", _build_phi, _need(raw, "phi"), dim)
+    hf = _declared("field", _build_field, _need(raw, "H"), dim)
+    f = _declared("drift", _build_drift, raw.get("f"), dim, phi.domain,
+                  horizon)
 
     x0 = np.asarray(_need(raw, "x0"), dtype=float).ravel()
     if x0.size != dim:
@@ -288,6 +272,10 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     if has_m == has_brownian:
         raise ScenarioError("declare exactly one of: m (deterministic), "
                             "brownian + g (stochastic)")
+    ladder = [k for k in ("tol", "eps0", "max_halvings") if k in tols]
+    if has_brownian and ladder:
+        raise ScenarioError(f"tolerances.{ladder[0]} sets the eps-halving "
+                            "ladder, which only deterministic scenarios run")
 
     sc = Scenario(raw=raw, name=str(raw.get("name", "scenario")),
                   mode="det" if has_m else "svi", dim=dim, dt=dt,
@@ -311,14 +299,14 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
         if sc.n_window < 1:
             raise ScenarioError("n_delay must be >= 1")
         width = 1.0 / sc.n_window
-        win = int(round(width / dt))
-        if win < 1 or abs(win * dt - width) > 1e-9 * max(width, dt):
-            raise ScenarioError(
-                f"window 1/n = {width} is not a grid multiple of dt = {dt}")
-        snapped["window_cells"] = win
+        try:
+            snapped["window_cells"] = grid_cells(width, dt,
+                                                 f"window 1/n = {width}")
+        except GridMismatch as exc:
+            raise ScenarioError(str(exc)) from exc
         if "g" not in raw or raw["g"] is None:
             raise ScenarioError("stochastic scenarios need a diffusion g")
-        sc.g = _build_diffusion(raw["g"], dim)
+        sc.g = _declared("diffusion", _build_diffusion, raw["g"], dim)
         if sc.g.noise_dim != sc.noise_dims:
             raise ScenarioError("g noise columns must match brownian dims")
 

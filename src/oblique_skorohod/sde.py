@@ -43,9 +43,9 @@ from .coeffs import DiffusionSpec, DriftSpec
 from .convex import ConvexFunction, make_resolvent
 from .diagnostics import vi_residual
 from .field import ObliqueField, make_field_eval
-from .paths import SampledPath
-from .solver import (GridMismatch, PenalizedConfig, SkorohodSolution,
-                     _solution, _substep_mesh, _sweep, system_id)
+from .paths import GridMismatch, SampledPath, grid_cells
+from .solver import (PenalizedConfig, SkorohodSolution, _solution,
+                     _substep_mesh, _sweep, system_id)
 
 GENERATOR_ID = "philox4x64-boxmuller-v1"
 
@@ -70,13 +70,11 @@ class BrownianDriver:
             raise ValueError("dt must be positive")
         if self.dims < 1:
             raise ValueError("dims must be >= 1")
-        n = self.horizon / self.dt
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise GridMismatch("horizon must be a grid multiple of dt")
+        self.n_cells  # a horizon off the grid raises here
 
     @property
     def n_cells(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return grid_cells(self.horizon, self.dt, f"horizon {self.horizon}")
 
 
 def standard_normals(seed: int, count: int) -> np.ndarray:
@@ -104,11 +102,7 @@ def brownian_path(drv: BrownianDriver) -> SampledPath:
 def _window_cells(n: int, dt: float) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    width = 1.0 / n
-    cells = int(round(width / dt))
-    if cells < 1 or abs(cells * dt - width) > 1e-9 * max(width, dt):
-        raise GridMismatch(f"window 1/n = {width} is not a grid multiple of dt={dt}")
-    return cells
+    return grid_cells(1.0 / n, dt, f"window 1/n = {1.0 / n}")
 
 
 def _window_input(f: DriftSpec, g: DiffusionSpec, phi: ConvexFunction,

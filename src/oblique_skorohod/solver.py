@@ -44,11 +44,8 @@ from . import convex
 from .coeffs import DriftSpec
 from .convex import ConvexFunction, make_resolvent, set_distance
 from .field import ObliqueField, make_field_eval
-from .paths import SampledPath, mollify, snapped_width, total_variation
-
-
-class GridMismatch(ValueError):
-    """A delay or window width is not a multiple of the path grid."""
+from .paths import (GridMismatch, SampledPath, grid_cells, mollify,
+                    snapped_width, total_variation)
 
 
 class StabilityBreach(RuntimeError):
@@ -150,16 +147,9 @@ def _require_time_zero(m: SampledPath):
         raise GridMismatch("solver inputs must start at t = 0")
 
 
-def _lag_cells(eps: float, dt: float) -> int:
-    lag = int(round(eps / dt))
-    if lag < 1 or abs(lag * dt - eps) > 1e-9 * max(eps, dt):
-        raise GridMismatch(f"eps={eps} is not a grid multiple of dt={dt}")
-    return lag
-
-
 def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
     """(delay in grid cells, substeps per cell) of one level at cfg.eps."""
-    lag = _lag_cells(cfg.eps, dt)
+    lag = grid_cells(cfg.eps, dt, f"eps = {cfg.eps}")
     return lag, max(1, int(math.ceil(dt * c * int(cfg.substep_ratio) / cfg.eps
                                      - 1e-12)))
 

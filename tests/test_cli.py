@@ -343,6 +343,52 @@ class TestSolveSvi:
         assert "--paths" in err["error"]["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_scenario_guard_radius_reaches_the_paths(self, tmp_path,
+                                                       capsys):
+        # solve-svi used to drop the scenario's scheme keys: with them the
+        # path of seed 56 leaves the ball of radius 0.52
+        payload = read_json(SVI)
+        payload["tolerances"] = {"guard_radius": 0.52}
+        path = write_json(tmp_path / "svi-guard.json", payload)
+        code = cli.main(["solve-svi", path, "--out", str(tmp_path),
+                         "--paths", "16", "--seed", "42", "--quiet"])
+        assert code == 0
+        ens = read_json(tmp_path / "halfline-svi-ensemble.json")["ensemble"]
+        assert ens["n_ok"] == 15
+        assert [(f["seed"], f["error"]) for f in ens["failures"]] \
+            == [(56, "StabilityBreach")]
+        out = tmp_path / "one"
+        code = cli.main(["solve-svi", path, "--out", str(out), "--paths", "1",
+                         "--seed", "56"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"]["type"] == "StabilityBreach"
+        assert not out.exists()
+
+    def test_scenario_substep_ratio_reaches_the_path(self, tmp_path):
+        # one substep per cell at the default ratio 10, two at 40, for a
+        # single path and for the paths of an ensemble
+        payload = read_json(SVI)
+        payload["tolerances"] = {"substep_ratio": 40}
+        path = write_json(tmp_path / "svi-ratio.json", payload)
+        for paths in ("1", "2"):
+            assert cli.main(["solve-svi", path, "--out", str(tmp_path),
+                             "--paths", paths, "--dump-paths",
+                             "--quiet"]) == 0
+        diag = read_json(tmp_path / "halfline-svi-summary.json")[
+            "solution"]["diagnostics"]
+        assert diag["n_substeps_per_cell"] == 2
+        # the ensemble's path of seed 42 is the single path, bit for bit
+        assert (tmp_path / "halfline-svi-path-42.csv").read_bytes() \
+            == (tmp_path / "halfline-svi-solution.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["solve-svi", "validate"])
+    def test_no_tol_option(self, tmp_path, command):
+        # the ladder tolerance means nothing to these subcommands
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, SVI, "--out", str(tmp_path), "--tol", "0.1"])
+        assert exc.value.code == 2
+
     def test_det_scenario_rejected(self, tmp_path, capsys):
         code = cli.main(["solve-svi", HALFLINE, "--out", str(tmp_path)])
         err = json.loads(capsys.readouterr().err)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -670,6 +671,19 @@ class TestRowContract:
         if s.kind == "halfspace_intersection" and s.normals.shape[0] > 1:
             # outside a face with a non-finite coordinate: no projection
             assert np.isnan(stack[:7]).all()
+
+    def test_one_face_stack_warns_only_where_points_do(self):
+        # a row inside the face takes no shift, so an infinite coordinate
+        # there makes no invalid value; every row, signed zeros and NaN
+        # rows included, comes out as for the point
+        s = ok.halfspace_intersection([[-1.0, -1.0]], [0.0])
+        xs = np.array([[np.inf, 0.2], [0.3, 0.4], [-0.0, 0.0], [0.0, -0.0],
+                       [np.nan, 1.0], [-1.0, -2.0], [1e300, -1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = ok.project_set(s, xs)
+            points = np.array([ok.project_set(s, x) for x in xs])
+        assert stack.tobytes() == points.tobytes()
 
     def test_stack_rows_match_point_calls(self, phi_catalog):
         rng = np.random.default_rng(43)
