@@ -17,6 +17,7 @@ import numpy as np
 
 from . import coeffs, convex, field as fieldmod
 from .paths import GridMismatch, SampledPath, grid_cells, snapped_width
+from .solver import PenalizedConfig
 
 
 class ScenarioError(ValueError):
@@ -219,6 +220,31 @@ def _build_m(raw: dict, dt: float, n_cells: int, dim: int,
     return SampledPath(t0=0.0, dt=dt, values=vals, extension="zero")
 
 
+def _tolerances(tols: dict, dt: float) -> tuple:
+    """(tol, eps0, max_halvings, substep_ratio, guard_radius); the scheme
+    keys pass PenalizedConfig's own checks, as every solve applies them."""
+    eps0 = tols.get("eps0")
+    scheme = PenalizedConfig(
+        eps=dt, substep_ratio=int(tols.get("substep_ratio", 10)),
+        guard_radius=float(tols.get("guard_radius", 1e6)))
+    return (float(tols.get("tol", 1e-3)),
+            None if eps0 is None else float(eps0),
+            int(tols.get("max_halvings", 10)), scheme.substep_ratio,
+            scheme.guard_radius)
+
+
+def _brownian(raw: dict, dt: float) -> tuple:
+    """(seed, noise dims, window count n_delay) of a stochastic scenario."""
+    br = raw["brownian"]
+    seed, dims = int(_need(br, "seed")), int(br.get("dims", 1))
+    if "dt" in br and abs(float(br["dt"]) - dt) > 1e-12 * dt:
+        raise ScenarioError("brownian dt must match the scenario dt")
+    n_delay = raw.get("n_delay", br.get("n"))
+    if n_delay is None:
+        raise ScenarioError("stochastic scenarios need n_delay")
+    return seed, dims, int(n_delay)
+
+
 def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     """Validate a scenario dict and build the solver objects.
 
@@ -228,13 +254,13 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    dim = int(_need(raw, "dimension"))
+    dim = _declared("dimension", int, _need(raw, "dimension"))
     if dim < 1 or dim > 8:
         raise ScenarioError("dimension must be in 1..8")
-    dt = float(_need(raw, "dt"))
+    dt = _declared("dt", float, _need(raw, "dt"))
     if not dt > 0.0:
         raise ScenarioError("dt must be positive")
-    horizon = float(_need(raw, "horizon"))
+    horizon = _declared("horizon", float, _need(raw, "horizon"))
     try:
         n_cells = grid_cells(horizon, dt, "horizon")
     except GridMismatch as exc:
@@ -253,12 +279,8 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
         raise ScenarioError("x0 must lie in the constraint domain")
 
     tols = raw.get("tolerances", {})
-    tol = float(tols.get("tol", 1e-3))
-    eps0 = tols.get("eps0")
-    eps0 = None if eps0 is None else float(eps0)
-    max_halvings = int(tols.get("max_halvings", 10))
-    substep_ratio = int(tols.get("substep_ratio", 10))
-    guard_radius = float(tols.get("guard_radius", 1e6))
+    tol, eps0, max_halvings, substep_ratio, guard_radius = _declared(
+        "tolerances", _tolerances, tols, dt)
     if not tol >= 0.0:
         raise ScenarioError("tol must be >= 0")
     eff_eps0 = 0.1 * (n_cells * dt) if eps0 is None else eps0
@@ -287,15 +309,8 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     if has_m:
         sc.m = _build_m(raw["m"], dt, n_cells, dim, base_dir)
     else:
-        br = raw["brownian"]
-        sc.seed = int(_need(br, "seed"))
-        sc.noise_dims = int(br.get("dims", 1))
-        if "dt" in br and abs(float(br["dt"]) - dt) > 1e-12 * dt:
-            raise ScenarioError("brownian dt must match the scenario dt")
-        n_delay = raw.get("n_delay", br.get("n"))
-        if n_delay is None:
-            raise ScenarioError("stochastic scenarios need n_delay")
-        sc.n_window = int(n_delay)
+        sc.seed, sc.noise_dims, sc.n_window = _declared(
+            "brownian", _brownian, raw, dt)
         if sc.n_window < 1:
             raise ScenarioError("n_delay must be >= 1")
         width = 1.0 / sc.n_window

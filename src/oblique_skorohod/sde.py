@@ -11,19 +11,16 @@ computes the path block by block; no fixed-point iteration is needed.  The
 inner stochastic integral uses left endpoints (Ito), and the window average
 uses the rectangle rule on the same grid.
 
-A sample path is solved pathwise: `solve_svi_path` runs the substep kernel
-of `solver` (the one behind `solve_penalized`) with M as its input, and M
-comes from the single block-causal builder `_window_input`: once the state
-is final through node j, one stacked step (one projection of the delayed
+Sample paths are solved pathwise by one driver, `_solve_paths`: it runs
+the substep kernel of `solver` (the one behind `solve_penalized`) once
+over the state of B paths, shape (B, d) with time first, driven by their
+inputs M, and every path comes out bit for bit as it does alone.  M comes
+from the single block-causal builder `_window_input`: once the state is
+final through node j, one stacked step (one projection of the delayed
 states, one evaluation of f and g) gives M through node j + w + 1, w being
-the window 1/n in grid cells.  The public `build_Mn` runs the same blocks
-over a given state history.
-
-The paths of an ensemble share every operator and differ only in their
-noise, so `monte_carlo` runs them in chunks: one sweep of the same kernel
-and builder over a state of shape (B, d), time still the first axis, whose
-every row comes out bit for bit as `solve_svi_path` gives that path alone.
-A row that leaves the guard ball fails alone and leaves the chunk.
+the window 1/n in grid cells.  `solve_svi_path` is the driver on one path,
+`monte_carlo` on chunks of seeds, and `build_Mn` runs the same blocks over
+a given state history.  A path that leaves the guard ball fails alone.
 
 Gaussians come from a Box-Muller transform on the Philox counter-based
 generator keyed by the driver seed; the generator identity string is part
@@ -44,8 +41,8 @@ from .convex import ConvexFunction, make_resolvent
 from .diagnostics import vi_residual
 from .field import ObliqueField, make_field_eval
 from .paths import GridMismatch, SampledPath, grid_cells
-from .solver import (PenalizedConfig, SkorohodSolution, _solution,
-                     _substep_mesh, _sweep, system_id)
+from .solver import (PenalizedConfig, SkorohodSolution, StabilityBreach,
+                     _solution, _substep_mesh, _sweep, system_id)
 
 GENERATOR_ID = "philox4x64-boxmuller-v1"
 
@@ -108,12 +105,13 @@ def _window_cells(n: int, dt: float) -> int:
 def _window_input(f: DriftSpec, g: DiffusionSpec, phi: ConvexFunction,
                   x_hist: np.ndarray, db: np.ndarray, dt: float, win: int):
     """Block-causal builder of the delayed-window input M on the grid of db,
-    for one path (x_hist (cells + 1, d), db (cells, k)) or a chunk of B
-    paths (x_hist (cells + 1, B, d), db (cells, B, k)), time first.
+    time first: for a state history (x_hist (cells + 1, d), db (cells, k))
+    in build_Mn, and for the B paths of _solve_paths (x_hist
+    (cells + 1, B, d), db (cells, B, k)), a lone path included.
 
     Returns (values, rates, fill).  Node i + 1 of M reads only the delayed
     state x_hist[i - win] (x_hist[0] before time 0), so once x_hist is final
-    through node j, fill(j, rows) computes M of the given rows of a chunk
+    through node j, fill(j, rows) computes M of the given rows of the paths
     (every row by default) through node j + win + 1 (at most the last node)
     in one stacked step and returns that node.  Calls go j = 0, then each j
     the previous call returned.  rates[i] is the increment rate of M over
@@ -183,39 +181,101 @@ def build_Mn(f: DriftSpec, g: DiffusionSpec, x_hist: SampledPath,
     return SampledPath(t0=0.0, dt=dt, values=values, extension="zero")
 
 
-def _state0(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
-            g: DiffusionSpec, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float).ravel()
-    d = x0.size
-    if phi.dim != d or hf.dim != d:
-        raise ValueError("dimension mismatch between phi, H, x0")
-    if g.dim != d or f.dim != d:
-        raise ValueError("coefficient dimensions must match the state")
-    return x0
+@dataclass(frozen=True)
+class SviProblem:
+    """Everything a set of sample paths needs besides their noise."""
+
+    phi: ConvexFunction
+    hf: ObliqueField
+    f: DriftSpec
+    g: DiffusionSpec
+    x0: np.ndarray
+    dt: float
+    horizon: float
+    noise_dims: int
+    n: int
+    cfg: PenalizedConfig | None = None
+    u0: np.ndarray | None = None
+    test_points: tuple = ()
 
 
-def _svi_mesh(hf: ObliqueField, n: int, dt: float,
-              cfg: PenalizedConfig | None):
-    """(window in grid cells, the level's config, substeps per cell); the
+def _svi_mesh(p: SviProblem):
+    """(window in grid cells, the paths' config, substeps per cell); the
     smoothing width defaults to the window 1/n."""
-    win = _window_cells(n, dt)
-    if cfg is None:
-        cfg = PenalizedConfig(eps=win * dt)
-    return win, cfg, _substep_mesh(cfg, dt, hf.c)[1]
+    win = _window_cells(p.n, p.dt)
+    cfg = PenalizedConfig(eps=win * p.dt) if p.cfg is None else p.cfg
+    return win, cfg, _substep_mesh(cfg, p.dt, p.hf.c)[1]
 
 
-def _path_solution(phi, sid, dt, n_sub, cfg, xq, kq, max_grad, seed, n, win,
-                   mvals) -> SkorohodSolution:
-    diag = {
-        "generator": GENERATOR_ID,
-        "seed": None if seed is None else int(seed),
-        "n_window": n,
-        "window_cells": win,
-        "eps": cfg.eps,
-        "n_substeps_per_cell": n_sub,
-    }
-    return _solution(phi, sid, dt, n_sub, cfg.eps, xq, kq, max_grad, diag,
-                     SampledPath(t0=0.0, dt=dt, values=mvals, extension="zero"))
+def _solve_paths(problem: SviProblem, seeds, copy: bool,
+                 bpath: SampledPath | None = None) -> list:
+    """The sample paths of the given seeds from one sweep of the substep
+    kernel: one callable per seed that returns its solution or raises its
+    StabilityBreach.  Any other exception, a bad problem or a failing
+    sweep, propagates.
+
+    A path is driven by its seed's Brownian path, or by bpath when given
+    (for one seed, which then only labels the path).  The paths sweep as
+    one state of shape (B, d), time first, every row bit for bit as the
+    path alone.  A solution holds views of the shared arrays unless copy
+    is set.
+    """
+    p = problem
+    x0 = np.asarray(p.x0, dtype=float).ravel()
+    d = x0.size
+    if {p.phi.dim, p.hf.dim, p.f.dim, p.g.dim} != {d}:
+        raise ValueError("dimension mismatch between phi, H, f, g, x0")
+    if p.noise_dims != p.g.noise_dim:
+        raise ValueError(f"noise dimension {p.noise_dims} does not match "
+                         f"the {p.g.noise_dim} noise columns of g")
+    win, cfg, n_sub = _svi_mesh(p)
+    db = None
+    for i, seed in enumerate(seeds):
+        # filled in place: a list of the paths' increments would raise the
+        # peak memory by one more chunk-sized array
+        inc = np.diff((bpath or brownian_path(BrownianDriver(
+            seed=seed, dt=p.dt, dims=p.noise_dims, horizon=p.horizon))).values,
+            axis=0)
+        if db is None:
+            db = np.empty((inc.shape[0], len(seeds), inc.shape[1]))
+        db[:, i] = inc
+    xq = np.empty((db.shape[0] * n_sub + 1, len(seeds), d))
+    xq[0] = x0
+    mvals, rates, fill = _window_input(p.f, p.g, p.phi, xq[::n_sub], db,
+                                       p.dt, win)
+    where = [f"seed={seed}, n={p.n}" for seed in seeds]
+    if len(seeds) == 1:
+        # the row views take the point operations of solve_penalized, which
+        # run about twice as fast as a one-row stack
+        try:
+            kq, max_grad, breaches = _sweep(
+                xq[:, 0], n_sub, p.dt, cfg, make_resolvent(p.phi, cfg.eps),
+                make_field_eval(p.hf), rates[:, 0], where[0], fill)
+            kq, max_grad = kq[:, None], [max_grad]
+        except StabilityBreach as exc:
+            breaches = {0: exc}
+    else:
+        # convex.make_resolvent: the benchmark tracer's face check on the
+        # resolvent (sde.make_resolvent) reads one point
+        kq, max_grad, breaches = _sweep(
+            xq, n_sub, p.dt, cfg, convex.make_resolvent(p.phi, cfg.eps),
+            make_field_eval(p.hf), rates, where, fill)
+    take = np.copy if copy else (lambda a: a)
+    sid = system_id(p.phi, p.hf)
+
+    def solution(i, seed):
+        if i in breaches:
+            raise breaches[i]
+        diag = {"generator": GENERATOR_ID,
+                "seed": None if seed is None else int(seed), "n_window": p.n,
+                "window_cells": win, "eps": cfg.eps,
+                "n_substeps_per_cell": n_sub}
+        return _solution(
+            p.phi, sid, p.dt, n_sub, cfg.eps, take(xq[:, i]), take(kq[:, i]),
+            float(max_grad[i]), diag, SampledPath(
+                t0=0.0, dt=p.dt, values=take(mvals[:, i]), extension="zero"))
+    return [functools.partial(solution, i, seed)
+            for i, seed in enumerate(seeds)]
 
 
 def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
@@ -233,42 +293,12 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     drv is normally a BrownianDriver; a pre-sampled driving path may be
     passed instead for pathwise solves against a fixed noise realization.
     """
-    x0 = _state0(phi, hf, f, g, x0)
-    if isinstance(drv, SampledPath):
-        bpath = drv
-        seed_label = None
-    else:
-        bpath = brownian_path(drv)
-        seed_label = drv.seed
-    dt = bpath.dt
-    win, cfg, n_sub = _svi_mesh(hf, n, dt, cfg)
-    xq = np.empty((bpath.n_cells * n_sub + 1, x0.size))
-    xq[0] = x0
-    mvals, rates, fill = _window_input(f, g, phi, xq[::n_sub],
-                                       np.diff(bpath.values, axis=0), dt, win)
-    kq, max_grad, _ = _sweep(xq, n_sub, dt, cfg, make_resolvent(phi, cfg.eps),
-                             make_field_eval(hf), rates,
-                             f"seed={seed_label}, n={n}", fill)
-    return _path_solution(phi, system_id(phi, hf), dt, n_sub, cfg, xq, kq,
-                          max_grad, seed_label, n, win, mvals)
-
-
-@dataclass(frozen=True)
-class SviProblem:
-    """Everything a Monte Carlo batch needs besides seeds."""
-
-    phi: ConvexFunction
-    hf: ObliqueField
-    f: DriftSpec
-    g: DiffusionSpec
-    x0: np.ndarray
-    dt: float
-    horizon: float
-    noise_dims: int
-    n: int
-    cfg: PenalizedConfig | None = None
-    u0: np.ndarray | None = None
-    test_points: tuple = ()
+    given = isinstance(drv, SampledPath)
+    bpath = drv if given else brownian_path(drv)
+    p = SviProblem(phi=phi, hf=hf, f=f, g=g, x0=x0, dt=bpath.dt,
+                   horizon=bpath.horizon, noise_dims=bpath.dim, n=n, cfg=cfg)
+    # a lone path's arrays are its own: its solution may hold views
+    return _solve_paths(p, [None if given else drv.seed], False, bpath)[0]()
 
 
 # Bytes of per-row arrays (see _row_bytes) one chunk of monte_carlo may
@@ -282,7 +312,7 @@ def _row_bytes(problem: SviProblem) -> int:
     """Bytes a path holds in a chunk: its Brownian increments, its state
     and reflection on the substep mesh, and the values and rates of M."""
     cells = int(round(problem.horizon / problem.dt))
-    _, _, n_sub = _svi_mesh(problem.hf, problem.n, problem.dt, problem.cfg)
+    n_sub = _svi_mesh(problem)[2]
     d = problem.hf.dim
     return 8 * (cells * problem.noise_dims
                 + (2 * (cells * n_sub + 1) + 2 * cells + 1) * d)
@@ -293,55 +323,6 @@ def _chunk_rows(problem: SviProblem) -> int:
         return max(1, _CHUNK_BYTES // _row_bytes(problem))
     except Exception:  # noqa: BLE001  (a bad grid: each path reports it)
         return 1
-
-
-def _solve_chunk(problem: SviProblem, seeds, copy: bool) -> list:
-    """What solve_svi_path gives for each seed, from one sweep of a state of
-    shape (B, d): one callable per seed that returns its solution, bit for
-    bit, or raises its StabilityBreach.  A solution holds views of the
-    chunk's arrays unless copy is set.  Any other exception belongs to the
-    chunk and propagates."""
-    p = problem
-    x0 = _state0(p.phi, p.hf, p.f, p.g, p.x0)
-    win, cfg, n_sub = _svi_mesh(p.hf, p.n, p.dt, p.cfg)
-    db = None
-    for i, seed in enumerate(seeds):
-        # filled in place: a list of the paths' increments would raise the
-        # peak memory by one more chunk-sized array
-        inc = np.diff(brownian_path(BrownianDriver(
-            seed=seed, dt=p.dt, dims=p.noise_dims, horizon=p.horizon)).values,
-            axis=0)
-        if db is None:
-            db = np.empty((inc.shape[0], len(seeds), inc.shape[1]))
-        db[:, i] = inc
-    xq = np.empty((db.shape[0] * n_sub + 1, len(seeds), x0.size))
-    xq[0] = x0
-    mvals, rates, fill = _window_input(p.f, p.g, p.phi, xq[::n_sub], db,
-                                       p.dt, win)
-    # convex.make_resolvent: the benchmark tracer's face check on the
-    # resolvent (sde.make_resolvent) reads one point
-    kq, max_grad, breaches = _sweep(
-        xq, n_sub, p.dt, cfg, convex.make_resolvent(p.phi, cfg.eps),
-        make_field_eval(p.hf), rates,
-        [f"seed={seed}, n={p.n}" for seed in seeds], fill)
-    take = np.copy if copy else (lambda a: a)
-    sid = system_id(p.phi, p.hf)
-
-    def solution(i, seed):
-        if i in breaches:
-            raise breaches[i]
-        return _path_solution(p.phi, sid, p.dt, n_sub, cfg, take(xq[:, i]),
-                              take(kq[:, i]), float(max_grad[i]), seed, p.n,
-                              win, take(mvals[:, i]))
-    return [functools.partial(solution, i, seed)
-            for i, seed in enumerate(seeds)]
-
-
-def _solve_one(problem: SviProblem, seed: int) -> SkorohodSolution:
-    drv = BrownianDriver(seed=seed, dt=problem.dt, dims=problem.noise_dims,
-                         horizon=problem.horizon)
-    return solve_svi_path(problem.phi, problem.hf, problem.f, problem.g,
-                          problem.x0, drv, problem.n, problem.cfg)
 
 
 def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
@@ -359,30 +340,33 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    p = problem
     # the kept paths' states, one row each in seed order
     stack = None
     tvs, defects, vis = [], [], []
     kept_seeds, kept_paths, failures = [], [], []
     seeds = range(int(base_seed), int(base_seed) + n_paths)
     # as few chunks as the budget allows, as even as can be
-    chunks = -(-n_paths // _chunk_rows(problem))
+    chunks = -(-n_paths // _chunk_rows(p))
     step = -(-n_paths // chunks)
     for lo in range(0, n_paths, step):
         chunk = seeds[lo:lo + step]
         try:
-            solves = _solve_chunk(problem, chunk, collect_paths)
+            solves = _solve_paths(p, chunk, collect_paths)
         except Exception:  # noqa: BLE001  (the solo runs tell paths apart)
-            solves = [functools.partial(_solve_one, problem, seed)
-                      for seed in chunk]
+            solves = [None] * len(chunk)
         for seed, solve in zip(chunk, solves):
             try:
-                sol = solve()
+                # after a failed chunk the seed reruns alone, as the one
+                # path of a solve_svi_path call (a span the tracer counts)
+                sol = solve() if solve else solve_svi_path(
+                    p.phi, p.hf, p.f, p.g, p.x0, BrownianDriver(
+                        seed=seed, dt=p.dt, dims=p.noise_dims,
+                        horizon=p.horizon), p.n, p.cfg)
                 vi = None
-                if problem.test_points or problem.u0 is not None:
-                    vi = vi_residual(
-                        sol, problem.phi,
-                        test_points=list(problem.test_points) or None,
-                        u0=problem.u0)["residual"]
+                if p.test_points or p.u0 is not None:
+                    vi = vi_residual(sol, p.phi, u0=p.u0, test_points=list(
+                        p.test_points) or None)["residual"]
             except Exception as exc:  # noqa: BLE001  (per-path isolation)
                 failures.append({"seed": seed, "error": type(exc).__name__,
                                  "message": str(exc)})

@@ -198,6 +198,35 @@ class TestSolveDet:
         assert err["error"]["type"] == "ScenarioError"
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["validate", "solve-det"])
+    @pytest.mark.parametrize("name, entry, message", [
+        ("halfline-ramp", {"tolerances": {"substep_ratio": 1}},
+         "bad tolerances declaration: substep_ratio must be an integer >= 2"),
+        ("halfline-ramp", {"tolerances": {"guard_radius": -1.0}},
+         "bad tolerances declaration: guard_radius must be positive"),
+        ("halfline-ramp", {"tolerances": {"guard_radius": float("nan")}},
+         "bad tolerances declaration: guard_radius must be positive"),
+        # these escaped cli.main as TypeError and OverflowError tracebacks
+        ("halfline-ramp", {"dimension": [1]}, "bad dimension declaration: "),
+        ("halfline-ramp", {"tolerances": {"max_halvings": 1e400}},
+         "bad tolerances declaration: "),
+        ("halfline-svi", {"brownian": {"seed": [1]}},
+         "bad brownian declaration: ")])
+    def test_bad_declaration_exit_1(self, tmp_path, capsys, command, name,
+                                    entry, message):
+        # validate rejects at load what every solve rejects, and says so
+        # with the same JSON error
+        payload = read_json(os.path.join(SCEN, f"{name}.json"))
+        payload.update(entry)
+        path = write_json(tmp_path / "bad.json", payload)
+        out = tmp_path / "out"
+        code = cli.main([command, path, "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "ScenarioError"
+        assert err["error"]["message"].startswith(message)
+        assert not out.exists() or list(out.iterdir()) == []
+
     @pytest.mark.parametrize("phi", [
         {"kind": "quadratic_plus_indicator", "A": [[2.0, 0.5], [0.5, 1.0]],
          "q": [float("nan"), 0.3]},

@@ -264,7 +264,27 @@ def _edit(path, **entries):
      "brownian dt must match the scenario dt"),
     (_edit(SVI, n_delay=None), "stochastic scenarios need n_delay"),
     (_edit(SVI, n_delay=0), "n_delay must be >= 1"),
-    (_edit(SVI, g=None), "stochastic scenarios need a diffusion g")])
+    (_edit(SVI, g=None), "stochastic scenarios need a diffusion g"),
+    # top-level fields that used to escape as TypeError or OverflowError
+    (_edit(HALFLINE, dimension=[1]), "bad dimension declaration"),
+    (_edit(HALFLINE, dt="fine"), "bad dt declaration"),
+    (_edit(HALFLINE, horizon=[1.0]), "bad horizon declaration"),
+    (_edit(HALFLINE, tolerances={"max_halvings": 1e400}),
+     "bad tolerances declaration"),
+    (_edit(HALFLINE, tolerances={"tol": [0.01]}),
+     "bad tolerances declaration"),
+    (_edit(HALFLINE, tolerances=[0.01]), "bad tolerances declaration"),
+    (_edit(HALFLINE, tolerances={"substep_ratio": 1}),
+     "bad tolerances declaration: substep_ratio must be an integer >= 2"),
+    (_edit(HALFLINE, tolerances={"guard_radius": -1.0}),
+     "bad tolerances declaration: guard_radius must be positive"),
+    (_edit(HALFLINE, tolerances={"guard_radius": float("nan")}),
+     "bad tolerances declaration: guard_radius must be positive"),
+    (_edit(SVI, brownian={"seed": [1]}), "bad brownian declaration"),
+    (_edit(SVI, brownian={"seed": 1, "dims": 1e400}),
+     "bad brownian declaration"),
+    (_edit(SVI, brownian=7), "bad brownian declaration"),
+    (_edit(SVI, n_delay="eight"), "bad brownian declaration")])
 def test_bad_scenarios(raw, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
         build_scenario(raw)

@@ -444,6 +444,19 @@ class TestSviPath:
         with pytest.raises(ValueError):
             ok.solve_svi_path(phi, hf, ok.zero_drift(2), g, [1.0], drv, 8)
 
+    def test_noise_dimension_checked_before_the_sweep(self, monkeypatch):
+        # two noise columns against a g with one: a ValueError naming both
+        # numbers, from a driver or a given path, and no sweep runs
+        swept = []
+        monkeypatch.setattr(sde, "_sweep", lambda *a: swept.append(a))
+        phi, hf, f, g = svi_inputs()
+        drv = ok.BrownianDriver(seed=1, dt=1.0 / 64.0, dims=2, horizon=1.0)
+        message = "noise dimension 2 does not match the 1 noise columns of g"
+        for noise in (drv, ok.brownian_path(drv)):
+            with pytest.raises(ValueError, match=message):
+                ok.solve_svi_path(phi, hf, f, g, [1.0], noise, 8)
+        assert swept == []
+
 
 class TestMonteCarlo:
     def problem(self, **kw):
@@ -477,6 +490,16 @@ class TestMonteCarlo:
                          f=ok.constant_drift([-0.5]))
         out = ok.monte_carlo(p, 3, base_seed=1)
         assert np.abs(out["var_x"]).max() == 0.0
+
+    def test_noise_dimension_fails_every_path_before_the_sweep(
+            self, monkeypatch):
+        swept = []
+        monkeypatch.setattr(sde, "_sweep", lambda *a: swept.append(a))
+        with pytest.raises(RuntimeError, match="every path failed") as err:
+            ok.monte_carlo(self.problem(noise_dims=2), 3, base_seed=9)
+        assert "'error': 'ValueError', 'message': 'noise dimension 2 does " \
+               "not match the 1 noise columns of g'" in str(err.value)
+        assert swept == []
 
     def test_all_paths_failing_raises(self):
         p = self.problem(cfg=ok.PenalizedConfig(eps=1.0 / 8.0,
@@ -720,6 +743,26 @@ class TestChunks:
         _with_rows(monkeypatch, p, 64)
         out = ok.monte_carlo(p, 10, 42, collect_paths=True)
         assert out["failures"] == []
+        for seed, sol in zip(out["seeds_ok"], out["paths"]):
+            _assert_solo(sol, solo[seed])
+
+        # seed 45 also fails on its own, with an error that is no guard
+        # breach: the reruns are lazy, each inside its own path's error
+        # handling, so only seed 45 fails and the others are their solo runs
+        real_path, noise_calls = sde.brownian_path, []
+
+        def noise_fails_on_rerun(drv):
+            noise_calls.append(drv.seed)
+            if drv.seed == 45 and noise_calls.count(45) == 2:
+                raise LookupError("no noise for seed 45")
+            return real_path(drv)
+
+        monkeypatch.setattr(sde, "brownian_path", noise_fails_on_rerun)
+        out = ok.monte_carlo(p, 10, 42, collect_paths=True)
+        assert noise_calls == list(range(42, 52)) * 2  # chunk, then reruns
+        assert out["failures"] == [{"seed": 45, "error": "LookupError",
+                                    "message": "no noise for seed 45"}]
+        assert out["seeds_ok"] == [s for s in range(42, 52) if s != 45]
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             _assert_solo(sol, solo[seed])
 
