@@ -10,6 +10,7 @@ contracts, so the grid paths are only used when no substep mesh is stored.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,98 @@ def default_windows(horizon: float) -> list[tuple[float, float]]:
     return [(0.0, horizon), (0.0, 0.5 * horizon), (0.5 * horizon, horizon)]
 
 
+def _feasible_points(phi: ConvexFunction, test_points) -> list:
+    """The test points as flat arrays; raises ValueError unless each lies
+    in the domain (within 1e-7)."""
+    pts = []
+    for p in test_points:
+        p = np.asarray(p, dtype=float).ravel()
+        if not contains(phi.domain, p, tol=1e-7):
+            raise ValueError(f"test point {p} is outside the domain")
+        pts.append(p)
+    return pts
+
+
+@dataclass(frozen=True)
+class _ViPlan:
+    """What the VI residual of every path on one mesh shares: per window
+    (window, i0, i1, constant tests), the constant tests being (label,
+    point, integral of phi at the point over the window); the blends
+    (label, theta) toward u0."""
+
+    dtq: float
+    spans: list
+    blends: list
+    u0: np.ndarray | None
+
+
+def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
+             test_points=None, u0=None, blend_weights=(0.25, 0.5)) -> _ViPlan:
+    """The shared part of vi_residual on the mesh tq, set up once for any
+    number of paths; raises on a test point outside the domain, on no test
+    paths, and on a window off the mesh."""
+    horizon = float(tq[-1])
+    dtq = float(tq[1] - tq[0])
+    if windows is None:
+        windows = [(0.0, horizon)]
+    points = [(f"const[{idx}]", p, eval_fn(phi, np.tile(p, (tq.size, 1)),
+                                            feas_tol=1e-7))
+              for idx, p in enumerate(_feasible_points(
+                  phi, () if test_points is None else test_points))]
+    blends = []
+    if u0 is not None:
+        u0 = np.asarray(u0, dtype=float).ravel()
+        blends = [(f"blend[{theta}]", theta) for theta in blend_weights]
+    if not points and not blends:
+        raise ValueError("no test paths: pass test_points and/or u0")
+    spans = []
+    for (a, b) in windows:
+        i0 = int(round((a - tq[0]) / dtq))
+        i1 = int(round((b - tq[0]) / dtq))
+        if not (0 <= i0 < i1 <= tq.size - 1):
+            raise ValueError(f"window ({a}, {b}) not on the solution mesh")
+        spans.append(((a, b), i0, i1, [
+            (label, p, _trapz(phi_y[i0:i1 + 1], dtq))
+            for label, p, phi_y in points]))
+    return _ViPlan(dtq, spans, blends, u0)
+
+
+def _vi_worst(phi: ConvexFunction, plan: _ViPlan, xq: np.ndarray,
+              kq: np.ndarray) -> list:
+    """(residual, window, test path label) of the worst pair for each path
+    of a stack of states xq and reflections kq on the plan's mesh,
+    path-major (b, T, d).  The projections and phi values run once over
+    the stack; the sums along a path run on its own contiguous slices, so
+    each path comes out bit for bit as on its own."""
+    b, T, d = xq.shape
+    xp = convex.project_set(phi.domain, xq.reshape(-1, d))
+    phi_x = eval_fn(phi, xp).reshape(b, T)
+    dk = np.diff(kq, axis=1)
+    blends = []
+    for label, theta in plan.blends:
+        ys = convex.project_set(phi.domain,
+                                (1.0 - theta) * xp + theta * plan.u0)
+        blends.append((label, ys.reshape(b, T, d),
+                       eval_fn(phi, ys).reshape(b, T)))
+    dtq = plan.dtq
+    out = []
+    for i in range(b):
+        worst = (-math.inf, None, None)
+        for window, i0, i1, consts in plan.spans:
+            seg_x = xq[i, i0:i1]
+            seg_dk = dk[i, i0:i1]
+            int_phi_x = _trapz(phi_x[i, i0:i1 + 1], dtq)
+            for label, y, int_phi_y in consts + [
+                    (label, ys[i, i0:i1], _trapz(phi_y[i, i0:i1 + 1], dtq))
+                    for label, ys, phi_y in blends]:
+                pair = float(np.einsum("ij,ij->", y - seg_x, seg_dk))
+                res = pair + int_phi_x - int_phi_y
+                if res > worst[0]:
+                    worst = (res, window, label)
+        out.append(worst)
+    return out
+
+
 def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
                 windows=None, test_points=None, u0=None,
                 blend_weights=(0.25, 0.5)) -> dict:
@@ -47,50 +140,10 @@ def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
     path label, and the tolerance scale 1e-4 * (1 + tv_k).
     """
     tq, xq, kq = _quad_mesh(sol)
-    horizon = float(tq[-1])
-    if windows is None:
-        windows = [(0.0, horizon)]
-    xp = convex.project_set(phi.domain, xq)
-    phi_x = eval_fn(phi, xp)
-    dk = np.diff(kq, axis=0)
-    dtq = float(tq[1] - tq[0])
-
-    tests: list[tuple[str, np.ndarray, np.ndarray]] = []
-    if test_points is not None:
-        for idx, p in enumerate(test_points):
-            p = np.asarray(p, dtype=float).ravel()
-            if not contains(phi.domain, p, tol=1e-7):
-                raise ValueError(f"test point {p} is outside the domain")
-            ys = np.tile(p, (xq.shape[0], 1))
-            tests.append((f"const[{idx}]", ys,
-                          eval_fn(phi, ys, feas_tol=1e-7)))
-    if u0 is not None:
-        u0 = np.asarray(u0, dtype=float).ravel()
-        for theta in blend_weights:
-            ys = convex.project_set(phi.domain, (1.0 - theta) * xp + theta * u0)
-            tests.append((f"blend[{theta}]", ys, eval_fn(phi, ys)))
-    if not tests:
-        raise ValueError("no test paths: pass test_points and/or u0")
-
-    worst = -math.inf
-    worst_window = None
-    worst_label = None
-    for (a, b) in windows:
-        i0 = int(round((a - tq[0]) / dtq))
-        i1 = int(round((b - tq[0]) / dtq))
-        if not (0 <= i0 < i1 <= xq.shape[0] - 1):
-            raise ValueError(f"window ({a}, {b}) not on the solution mesh")
-        seg_x = xq[i0:i1]
-        seg_dk = dk[i0:i1]
-        int_phi_x = _trapz(phi_x[i0:i1 + 1], dtq)
-        for label, ys, phi_y in tests:
-            pair = float(np.einsum("ij,ij->", ys[i0:i1] - seg_x, seg_dk))
-            res = pair + int_phi_x - _trapz(phi_y[i0:i1 + 1], dtq)
-            if res > worst:
-                worst, worst_window, worst_label = res, (a, b), label
-    return {"residual": worst, "worst_window": worst_window,
-            "worst_test_fn": worst_label,
-            "tol_vi": 1e-4 * (1.0 + sol.tv_k)}
+    plan = _vi_plan(phi, tq, windows, test_points, u0, blend_weights)
+    worst, window, label = _vi_worst(phi, plan, xq[None], kq[None])[0]
+    return {"residual": worst, "worst_window": window,
+            "worst_test_fn": label, "tol_vi": 1e-4 * (1.0 + sol.tv_k)}
 
 
 def monotonicity_gap(sol1: SkorohodSolution, sol2: SkorohodSolution) -> float:

@@ -77,14 +77,39 @@ class SampledPath:
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
-def _node_index(p: SampledPath, t: float) -> float:
-    return (t - p.t0) / p.dt
-
-
-def _value_at_fraction(p: SampledPath, s: float) -> np.ndarray:
-    i = min(int(s), p.n_cells - 1)
+def _at_fraction(v: np.ndarray, s: float) -> np.ndarray:
+    # the value at node fraction s of each path of a stack (b, N+1, d)
+    i = min(int(s), v.shape[1] - 2)
     w = min(max(s - i, 0.0), 1.0)
-    return (1.0 - w) * p.values[i] + w * p.values[i + 1]
+    return (1.0 - w) * v[:, i:i + 1] + w * v[:, i + 1:i + 2]
+
+
+def _variations(values: np.ndarray, t0: float, dt: float,
+                t_from: float | None = None,
+                t_to: float | None = None) -> list[float]:
+    """Total variation over [t_from, t_to] of each path of a stack
+    (b, N+1, d), path-major, on the grid t0 + i dt: total_variation of
+    each path, as a list of floats.  The sum along each path runs on its
+    own contiguous row, so it comes out bit for bit as on its own."""
+    n_cells = values.shape[1] - 1
+    t_end = t0 + n_cells * dt
+    a = t0 if t_from is None else float(t_from)
+    b = t_end if t_to is None else float(t_to)
+    tol = 1e-9 * max(1.0, dt)
+    if b < a - tol:
+        raise ValueError("reversed interval")
+    if a < t0 - tol or b > t_end + tol:
+        raise ValueError("interval outside path range")
+    sa = min(max((a - t0) / dt, 0.0), float(n_cells))
+    sb = min(max((b - t0) / dt, 0.0), float(n_cells))
+    if sb <= sa:
+        return [0.0] * values.shape[0]
+    i0 = int(math.ceil(sa - 1e-12))
+    i1 = int(math.floor(sb + 1e-12))
+    pts = np.concatenate((_at_fraction(values, sa), values[:, i0:i1 + 1],
+                          _at_fraction(values, sb)), axis=1)
+    norms = np.linalg.norm(np.diff(pts, axis=1), axis=2)
+    return [float(np.sum(row)) for row in norms]
 
 
 def total_variation(p: SampledPath, t_from: float | None = None,
@@ -94,25 +119,7 @@ def total_variation(p: SampledPath, t_from: float | None = None,
     Defaults to the full range.  Non-node endpoints are linearly
     interpolated.  Reversed or out-of-range intervals raise.
     """
-    a = p.t0 if t_from is None else float(t_from)
-    b = p.t_end if t_to is None else float(t_to)
-    tol = 1e-9 * max(1.0, p.dt)
-    if b < a - tol:
-        raise ValueError("reversed interval")
-    if a < p.t0 - tol or b > p.t_end + tol:
-        raise ValueError("interval outside path range")
-    sa = min(max(_node_index(p, a), 0.0), float(p.n_cells))
-    sb = min(max(_node_index(p, b), 0.0), float(p.n_cells))
-    if sb <= sa:
-        return 0.0
-    i0 = int(math.ceil(sa - 1e-12))
-    i1 = int(math.floor(sb + 1e-12))
-    pts = [_value_at_fraction(p, sa)]
-    if i1 >= i0:
-        pts.extend(p.values[i0:i1 + 1])
-    pts.append(_value_at_fraction(p, sb))
-    arr = np.asarray(pts)
-    return float(np.sum(np.linalg.norm(np.diff(arr, axis=0), axis=1)))
+    return _variations(p.values[None], p.t0, p.dt, t_from, t_to)[0]
 
 
 class GridMismatch(ValueError):

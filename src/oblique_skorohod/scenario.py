@@ -17,7 +17,8 @@ import numpy as np
 
 from . import coeffs, convex, field as fieldmod
 from .paths import GridMismatch, SampledPath, grid_cells, snapped_width
-from .solver import PenalizedConfig
+from .sde import BrownianDriver
+from .solver import PenalizedConfig, _check_halvings
 
 
 class ScenarioError(ValueError):
@@ -222,23 +223,27 @@ def _build_m(raw: dict, dt: float, n_cells: int, dim: int,
 
 def _tolerances(tols: dict, dt: float) -> tuple:
     """(tol, eps0, max_halvings, substep_ratio, guard_radius); the scheme
-    keys pass PenalizedConfig's own checks, as every solve applies them."""
+    keys pass PenalizedConfig's own checks and max_halvings the ladder's,
+    as every solve applies them."""
     eps0 = tols.get("eps0")
     scheme = PenalizedConfig(
         eps=dt, substep_ratio=int(tols.get("substep_ratio", 10)),
         guard_radius=float(tols.get("guard_radius", 1e6)))
     return (float(tols.get("tol", 1e-3)),
             None if eps0 is None else float(eps0),
-            int(tols.get("max_halvings", 10)), scheme.substep_ratio,
-            scheme.guard_radius)
+            _check_halvings(int(tols.get("max_halvings", 10))),
+            scheme.substep_ratio, scheme.guard_radius)
 
 
-def _brownian(raw: dict, dt: float) -> tuple:
-    """(seed, noise dims, window count n_delay) of a stochastic scenario."""
+def _brownian(raw: dict, dt: float, horizon: float) -> tuple:
+    """(seed, noise dims, window count n_delay) of a stochastic scenario;
+    seed and dims pass the BrownianDriver's own checks, as every solve
+    applies them."""
     br = raw["brownian"]
     seed, dims = int(_need(br, "seed")), int(br.get("dims", 1))
     if "dt" in br and abs(float(br["dt"]) - dt) > 1e-12 * dt:
         raise ScenarioError("brownian dt must match the scenario dt")
+    BrownianDriver(seed=seed, dt=dt, dims=dims, horizon=horizon)
     n_delay = raw.get("n_delay", br.get("n"))
     if n_delay is None:
         raise ScenarioError("stochastic scenarios need n_delay")
@@ -310,7 +315,7 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
         sc.m = _build_m(raw["m"], dt, n_cells, dim, base_dir)
     else:
         sc.seed, sc.noise_dims, sc.n_window = _declared(
-            "brownian", _brownian, raw, dt)
+            "brownian", _brownian, raw, dt, sc.horizon)
         if sc.n_window < 1:
             raise ScenarioError("n_delay must be >= 1")
         width = 1.0 / sc.n_window

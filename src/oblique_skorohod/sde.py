@@ -21,6 +21,11 @@ states, one evaluation of f and g) gives M through node j + w + 1, w being
 the window 1/n in grid cells.  `solve_svi_path` is the driver on one path,
 `monte_carlo` on chunks of seeds, and `build_Mn` runs the same blocks over
 a given state history.  A path that leaves the guard ball fails alone.
+`monte_carlo` takes each path's certificates (tv_k, the feasibility defect,
+the VI residual) once per chunk from the chunk's arrays, with the helpers
+that a solution and `vi_residual` use for one path, and builds per-path
+solutions only when asked to collect them or when a chunk falls back to
+solo runs.
 
 Gaussians come from a Box-Muller transform on the Philox counter-based
 generator keyed by the driver seed; the generator identity string is part
@@ -29,7 +34,6 @@ of every output so reproducibility claims are auditable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,11 +42,12 @@ import numpy as np
 from . import convex
 from .coeffs import DiffusionSpec, DriftSpec
 from .convex import ConvexFunction, make_resolvent
-from .diagnostics import vi_residual
+from .diagnostics import _feasible_points, _vi_plan, _vi_worst, vi_residual
 from .field import ObliqueField, make_field_eval
 from .paths import GridMismatch, SampledPath, grid_cells
-from .solver import (PenalizedConfig, SkorohodSolution, StabilityBreach,
-                     _solution, _substep_mesh, _sweep, system_id)
+from .solver import (_SLICE_ROWS, PenalizedConfig, SkorohodSolution,
+                     StabilityBreach, _grid_checks, _solution, _substep_mesh,
+                     _substep_times, _sweep, system_id)
 
 GENERATOR_ID = "philox4x64-boxmuller-v1"
 
@@ -207,28 +212,38 @@ def _svi_mesh(p: SviProblem):
     return win, cfg, _substep_mesh(cfg, p.dt, p.hf.c)[1]
 
 
-def _solve_paths(problem: SviProblem, seeds, copy: bool,
-                 bpath: SampledPath | None = None) -> list:
-    """The sample paths of the given seeds from one sweep of the substep
-    kernel: one callable per seed that returns its solution or raises its
-    StabilityBreach.  Any other exception, a bad problem or a failing
-    sweep, propagates.
-
-    A path is driven by its seed's Brownian path, or by bpath when given
-    (for one seed, which then only labels the path).  The paths sweep as
-    one state of shape (B, d), time first, every row bit for bit as the
-    path alone.  A solution holds views of the shared arrays unless copy
-    is set.
-    """
-    p = problem
+def _setup(p: SviProblem):
+    """(x0 as a flat array, window cells, the paths' config, substeps per
+    cell) of a problem.  Raises ValueError on what fails every path of it
+    alike: a dimension or noise dimension mismatch, a test point outside
+    the domain, a width off the grid."""
     x0 = np.asarray(p.x0, dtype=float).ravel()
-    d = x0.size
-    if {p.phi.dim, p.hf.dim, p.f.dim, p.g.dim} != {d}:
+    if {p.phi.dim, p.hf.dim, p.f.dim, p.g.dim} != {x0.size}:
         raise ValueError("dimension mismatch between phi, H, f, g, x0")
     if p.noise_dims != p.g.noise_dim:
         raise ValueError(f"noise dimension {p.noise_dims} does not match "
                          f"the {p.g.noise_dim} noise columns of g")
-    win, cfg, n_sub = _svi_mesh(p)
+    _feasible_points(p.phi, p.test_points)
+    return (x0,) + _svi_mesh(p)
+
+
+def _solve_paths(problem: SviProblem, seeds, copy: bool,
+                 bpath: SampledPath | None = None):
+    """The sample paths of the given seeds from one sweep of the substep
+    kernel: (xq, kq, n_sub, breaches, solution).  xq and kq hold the
+    states and reflections of every path on the substep mesh, time first
+    (Q + 1, B, d); breaches maps the row of a path that left the guard
+    ball to its StabilityBreach (those rows of xq and kq are incomplete);
+    solution(i) builds row i's solution or raises its breach.  Any other
+    exception, a bad problem or a failing sweep, propagates.
+
+    A path is driven by its seed's Brownian path, or by bpath when given
+    (for one seed, which then only labels the path).  The paths sweep as
+    one state of shape (B, d), every row bit for bit as the path alone.  A
+    solution holds views of the shared arrays unless copy is set.
+    """
+    p = problem
+    x0, win, cfg, n_sub = _setup(p)
     db = None
     for i, seed in enumerate(seeds):
         # filled in place: a list of the paths' increments would raise the
@@ -239,7 +254,7 @@ def _solve_paths(problem: SviProblem, seeds, copy: bool,
         if db is None:
             db = np.empty((inc.shape[0], len(seeds), inc.shape[1]))
         db[:, i] = inc
-    xq = np.empty((db.shape[0] * n_sub + 1, len(seeds), d))
+    xq = np.empty((db.shape[0] * n_sub + 1, len(seeds), x0.size))
     xq[0] = x0
     mvals, rates, fill = _window_input(p.f, p.g, p.phi, xq[::n_sub], db,
                                        p.dt, win)
@@ -253,7 +268,7 @@ def _solve_paths(problem: SviProblem, seeds, copy: bool,
                 make_field_eval(p.hf), rates[:, 0], where[0], fill)
             kq, max_grad = kq[:, None], [max_grad]
         except StabilityBreach as exc:
-            breaches = {0: exc}
+            kq, max_grad, breaches = None, None, {0: exc}
     else:
         # convex.make_resolvent: the benchmark tracer's face check on the
         # resolvent (sde.make_resolvent) reads one point
@@ -263,9 +278,10 @@ def _solve_paths(problem: SviProblem, seeds, copy: bool,
     take = np.copy if copy else (lambda a: a)
     sid = system_id(p.phi, p.hf)
 
-    def solution(i, seed):
+    def solution(i):
         if i in breaches:
             raise breaches[i]
+        seed = seeds[i]
         diag = {"generator": GENERATOR_ID,
                 "seed": None if seed is None else int(seed), "n_window": p.n,
                 "window_cells": win, "eps": cfg.eps,
@@ -274,8 +290,7 @@ def _solve_paths(problem: SviProblem, seeds, copy: bool,
             p.phi, sid, p.dt, n_sub, cfg.eps, take(xq[:, i]), take(kq[:, i]),
             float(max_grad[i]), diag, SampledPath(
                 t0=0.0, dt=p.dt, values=take(mvals[:, i]), extension="zero"))
-    return [functools.partial(solution, i, seed)
-            for i, seed in enumerate(seeds)]
+    return xq, kq, n_sub, breaches, solution
 
 
 def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
@@ -298,7 +313,7 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     p = SviProblem(phi=phi, hf=hf, f=f, g=g, x0=x0, dt=bpath.dt,
                    horizon=bpath.horizon, noise_dims=bpath.dim, n=n, cfg=cfg)
     # a lone path's arrays are its own: its solution may hold views
-    return _solve_paths(p, [None if given else drv.seed], False, bpath)[0]()
+    return _solve_paths(p, [None if given else drv.seed], False, bpath)[-1](0)
 
 
 # Bytes of per-row arrays (see _row_bytes) one chunk of monte_carlo may
@@ -319,10 +334,35 @@ def _row_bytes(problem: SviProblem) -> int:
 
 
 def _chunk_rows(problem: SviProblem) -> int:
-    try:
-        return max(1, _CHUNK_BYTES // _row_bytes(problem))
-    except Exception:  # noqa: BLE001  (a bad grid: each path reports it)
-        return 1
+    return max(1, _CHUNK_BYTES // _row_bytes(problem))
+
+
+def _chunk_outcomes(problem: SviProblem, plan, seeds, collect: bool) -> list:
+    """What one sweep of the given seeds gives each path, in seed order:
+    its StabilityBreach, or (grid states, tv_k, largest feasibility defect,
+    VI residual on the plan or None, its solution when collect is set).
+
+    The certificates come from the chunk's arrays, in path-major slices of
+    a few paths: the operator calls run once per slice, the sums along a
+    path on its own rows, so every number is the one its solution and
+    vi_residual give, bit for bit, and the temporaries stay small."""
+    p = problem
+    xq, kq, n_sub, breaches, solution = _solve_paths(p, seeds, collect)
+    out = dict(breaches)
+    live = [i for i in range(len(seeds)) if i not in breaches]
+    step = max(1, _SLICE_ROWS // xq.shape[0])
+    for lo in range(0, len(live), step):
+        rows = live[lo:lo + step]
+        xs = xq.transpose(1, 0, 2)[rows]
+        ks = kq.transpose(1, 0, 2)[rows]
+        xg = xs[:, ::n_sub]
+        tvs, defects = _grid_checks(p.phi.domain, p.dt, xg, ks[:, ::n_sub])
+        vis = [None] * len(rows) if plan is None else [
+            worst[0] for worst in _vi_worst(p.phi, plan, xs, ks)]
+        for j, i in enumerate(rows):
+            out[i] = (xg[j], tvs[j], float(defects[j]), vis[j],
+                      solution(i) if collect else None)
+    return [out[i] for i in range(len(seeds))]
 
 
 def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
@@ -333,14 +373,27 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
     whose size comes from a fixed byte budget on the arrays a path holds;
     a chunk is one sweep of a (B, d) state, and every path in it comes out
     bit for bit as solve_svi_path gives it alone, so nothing depends on the
-    chunk size.  A path that raises, a guard breach in the sweep included,
-    is recorded in `failures` and left out of the statistics; the others
-    still count.  Any other exception of a chunk re-runs its seeds one at a
-    time, so each path still gets its own outcome.
+    chunk size.  Each path's tv_k, feasibility defect and VI residual are
+    computed from the chunk's arrays, equal to those of its solution; the
+    solutions themselves are built only for collect_paths.  A bad problem
+    (see _setup) raises its ValueError before any sweep.  A path that
+    raises, a guard breach in the sweep included, is recorded in
+    `failures` and left out of the statistics; the others still count.
+    Any other exception of a chunk re-runs its seeds one at a time, so
+    each path still gets its own outcome.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     p = problem
+    n_sub = _setup(p)[3]
+    test_points = list(p.test_points) or None
+    plan = None
+    if test_points or p.u0 is not None:
+        # every path shares the mesh: the constant test points are
+        # evaluated once
+        nodes = int(round(p.horizon / p.dt)) * n_sub + 1
+        plan = _vi_plan(p.phi, _substep_times(p.dt, n_sub, nodes),
+                        test_points=test_points, u0=p.u0)
     # the kept paths' states, one row each in seed order
     stack = None
     tvs, defects, vis = [], [], []
@@ -352,30 +405,36 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
     for lo in range(0, n_paths, step):
         chunk = seeds[lo:lo + step]
         try:
-            solves = _solve_paths(p, chunk, collect_paths)
+            outcomes = _chunk_outcomes(p, plan, chunk, collect_paths)
         except Exception:  # noqa: BLE001  (the solo runs tell paths apart)
-            solves = [None] * len(chunk)
-        for seed, solve in zip(chunk, solves):
+            outcomes = [None] * len(chunk)
+        for seed, out in zip(chunk, outcomes):
             try:
-                # after a failed chunk the seed reruns alone, as the one
-                # path of a solve_svi_path call (a span the tracer counts)
-                sol = solve() if solve else solve_svi_path(
-                    p.phi, p.hf, p.f, p.g, p.x0, BrownianDriver(
-                        seed=seed, dt=p.dt, dims=p.noise_dims,
-                        horizon=p.horizon), p.n, p.cfg)
-                vi = None
-                if p.test_points or p.u0 is not None:
-                    vi = vi_residual(sol, p.phi, u0=p.u0, test_points=list(
-                        p.test_points) or None)["residual"]
+                if out is None:
+                    # after a failed chunk the seed reruns alone, as the one
+                    # path of a solve_svi_path call (a span the tracer counts)
+                    sol = solve_svi_path(
+                        p.phi, p.hf, p.f, p.g, p.x0, BrownianDriver(
+                            seed=seed, dt=p.dt, dims=p.noise_dims,
+                            horizon=p.horizon), p.n, p.cfg)
+                    out = (sol.x.values, sol.tv_k,
+                           sol.diagnostics["max_feasibility_defect"],
+                           None if plan is None else vi_residual(
+                               sol, p.phi, u0=p.u0,
+                               test_points=test_points)["residual"],
+                           sol if collect_paths else None)
+                elif isinstance(out, Exception):
+                    raise out
             except Exception as exc:  # noqa: BLE001  (per-path isolation)
                 failures.append({"seed": seed, "error": type(exc).__name__,
                                  "message": str(exc)})
                 continue
+            xg, tv, defect, vi, sol = out
             if stack is None:
-                stack = np.empty((n_paths,) + sol.x.values.shape)
-            stack[len(kept_seeds)] = sol.x.values
-            tvs.append(sol.tv_k)
-            defects.append(sol.diagnostics["max_feasibility_defect"])
+                stack = np.empty((n_paths,) + xg.shape)
+            stack[len(kept_seeds)] = xg
+            tvs.append(tv)
+            defects.append(defect)
             if vi is not None:
                 vis.append(vi)
             kept_seeds.append(seed)

@@ -44,8 +44,8 @@ from . import convex
 from .coeffs import DriftSpec
 from .convex import ConvexFunction, make_resolvent, set_distance
 from .field import ObliqueField, make_field_eval
-from .paths import (GridMismatch, SampledPath, grid_cells, mollify,
-                    snapped_width, total_variation)
+from .paths import (GridMismatch, SampledPath, _variations, grid_cells,
+                    mollify, snapped_width, total_variation)
 
 
 class StabilityBreach(RuntimeError):
@@ -289,23 +289,37 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     return kq, norms, breaches
 
 
+def _grid_checks(domain, dt, xg, kg):
+    """(tv_k, largest feasibility defect) of each path of a stack of grid
+    states xg and reflections kg, path-major (b, N+1, d): a list of floats
+    and an array, each path's bit for bit as on its own (the one-path case
+    is _solution's)."""
+    dist = set_distance(domain, xg.reshape(-1, xg.shape[-1]))
+    return _variations(kg, 0.0, dt), dist.reshape(xg.shape[:2]).max(axis=1)
+
+
+def _substep_times(dt, n_sub, count):
+    """The first count times of the substep mesh h = dt / n_sub."""
+    return dt / n_sub * np.arange(count)
+
+
 def _solution(phi, sid, dt, n_sub, eps, xq, kq, max_grad, diag,
               input_m) -> SkorohodSolution:
     """One level's solution on the grid (every n_sub-th substep).  sid is
     system_id(phi, H), hashed once by the caller; diag gets the gradient and
     feasibility entries."""
     xg = xq[::n_sub].copy()
-    k_path = SampledPath(t0=0.0, dt=dt, values=kq[::n_sub].copy(),
-                         extension="zero")
+    kg = kq[::n_sub].copy()
+    tv_k, defect = _grid_checks(phi.domain, dt, xg[None], kg[None])
     diag["max_gradient_norm"] = max_grad
-    diag["max_feasibility_defect"] = float(set_distance(phi.domain, xg).max())
+    diag["max_feasibility_defect"] = float(defect[0])
     diag["feasibility_bound"] = eps * max_grad
     return SkorohodSolution(
         x=SampledPath(t0=0.0, dt=dt, values=xg, extension="frozen"),
-        k=k_path, tv_k=total_variation(k_path), eps=eps,
-        system_id=sid,
+        k=SampledPath(t0=0.0, dt=dt, values=kg, extension="zero"),
+        tv_k=tv_k[0], eps=eps, system_id=sid,
         refinement_history=[(eps, None)], diagnostics=diag,
-        t_quad=dt / n_sub * np.arange(xq.shape[0]), x_quad=xq, k_quad=kq,
+        t_quad=_substep_times(dt, n_sub, xq.shape[0]), x_quad=xq, k_quad=kq,
         input_m=input_m)
 
 
@@ -351,6 +365,13 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
                      max_grad, diag, m)
 
 
+def _check_halvings(max_halvings: int) -> int:
+    """max_halvings itself; raises unless it is >= 0."""
+    if max_halvings < 0:
+        raise ValueError("max_halvings must be >= 0")
+    return max_halvings
+
+
 def _tv_ratio(tv_levels) -> float:
     """Last level's tv_k over the one before; 1 if both are ~0, inf if one."""
     prev, last = tv_levels[-2], tv_levels[-1]
@@ -379,8 +400,7 @@ def solve_skorohod(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     _require_time_zero(m)
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
-    if max_halvings < 0:
-        raise ValueError("max_halvings must be >= 0")
+    _check_halvings(max_halvings)
     horizon = m.horizon
     if eps0 is None:
         eps0 = 0.1 * horizon

@@ -211,7 +211,12 @@ class TestSolveDet:
         ("halfline-ramp", {"tolerances": {"max_halvings": 1e400}},
          "bad tolerances declaration: "),
         ("halfline-svi", {"brownian": {"seed": [1]}},
-         "bad brownian declaration: ")])
+         "bad brownian declaration: "),
+        # validate passed these two; the solves rejected them
+        ("halfline-ramp", {"tolerances": {"max_halvings": -1}},
+         "bad tolerances declaration: max_halvings must be >= 0"),
+        ("halfline-svi", {"brownian": {"seed": -1}},
+         "bad brownian declaration: seed must fit in 64 bits")])
     def test_bad_declaration_exit_1(self, tmp_path, capsys, command, name,
                                     entry, message):
         # validate rejects at load what every solve rejects, and says so

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,47 @@ class TestTotalVariation:
         p = path_1d([0.0, 1.0])
         with pytest.raises(ValueError):
             total_variation(p, 0.8, 0.2)
+
+    def test_bit_identical_to_the_list_built_points(self):
+        # the point array is one concatenate of the interpolated end rows
+        # and the nodes; the list of rows it replaced is kept here as the
+        # reference, and the two agree bit for bit
+        def listed(p, a, b):
+            def at(s):
+                i = min(int(s), p.n_cells - 1)
+                w = min(max(s - i, 0.0), 1.0)
+                return (1.0 - w) * p.values[i] + w * p.values[i + 1]
+            sa = min(max((a - p.t0) / p.dt, 0.0), float(p.n_cells))
+            sb = min(max((b - p.t0) / p.dt, 0.0), float(p.n_cells))
+            if sb <= sa:
+                return 0.0
+            i0 = int(math.ceil(sa - 1e-12))
+            i1 = int(math.floor(sb + 1e-12))
+            pts = [at(sa)]
+            if i1 >= i0:
+                pts.extend(p.values[i0:i1 + 1])
+            pts.append(at(sb))
+            arr = np.asarray(pts)
+            return float(np.sum(np.linalg.norm(np.diff(arr, axis=0), axis=1)))
+
+        rng = np.random.default_rng(11)
+        for case in range(200):
+            d = 1 + case % 4
+            cells = int(rng.integers(1, 700))
+            dt = float(rng.choice([1.0 / 512.0, 0.1, 0.37]))
+            p = SampledPath(t0=float(rng.normal()), dt=dt,
+                            values=rng.normal(size=(cells + 1, d)))
+            spans = [(p.t0, p.t_end), (None, None)]
+            # node endpoints, then endpoints inside cells
+            i, j = sorted(rng.integers(0, cells + 1, size=2))
+            spans.append((p.t0 + i * dt, p.t0 + j * dt))
+            a, b = sorted(rng.uniform(p.t0, p.t_end, size=2))
+            spans.append((a, b))
+            for a, b in spans:
+                got = total_variation(p, a, b)
+                a = p.t0 if a is None else a
+                b = p.t_end if b is None else b
+                assert got == listed(p, a, b), (case, a, b)
 
     def test_out_of_range_rejected(self):
         p = path_1d([0.0, 1.0])

@@ -284,7 +284,12 @@ def _edit(path, **entries):
     (_edit(SVI, brownian={"seed": 1, "dims": 1e400}),
      "bad brownian declaration"),
     (_edit(SVI, brownian=7), "bad brownian declaration"),
-    (_edit(SVI, n_delay="eight"), "bad brownian declaration")])
+    (_edit(SVI, n_delay="eight"), "bad brownian declaration"),
+    # rules that only a solve applied, so validate passed them
+    (_edit(HALFLINE, tolerances={"max_halvings": -1}),
+     "bad tolerances declaration: max_halvings must be >= 0"),
+    (_edit(SVI, brownian={"seed": -1}),
+     "bad brownian declaration: seed must fit in 64 bits")])
 def test_bad_scenarios(raw, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
         build_scenario(raw)

@@ -1,5 +1,6 @@
 """Stochastic layer tests: generators, window-averaged inputs, sample paths."""
 
+import dataclasses
 import functools
 import os
 import warnings
@@ -495,10 +496,8 @@ class TestMonteCarlo:
             self, monkeypatch):
         swept = []
         monkeypatch.setattr(sde, "_sweep", lambda *a: swept.append(a))
-        with pytest.raises(RuntimeError, match="every path failed") as err:
+        with pytest.raises(ValueError, match="noise dimension 2 does not match"):
             ok.monte_carlo(self.problem(noise_dims=2), 3, base_seed=9)
-        assert "'error': 'ValueError', 'message': 'noise dimension 2 does " \
-               "not match the 1 noise columns of g'" in str(err.value)
         assert swept == []
 
     def test_all_paths_failing_raises(self):
@@ -765,6 +764,94 @@ class TestChunks:
         assert out["seeds_ok"] == [s for s in range(42, 52) if s != 45]
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             _assert_solo(sol, solo[seed])
+
+
+def _chunk_certificates(monkeypatch, p, n_paths, base, collect=False):
+    """monte_carlo's summary, and seed -> what its chunks computed for the
+    path: its StabilityBreach or (grid states, tv_k, defect, VI residual,
+    solution)."""
+    real, seen = sde._chunk_outcomes, {}
+
+    def spy(problem, plan, seeds, collect_paths):
+        out = real(problem, plan, seeds, collect_paths)
+        seen.update(zip(seeds, out))
+        return out
+
+    monkeypatch.setattr(sde, "_chunk_outcomes", spy)
+    out = ok.monte_carlo(p, n_paths, base, collect_paths=collect)
+    monkeypatch.setattr(sde, "_chunk_outcomes", real)
+    return out, seen
+
+
+def _halfline_breach_problem(**kw):
+    # the set-up of test_a_breach_inside_a_fill_block: seed 503 leaves the
+    # guard ball inside a fill block
+    phi, hf, _, _ = svi_inputs()
+    return ok.SviProblem(
+        phi=phi, hf=hf, f=ok.zero_drift(1), g=ok.constant_diffusion([[1.0]]),
+        x0=np.array([1.0]), dt=1.0 / 64.0, horizon=1.0, noise_dims=1, n=8,
+        cfg=ok.PenalizedConfig(eps=1.0 / 8.0, guard_radius=1.8), **kw)
+
+
+class TestChunkCertificates:
+    """Each path's tv_k, feasibility defect and VI residual, computed once
+    per chunk from its arrays, equal its solo solution's bit for bit."""
+
+    @pytest.mark.parametrize("name", ["halfline-svi-256", "triangle-affine",
+                                      "halfline-breach"])
+    def test_every_path_equals_its_solo_certificates(self, monkeypatch, name):
+        if name == "halfline-svi-256":
+            p, n_paths, base = _scenario_problem(), 256, 42
+        elif name == "triangle-affine":
+            p, n_paths, base = dataclasses.replace(
+                _triangle_problem(), u0=np.array([0.4, 0.4]),
+                test_points=(np.array([0.2, 0.3]), np.array([1.0, 0.5]),
+                             np.array([0.0, 0.0]))), 20, 7
+        else:
+            p, n_paths, base = _halfline_breach_problem(
+                u0=np.array([1.0]), test_points=(np.array([0.5]),)), 8, 500
+            _with_rows(monkeypatch, p, 8)
+        solo = _solo(p, range(base, base + n_paths))
+        out, seen = _chunk_certificates(monkeypatch, p, n_paths, base)
+        assert sorted(seen) == sorted(solo)
+        vis = []
+        for seed, ref in solo.items():
+            got = seen[seed]
+            if isinstance(ref, Exception):
+                assert type(got) is type(ref) and str(got) == str(ref)
+                continue
+            xg, tv, defect, vi, sol = got
+            assert sol is None
+            np.testing.assert_array_equal(xg, ref.x.values)
+            assert tv == ref.tv_k
+            assert defect == ref.diagnostics["max_feasibility_defect"]
+            assert vi == ok.vi_residual(
+                ref, p.phi, test_points=list(p.test_points),
+                u0=p.u0)["residual"]
+            vis.append(vi)
+        if name == "halfline-breach":
+            assert [f["seed"] for f in out["failures"]] == [503]
+        assert out["max_vi_residual"] == max(vis)
+
+        # the solutions of collect_paths change no number of the summary
+        collected, _ = _chunk_certificates(monkeypatch, p, n_paths, base,
+                                           collect=True)
+        assert len(collected.pop("paths")) == out["n_ok"]
+        np.testing.assert_equal(collected, out)
+
+    def test_solutions_only_for_collect_paths(self, monkeypatch):
+        real, built = sde._solution, []
+
+        def counted(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sde, "_solution", counted)
+        p = _scenario_problem()
+        ok.monte_carlo(p, 40, 42)
+        assert built == []
+        ok.monte_carlo(p, 40, 42, collect_paths=True)
+        assert len(built) == 40
 
 
 @pytest.mark.parametrize("build, message", [
