@@ -120,17 +120,52 @@ def whole_space(dim: int) -> Set:
     return halfspace_intersection(np.zeros((0, dim)), np.zeros(0), dim=dim)
 
 
-def _project_polytope(x, normals, offsets, resid):
+# Active-set histories whose geometry one polytope projector keeps, at most
+_GEOMETRY_CAP = 1024
+
+
+def _face_geometry(geo, key, prev, active_normals, n):
+    # geo[key], a new entry built from prev, the entry before the last
+    # event of key: (r as a list, step, ss, the active faces' pinv, the
+    # pinv once n's face is added; only a pass with ss > PROJ_TOL^2 adds it)
+    if prev is None:
+        pinv = np.zeros((0, n.size))
+    elif key[-1] >= 0:
+        pinv = prev[4]
+    else:
+        # slot ~key[-1] left the active set
+        row = prev[3][~key[-1]]
+        pinv = np.delete(prev[3], ~key[-1], axis=0)
+        pinv -= (pinv @ row)[:, None] * (row / float(row @ row))
+    # with no active face the products are empty: step is n - 0.0 = n
+    r = pinv @ n
+    step = n - active_normals.T @ r
+    ss = float(step @ step)
+    added = None
+    if ss > PROJ_TOL * PROJ_TOL:
+        added = step / ss
+        added = np.concatenate((pinv - r[:, None] * added, added[None]))
+    if len(geo) >= _GEOMETRY_CAP:
+        geo.clear()
+    geo[key] = face = (r.tolist(), step, ss, pinv, added)
+    return face
+
+
+def _project_polytope(x, normals, offsets, resid, geo):
     # Goldfarb-Idnani dual active-set method for min |z - x|^2 / 2 subject
     # to normals @ z <= offsets (Goldfarb & Idnani 1983), from resid =
     # normals @ x - offsets.  z stays the projection of x onto the active
     # faces, u >= 0 are their multipliers and pinv the pseudo-inverse of
     # their normals (one row per face).  Each pass adds the most violated
     # face; an active face whose multiplier would reach zero first leaves.
+    # What does not read z -- r, step, ss and pinv after an add or a drop --
+    # follows from the history of entering faces (p) and drops (~k) alone,
+    # so geo keeps it per history (_face_geometry) and a call computes only
+    # n.z, t, the ratio test, z and resid.  Cached arrays are never written.
     # _project_rows takes the same steps on many rows at once.
     z = x.copy()
     active, u = [], []
-    pinv = np.zeros((0, x.size))
+    key, face = (), None
     for _ in range(PROJ_MAX_ITERS):
         if active:
             resid[active] = -math.inf
@@ -138,36 +173,28 @@ def _project_polytope(x, normals, offsets, resid):
         if resid[p] <= PROJ_TOL:
             return z
         n, up = normals[p], 0.0
+        key += (p,)
         while True:
             # z moves along the part of n orthogonal to the active normals
             # while the active multipliers fall at the rates r
-            if active:
-                r = pinv @ n
-                step = n - normals[active].T @ r
-            else:
-                # no active face: the products above are empty, step is n
-                r, step = pinv[:, 0], n.copy()
-            ss = float(step @ step)
+            face = geo.get(key) or _face_geometry(geo, key, face,
+                                                  normals[active], n)
+            r, step, ss = face[:3]
             t = (float(n @ z) - offsets[p]) / ss \
                 if ss > PROJ_TOL * PROJ_TOL else math.inf
             k = None
-            for j, (uj, rj) in enumerate(zip(u, r.tolist())):
+            for j, (uj, rj) in enumerate(zip(u, r)):
                 if rj > 0.0 and uj / rj < t:
                     t, k = uj / rj, j
             if t == math.inf:
                 raise ProjectionError("halfspace intersection is empty")
             z = z - t * step
-            u = [uj - t * rj for uj, rj in zip(u, r.tolist())]
+            u = [uj - t * rj for uj, rj in zip(u, r)]
             up += t
             if k is None:
                 break
             del active[k], u[k]
-            row = pinv[k]
-            pinv = np.delete(pinv, k, axis=0)
-            pinv -= (pinv @ row)[:, None] * (row / float(row @ row))
-        step /= ss
-        pinv = np.concatenate((pinv - r[:, None] * step, step[None])) \
-            if active else step[None]
+            key += (~k,)
         active.append(p)
         u.append(up)
         resid = normals @ z - offsets
@@ -331,6 +358,8 @@ def _projector(s: Set):
             return x - v * n1
         return _face
 
+    geo = {}  # _project_polytope's geometry per active-set history
+
     def _polytope(x):
         # rows outside some face by more than PROJ_TOL take the active set;
         # such a row with a NaN or infinite coordinate has no projection
@@ -353,7 +382,7 @@ def _projector(s: Set):
             return x
         if not np.isfinite(x).all():
             return np.full_like(x, math.nan)
-        return _project_polytope(x, normals, offsets, resid)
+        return _project_polytope(x, normals, offsets, resid, geo)
     return _polytope
 
 

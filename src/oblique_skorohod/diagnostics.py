@@ -25,8 +25,11 @@ def _quad_mesh(sol: SkorohodSolution):
     return sol.x.times(), sol.x.values, sol.k.values
 
 
-def _trapz(vals: np.ndarray, dt: float) -> float:
-    return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
+def _trapz(vals: np.ndarray, dt: float):
+    # the trapezoid rule along the last axis: a float for one path, an
+    # array for a stack of paths (b, T)
+    out = dt * (vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1]))
+    return float(out) if vals.ndim == 1 else out
 
 
 def default_windows(horizon: float) -> list[tuple[float, float]]:
@@ -93,9 +96,10 @@ def _vi_worst(phi: ConvexFunction, plan: _ViPlan, xq: np.ndarray,
               kq: np.ndarray) -> list:
     """(residual, window, test path label) of the worst pair for each path
     of a stack of states xq and reflections kq on the plan's mesh,
-    path-major (b, T, d).  The projections and phi values run once over
-    the stack; the sums along a path run on its own contiguous slices, so
-    each path comes out bit for bit as on its own."""
+    path-major (b, T, d).  Every step runs once over the stack: the
+    pairings as np.einsum("bij,bij->b") and the trapezoid sums along the
+    last axis take the same float operations as on each path's own
+    contiguous slices, so each path comes out bit for bit as on its own."""
     b, T, d = xq.shape
     xp = convex.project_set(phi.domain, xq.reshape(-1, d))
     phi_x = eval_fn(phi, xp).reshape(b, T)
@@ -107,22 +111,22 @@ def _vi_worst(phi: ConvexFunction, plan: _ViPlan, xq: np.ndarray,
         blends.append((label, ys.reshape(b, T, d),
                        eval_fn(phi, ys).reshape(b, T)))
     dtq = plan.dtq
-    out = []
-    for i in range(b):
-        worst = (-math.inf, None, None)
-        for window, i0, i1, consts in plan.spans:
-            seg_x = xq[i, i0:i1]
-            seg_dk = dk[i, i0:i1]
-            int_phi_x = _trapz(phi_x[i, i0:i1 + 1], dtq)
-            for label, y, int_phi_y in consts + [
-                    (label, ys[i, i0:i1], _trapz(phi_y[i, i0:i1 + 1], dtq))
-                    for label, ys, phi_y in blends]:
-                pair = float(np.einsum("ij,ij->", y - seg_x, seg_dk))
-                res = pair + int_phi_x - int_phi_y
-                if res > worst[0]:
-                    worst = (res, window, label)
-        out.append(worst)
-    return out
+    # tests: (window, label) of each pair in loop order; which: the index
+    # there of each path's worst pair so far (-1 for none)
+    tests, worst, which = [], np.full(b, -math.inf), np.full(b, -1)
+    for window, i0, i1, consts in plan.spans:
+        seg_x, seg_dk = xq[:, i0:i1], dk[:, i0:i1]
+        int_phi_x = _trapz(phi_x[:, i0:i1 + 1], dtq)
+        for label, y, int_phi_y in consts + [
+                (label, ys[:, i0:i1], _trapz(phi_y[:, i0:i1 + 1], dtq))
+                for label, ys, phi_y in blends]:
+            res = (np.einsum("bij,bij->b", y - seg_x, seg_dk) + int_phi_x
+                   - int_phi_y)
+            better = res > worst
+            worst[better], which[better] = res[better], len(tests)
+            tests.append((window, label))
+    return [(float(w),) + tests[k] if k >= 0 else (-math.inf, None, None)
+            for w, k in zip(worst, which)]
 
 
 def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,

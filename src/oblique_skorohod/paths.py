@@ -126,6 +126,17 @@ class GridMismatch(ValueError):
     """A width is off the grid, or paths do not share one."""
 
 
+def _count(name: str, value) -> int:
+    """value as an int; raises ValueError naming it unless it is an
+    integral number (a bool, a string and a fractional or non-finite float
+    are not), so that no declared count is truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer")
+
+
 def grid_cells(width: float, dt: float, what: str) -> int:
     """Number of dt cells in width, which must be a whole number >= 1 to
     a relative 1e-9; raises GridMismatch naming `what` otherwise."""

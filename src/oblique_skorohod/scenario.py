@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import coeffs, convex, field as fieldmod
-from .paths import GridMismatch, SampledPath, grid_cells, snapped_width
+from .paths import (GridMismatch, SampledPath, _count, grid_cells,
+                    snapped_width)
 from .sde import BrownianDriver
 from .solver import PenalizedConfig, _check_halvings
 
@@ -154,7 +155,8 @@ def _build_drift(raw: dict | None, dim: int, domain: convex.Set,
 def _build_diffusion(raw: dict, dim: int) -> coeffs.DiffusionSpec:
     kind = _need(raw, "kind")
     if kind == "zero":
-        return coeffs.zero_diffusion(dim, int(raw.get("noise_dims", 1)))
+        return coeffs.zero_diffusion(
+            dim, _count("noise_dims", raw.get("noise_dims", 1)))
     if kind == "constant":
         return coeffs.constant_diffusion(_need(raw, "matrix"))
     if kind == "affine_in_x":
@@ -227,11 +229,11 @@ def _tolerances(tols: dict, dt: float) -> tuple:
     as every solve applies them."""
     eps0 = tols.get("eps0")
     scheme = PenalizedConfig(
-        eps=dt, substep_ratio=int(tols.get("substep_ratio", 10)),
+        eps=dt, substep_ratio=tols.get("substep_ratio", 10),
         guard_radius=float(tols.get("guard_radius", 1e6)))
     return (float(tols.get("tol", 1e-3)),
             None if eps0 is None else float(eps0),
-            _check_halvings(int(tols.get("max_halvings", 10))),
+            _check_halvings(tols.get("max_halvings", 10)),
             scheme.substep_ratio, scheme.guard_radius)
 
 
@@ -240,14 +242,14 @@ def _brownian(raw: dict, dt: float, horizon: float) -> tuple:
     seed and dims pass the BrownianDriver's own checks, as every solve
     applies them."""
     br = raw["brownian"]
-    seed, dims = int(_need(br, "seed")), int(br.get("dims", 1))
     if "dt" in br and abs(float(br["dt"]) - dt) > 1e-12 * dt:
         raise ScenarioError("brownian dt must match the scenario dt")
-    BrownianDriver(seed=seed, dt=dt, dims=dims, horizon=horizon)
+    drv = BrownianDriver(seed=_need(br, "seed"), dt=dt,
+                         dims=br.get("dims", 1), horizon=horizon)
     n_delay = raw.get("n_delay", br.get("n"))
     if n_delay is None:
         raise ScenarioError("stochastic scenarios need n_delay")
-    return seed, dims, int(n_delay)
+    return drv.seed, drv.dims, _count("n_delay", n_delay)
 
 
 def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
@@ -259,7 +261,8 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    dim = _declared("dimension", int, _need(raw, "dimension"))
+    dim = _declared("dimension", _count, "dimension",
+                    _need(raw, "dimension"))
     if dim < 1 or dim > 8:
         raise ScenarioError("dimension must be in 1..8")
     dt = _declared("dt", float, _need(raw, "dt"))

@@ -44,7 +44,7 @@ from .coeffs import DiffusionSpec, DriftSpec
 from .convex import ConvexFunction, make_resolvent
 from .diagnostics import _feasible_points, _vi_plan, _vi_worst, vi_residual
 from .field import ObliqueField, make_field_eval
-from .paths import GridMismatch, SampledPath, grid_cells
+from .paths import GridMismatch, SampledPath, _count, grid_cells
 from .solver import (_SLICE_ROWS, PenalizedConfig, SkorohodSolution,
                      StabilityBreach, _grid_checks, _solution, _substep_mesh,
                      _substep_times, _sweep, system_id)
@@ -66,12 +66,16 @@ class BrownianDriver:
     horizon: float
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2 ** 64):
+        seed = _count("seed", self.seed)
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.dims < 1:
+        dims = _count("dims", self.dims)
+        if dims < 1:
             raise ValueError("dims must be >= 1")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "dims", dims)
         self.n_cells  # a horizon off the grid raises here
 
     @property
@@ -102,7 +106,7 @@ def brownian_path(drv: BrownianDriver) -> SampledPath:
 
 
 def _window_cells(n: int, dt: float) -> int:
-    if n < 1:
+    if _count("n", n) < 1:
         raise ValueError("n must be >= 1")
     return grid_cells(1.0 / n, dt, f"window 1/n = {1.0 / n}")
 

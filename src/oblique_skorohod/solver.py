@@ -24,11 +24,15 @@ stochastic solver in `sde`; the callers differ only in the input rate they
 supply (m' plus the delayed drift here, the window input M there).  Both
 delayed inputs read the state one delay width back, so the kernel has them
 computed one block at a time, each block with one stacked projection.
-Only state-dependent work runs per substep (the prox, g, H(x) g, the
-update, the guard test, storing x and g); the delayed cell of each
-substep is computed once per level, the drift gets its rates once per
-filled block, and k and the largest gradient norm come from the stored g
-after the sweep, with the same sequential sums as a per-substep k += h g.
+Per substep runs only the work whose result depends on the state (the
+prox, g, H(x) g, the update, the guard test, storing x and g), and not
+even that inside the domain: where g is exactly 0 at the start of a cell,
+the state only integrates its input until it leaves the interior, so the
+kernel takes that stretch as one running sum with one stacked prox.  The
+delayed cell of each substep is computed once per level, the drift gets
+its rates once per filled block, and k and the largest gradient norm come
+from the stored g after the sweep, with the same sequential sums as a
+per-substep k += h g.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from . import convex
 from .coeffs import DriftSpec
 from .convex import ConvexFunction, make_resolvent, set_distance
 from .field import ObliqueField, make_field_eval
-from .paths import (GridMismatch, SampledPath, _variations, grid_cells,
-                    mollify, snapped_width, total_variation)
+from .paths import (GridMismatch, SampledPath, _count, _variations,
+                    grid_cells, mollify, snapped_width, total_variation)
 
 
 class StabilityBreach(RuntimeError):
@@ -77,8 +81,10 @@ class PenalizedConfig:
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if int(self.substep_ratio) < 2:
+        ratio = _count("substep_ratio", self.substep_ratio)
+        if ratio < 2:
             raise ValueError("substep_ratio must be an integer >= 2")
+        object.__setattr__(self, "substep_ratio", ratio)
         if not self.guard_radius > 0.0:
             raise ValueError("guard_radius must be positive")
 
@@ -150,7 +156,7 @@ def _require_time_zero(m: SampledPath):
 def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
     """(delay in grid cells, substeps per cell) of one level at cfg.eps."""
     lag = grid_cells(cfg.eps, dt, f"eps = {cfg.eps}")
-    return lag, max(1, int(math.ceil(dt * c * int(cfg.substep_ratio) / cfg.eps
+    return lag, max(1, int(math.ceil(dt * c * cfg.substep_ratio / cfg.eps
                                      - 1e-12)))
 
 
@@ -171,7 +177,7 @@ def _delayed_cells(n_steps, h, dt, eps, n_cells):
 
 
 def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
-           drift=None):
+           drift=None, prox_rows=None):
     """The explicit substep kernel shared by the deterministic and the
     stochastic solvers, for one path or a chunk of paths; returns (kq,
     largest regularized-gradient norm, breaches).
@@ -195,6 +201,21 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     the sweep, in slices of time: the largest g.g (np.fmax, so a NaN norm
     is skipped), then kq scaled by h and summed along time with
     np.add.accumulate, the same sequential sums as k = k + h g.
+
+    Interior stretches skip the per-substep work where it cannot change
+    anything.  At the start of each cell, when g is exactly 0 (every row's,
+    in a chunk), H(x) g is +0.0 and each following substep only adds its
+    input increment h u (-0.0 before time eps) while the state stays
+    interior.  So the kernel takes the substeps up to the end of the
+    filled inputs in passes of whole cells, a few thousand state rows
+    each: one np.add.accumulate of the increments (the loop's own order of
+    sums), one stacked guard test and one stacked prox_rows call, which
+    serves stacks of states (a chunk's prox does).
+    The stretch ends after the first state that prox moves (prox(x) == x
+    implies g == 0) or before the first state outside the guard ball,
+    which the loop then takes, raising or recording its breach as ever.
+    Its g rows stay at kq's +0.0.  A lone path given no prox_rows (a lone
+    stochastic path) takes every substep in the loop.
 
     The state leaving the guard ball (a NaN state included) is a
     StabilityBreach naming `where`.  One path raises it and gets a float
@@ -230,6 +251,37 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         # v.v of each row, as the point's float(v @ v) computes it
         return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
+    def leading(ok):
+        # how many of the first entries of a boolean vector hold
+        return ok.size if ok.all() else int(ok.argmin())
+
+    def stretch(q, stop):
+        # substeps q .. stop - 1 from an interior x (g == 0 exactly, so
+        # H(x) g = +0.0 and a substep adds h u, or -0.0 before the delay
+        # ends) while the states stay interior: returns how many it takes
+        # and the state after them.  A state outside the guard ball is
+        # left to the substep loop, which raises or records its breach.
+        s = np.empty((stop - q + 1,) + x.shape)
+        s[0] = x
+        mid = min(max(first, q), stop)
+        s[1:mid - q + 1] = -0.0
+        if mid < stop:
+            u = inputs[mid - first:stop - first] if drift is not None \
+                else rates[cells[mid - first:stop - first]]
+            s[mid - q + 1:] = h * u[:, rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate(s, axis=0, out=s)
+            n_ok = leading((sq(s[1:]) <= guard2).reshape(stop - q, -1)
+                           .all(axis=1))
+        if not n_ok:
+            return 0, x
+        flat = s[1:n_ok + 1].reshape(-1, x.shape[-1])
+        # prox(x) == x implies g == 0; the first state that moves ends it
+        taken = min(n_ok, 1 + leading(
+            (prox_rows(flat) == flat).reshape(n_ok, -1).all(axis=1)))
+        xq[q + 1:q + taken + 1, rows] = s[1:taken + 1]
+        return taken, s[taken].copy()
+
     if xq.ndim == 2:
         apply = operator.matmul
 
@@ -239,6 +291,8 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         def leave(q):
             raise StabilityBreach(message(x, q, where))
     else:
+        prox_rows = prox
+
         def apply(m, v):
             return (m @ v[:, :, None])[:, :, 0]
 
@@ -254,15 +308,29 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
             x, live = x[keep], live[keep]
             rows = live
         live = np.arange(x.shape[0])
+    # whole cells per stretch pass, its temporaries a few thousand rows
+    span = n_sub * max(1, _SLICE_ROWS // (n_sub * x.size // x.shape[-1]))
     ready = 0
+    q = 0  # the next substep; g is the regularized gradient at x
+    g = (x - prox(x)) / eps
     for j in range(n_cells):
+        end = (j + 1) * n_sub
+        if q >= end:
+            continue  # an interior stretch took this cell
         if j == ready and fill is not None:
             ready = fill(j, rows)
             if drift is not None:
                 lo, hi = max(j * n_sub, first), ready * n_sub
                 drift[lo:hi] += rates[cells[lo - first:hi - first]]
-        for q in range(j * n_sub, (j + 1) * n_sub):
-            g = (x - prox(x)) / eps
+        if q == j * n_sub and prox_rows is not None and not g.any():
+            taken, x = stretch(q, min(q + span, n_steps if fill is None
+                                      else ready * n_sub))
+            if taken:
+                q += taken
+                g = (x - prox(x)) / eps
+                if q >= end:
+                    continue
+        for q in range(q, end):
             hg = apply(field_at(x), g)
             if q < first:
                 x = x - h * hg
@@ -274,6 +342,8 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
                 if not x.shape[0]:
                     return kq, np.zeros(xq.shape[1]), breaches
             xq[q + 1, rows] = x
+            g = (x - prox(x)) / eps
+        q = end
     top = np.zeros(xq.shape[1:-1])
     step = max(1, _SLICE_ROWS // top.size)
     for lo in range(1, n_steps + 1, step):
@@ -359,14 +429,18 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     kq, max_grad, _ = _sweep(
         xq, n_sub, dt, cfg, make_resolvent(phi, eps), make_field_eval(hf),
         np.diff(m.values, axis=0) / dt, f"eps={eps}",
-        None if drift is None else fill, drift)
+        None if drift is None else fill, drift,
+        # the stretches' stacks: the benchmark tracer's face check on
+        # solver.make_resolvent reads one point
+        convex.make_resolvent(phi, eps))
     diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": h}
     return _solution(phi, system_id(phi, hf), dt, n_sub, eps, xq, kq,
                      max_grad, diag, m)
 
 
 def _check_halvings(max_halvings: int) -> int:
-    """max_halvings itself; raises unless it is >= 0."""
+    """max_halvings as an int; raises unless it is an integer >= 0."""
+    max_halvings = _count("max_halvings", max_halvings)
     if max_halvings < 0:
         raise ValueError("max_halvings must be >= 0")
     return max_halvings
@@ -400,7 +474,7 @@ def solve_skorohod(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     _require_time_zero(m)
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
-    _check_halvings(max_halvings)
+    max_halvings = _check_halvings(max_halvings)
     horizon = m.horizon
     if eps0 is None:
         eps0 = 0.1 * horizon

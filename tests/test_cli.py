@@ -216,7 +216,16 @@ class TestSolveDet:
         ("halfline-ramp", {"tolerances": {"max_halvings": -1}},
          "bad tolerances declaration: max_halvings must be >= 0"),
         ("halfline-svi", {"brownian": {"seed": -1}},
-         "bad brownian declaration: seed must fit in 64 bits")])
+         "bad brownian declaration: seed must fit in 64 bits"),
+        # these ran with the count truncated or parsed by int()
+        ("halfline-ramp", {"tolerances": {"max_halvings": 2.5}},
+         "bad tolerances declaration: max_halvings must be an integer"),
+        ("halfline-ramp", {"tolerances": {"substep_ratio": "12"}},
+         "bad tolerances declaration: substep_ratio must be an integer"),
+        ("halfline-svi", {"n_delay": 8.5},
+         "bad brownian declaration: n_delay must be an integer"),
+        ("halfline-svi", {"brownian": {"seed": True}},
+         "bad brownian declaration: seed must be an integer")])
     def test_bad_declaration_exit_1(self, tmp_path, capsys, command, name,
                                     entry, message):
         # validate rejects at load what every solve rejects, and says so

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import oblique_skorohod as ok
+from oblique_skorohod import convex
 from oblique_skorohod.convex import (
     PROJ_TOL,
     ProjectionError,
@@ -319,6 +320,113 @@ class TestBatchedActiveSet:
             with pytest.raises(ProjectionError,
                                match="halfspace intersection is empty"):
                 ok.project_set(s, x)
+
+
+def _uncached_projection(x, normals, offsets):
+    """The active-set projection of a point with every product taken
+    afresh, as it ran before its geometry was cached: the reference."""
+    resid = normals @ x - offsets
+    z = x.copy()
+    active, u = [], []
+    pinv = np.zeros((0, x.size))
+    while True:
+        if active:
+            resid[active] = -np.inf
+        p = int(resid.argmax())
+        if resid[p] <= PROJ_TOL:
+            return z
+        n, up = normals[p], 0.0
+        while True:
+            if active:
+                r = pinv @ n
+                step = n - normals[active].T @ r
+            else:
+                r, step = pinv[:, 0], n.copy()
+            ss = float(step @ step)
+            t = (float(n @ z) - offsets[p]) / ss \
+                if ss > PROJ_TOL * PROJ_TOL else np.inf
+            k = None
+            for j, (uj, rj) in enumerate(zip(u, r.tolist())):
+                if rj > 0.0 and uj / rj < t:
+                    t, k = uj / rj, j
+            z = z - t * step
+            u = [uj - t * rj for uj, rj in zip(u, r.tolist())]
+            up += t
+            if k is None:
+                break
+            del active[k], u[k]
+            row = pinv[k]
+            pinv = np.delete(pinv, k, axis=0)
+            pinv -= (pinv @ row)[:, None] * (row / float(row @ row))
+        step /= ss
+        pinv = np.concatenate((pinv - r[:, None] * step, step[None])) \
+            if active else step[None]
+        active.append(p)
+        u.append(up)
+        resid = normals @ z - offsets
+
+
+def _all_polytopes() -> dict[str, ok.Set]:
+    return {**_reference_polytopes(), **_generated_polytopes()}
+
+
+def _outside_rows(s: ok.Set) -> np.ndarray:
+    """The rows of a wide cloud, and of rows beyond the far side of the
+    faces where their normals do not cancel, outside s."""
+    rng = np.random.default_rng(9)
+    xs = rng.normal(0.0, 3.0, size=(200, s.dim))
+    axis = -s.normals.sum(axis=0)
+    if np.linalg.norm(axis) > 1e-9:
+        axis /= np.linalg.norm(axis)
+        xs = np.vstack((xs, -rng.uniform(0.5, 5.0, size=(100, 1)) * axis
+                        + rng.normal(0.0, 0.5, size=(100, s.dim))))
+    return xs[(xs @ s.normals.T - s.offsets).max(axis=1) > PROJ_TOL]
+
+
+class TestGeometryCache:
+    """The point projection caches its state-free geometry per active-set
+    history; a cold cache, a warm one and none must agree bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_all_polytopes()))
+    def test_cold_warm_and_uncached_agree(self, name):
+        s = _all_polytopes()[name]
+        n, o = s.normals, s.offsets
+        xs = _outside_rows(s)
+        refs = [_uncached_projection(x, n, o) for x in xs]
+        warm = {}
+        for x, ref in zip(xs, refs):
+            assert_array_equal(convex._project_polytope(
+                x, n, o, n @ x - o, {}), ref)
+            assert_array_equal(convex._project_polytope(
+                x, n, o, n @ x - o, warm), ref)
+        # again, every history now in the cache
+        for x, ref in zip(xs, refs):
+            assert_array_equal(convex._project_polytope(
+                x, n, o, n @ x - o, warm), ref)
+        if name[:-1] in ("acute-d", "near-parallel-d") and name != "acute-d2":
+            # histories with a face leaving the active set (~k < 0)
+            assert any(e < 0 for key in warm for e in key)
+
+    @pytest.mark.parametrize("name", sorted(_generated_polytopes()))
+    def test_stack_matches_a_warm_point_projector(self, name):
+        s = _generated_polytopes()[name]
+        proj = convex._projector(s)
+        xs = _generated_rows(s, np.random.default_rng(10))
+        points = np.array([proj(x) for x in xs])
+        assert_array_equal(proj(xs), points)
+        assert_array_equal(np.array([proj(x) for x in xs]), points)
+
+    def test_cache_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(convex, "_GEOMETRY_CAP", 5)
+        s = _generated_polytopes()["acute-d5"]
+        n, o = s.normals, s.offsets
+        geo, sizes = {}, []
+        for x in _outside_rows(s):
+            z = convex._project_polytope(x, n, o, n @ x - o, geo)
+            sizes.append(len(geo))
+            assert_array_equal(z, _uncached_projection(x, n, o))
+        assert max(sizes) == 5
+        assert isinstance(convex._GEOMETRY_CAP, int)
 
 
 def _brute_quadratic_prox(phi: ok.ConvexFunction, eps: float,

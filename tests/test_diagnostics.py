@@ -1,10 +1,14 @@
 """Diagnostics tests against closed-form reflected solutions."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oblique_skorohod as ok
-from oblique_skorohod.diagnostics import default_windows
+from oblique_skorohod import convex
+from oblique_skorohod.diagnostics import (_trapz, _vi_plan, _vi_worst,
+                                          default_windows)
 
 from conftest import DT, halfline_set, make_bundles, ramp_path, solve_bundle
 
@@ -78,6 +82,51 @@ class TestViResidual:
         with pytest.raises(ValueError, match="window"):
             ok.vi_residual(sol, phi, windows=[(0.0, 2.0)],
                            test_points=[np.array([1.0])])
+
+
+def per_path_vi_worst(phi, plan, xq, kq):
+    """_vi_worst one path at a time, each pairing an np.einsum("ij,ij->")
+    over the path's own slices: the reference the stacked pass must
+    match."""
+    out = []
+    for x, k in zip(xq, kq):
+        xp = convex.project_set(phi.domain, x)
+        phi_x = ok.eval_fn(phi, xp)
+        dk = np.diff(k, axis=0)
+        blends = []
+        for label, theta in plan.blends:
+            ys = convex.project_set(phi.domain,
+                                    (1.0 - theta) * xp + theta * plan.u0)
+            blends.append((label, ys, ok.eval_fn(phi, ys)))
+        worst = (-math.inf, None, None)
+        for window, i0, i1, consts in plan.spans:
+            int_phi_x = _trapz(phi_x[i0:i1 + 1], plan.dtq)
+            for label, y, int_phi_y in consts + [
+                    (label, ys[i0:i1], _trapz(phi_y[i0:i1 + 1], plan.dtq))
+                    for label, ys, phi_y in blends]:
+                pair = float(np.einsum("ij,ij->", y - x[i0:i1], dk[i0:i1]))
+                res = pair + int_phi_x - int_phi_y
+                if res > worst[0]:
+                    worst = (res, window, label)
+        out.append(worst)
+    return out
+
+
+class TestStackedViPairing:
+    @pytest.mark.parametrize("name", ["halfline", "box-diag", "quad-box",
+                                      "wedge"])
+    def test_every_path_matches_its_own_pairing(self, name):
+        b = [b for b in make_bundles() if b.name == name][0]
+        rng = np.random.default_rng(12)
+        for n_paths, T in ((1, 9), (7, 301), (16, 650)):
+            tq = np.arange(T) / (T - 1)
+            xq = rng.normal(0.5, 1.0, size=(n_paths, T, b.phi.dim))
+            kq = np.cumsum(rng.normal(0.0, 0.1, size=xq.shape), axis=1)
+            plan = _vi_plan(b.phi, tq, default_windows(1.0)
+                            if T > 9 else None, b.test_points, b.u0)
+            got = _vi_worst(b.phi, plan, xq, kq)
+            assert got == per_path_vi_worst(b.phi, plan, xq, kq)
+            assert all(type(r) is float for r, _, _ in got)
 
 
 class TestMonotonicityGap:

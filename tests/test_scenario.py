@@ -289,7 +289,28 @@ def _edit(path, **entries):
     (_edit(HALFLINE, tolerances={"max_halvings": -1}),
      "bad tolerances declaration: max_halvings must be >= 0"),
     (_edit(SVI, brownian={"seed": -1}),
-     "bad brownian declaration: seed must fit in 64 bits")])
+     "bad brownian declaration: seed must fit in 64 bits"),
+    # counts that int() used to truncate or parse
+    (_edit(HALFLINE, tolerances={"max_halvings": 2.5}),
+     "bad tolerances declaration: max_halvings must be an integer"),
+    (_edit(HALFLINE, tolerances={"substep_ratio": "12"}),
+     "bad tolerances declaration: substep_ratio must be an integer"),
+    (_edit(HALFLINE, tolerances={"substep_ratio": True}),
+     "bad tolerances declaration: substep_ratio must be an integer"),
+    (_edit(HALFLINE, dimension=1.5),
+     "bad dimension declaration: dimension must be an integer"),
+    (_edit(SVI, brownian={"seed": 42.5}),
+     "bad brownian declaration: seed must be an integer"),
+    (_edit(SVI, brownian={"seed": "42"}),
+     "bad brownian declaration: seed must be an integer"),
+    (_edit(SVI, brownian={"seed": 42, "dims": 1.5}),
+     "bad brownian declaration: dims must be an integer"),
+    (_edit(SVI, n_delay=8.5),
+     "bad brownian declaration: n_delay must be an integer"),
+    (_edit(SVI, n_delay=False),
+     "bad brownian declaration: n_delay must be an integer"),
+    (_edit(SVI, g={"kind": "zero", "noise_dims": 1.5}),
+     "bad diffusion declaration: noise_dims must be an integer")])
 def test_bad_scenarios(raw, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
         build_scenario(raw)

@@ -361,6 +361,14 @@ class TestSviPath:
         assert sol.diagnostics["generator"] == ok.GENERATOR_ID
         assert sol.diagnostics["seed"] == 1
 
+    @pytest.mark.parametrize("n", [2.5, "8", True])
+    def test_window_count_is_never_truncated(self, n):
+        # 1/2.5 is 160 cells of dt = 1/400: a grid multiple, and no count
+        phi, hf, f, g = svi_inputs()
+        drv = ok.BrownianDriver(seed=1, dt=1.0 / 400.0, dims=1, horizon=1.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ok.solve_svi_path(phi, hf, f, g, [1.0], drv, n)
+
     def test_input_path_reproducible_from_states(self):
         # feeding the published states back through the input builder
         # reproduces the input the sweep actually used, bit for bit

@@ -1,15 +1,19 @@
 """Solver tests: closed-form oracles, single-level scheme, refinement ladder."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import oblique_skorohod as ok
 
+from oblique_skorohod import convex, solver
 from conftest import (DT, GRID_N, Bundle, grid_times, halfline_set,
                       make_bundles, nan_drift, ramp_path, sinusoid_path,
                       solve_bundle)
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def zero_path(n: int = GRID_N, dt: float = DT, dim: int = 1) -> ok.SampledPath:
@@ -224,6 +228,23 @@ class TestPenalizedLevel:
         with pytest.raises(ValueError):
             ok.PenalizedConfig(eps=0.01, guard_radius=0.0)
 
+    @pytest.mark.parametrize("ratio", [2.9, "12", True, math.inf, None])
+    def test_substep_ratio_is_never_truncated(self, ratio):
+        with pytest.raises(ValueError,
+                           match="substep_ratio must be an integer"):
+            ok.PenalizedConfig(eps=0.01, substep_ratio=ratio)
+
+    def test_integral_counts_are_kept_as_ints(self):
+        cfg = ok.PenalizedConfig(eps=0.01, substep_ratio=np.float64(12.0))
+        assert type(cfg.substep_ratio) is int and cfg.substep_ratio == 12
+        args = (halfline_phi(), ok.constant_field([[1.0]], c=1.0),
+                ok.zero_drift(1), zero_path(n=100), [0.5])
+        sol = ok.solve_skorohod(*args, tol=0.0, max_halvings=np.int64(1))
+        assert len(sol.refinement_history) == 2
+        with pytest.raises(ValueError,
+                           match="max_halvings must be an integer"):
+            ok.solve_skorohod(*args, max_halvings=2.5)
+
 
 class TestRefinement:
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
@@ -403,3 +424,212 @@ def test_tracer_patch_points_are_the_closure_builders(monkeypatch):
     for mod in ("oblique_skorohod.solver", "oblique_skorohod.sde"):
         assert (mod, "make_resolvent") in built
         assert (mod, "make_field_eval") in built
+
+
+def reference_sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where,
+                    fill=None, drift=None, prox_rows=None):
+    """The substep kernel of one path as a plain loop over every substep:
+    one prox, one field evaluation and one update each, k summed as it
+    goes.  _sweep skips and stacks work, and must give the same bits."""
+    eps, h = cfg.eps, dt / n_sub
+    guard2 = cfg.guard_radius * cfg.guard_radius
+    n_steps = xq.shape[0] - 1
+    n_cells = n_steps // n_sub
+    first, cells = solver._delayed_cells(n_steps, h, dt, eps, n_cells)
+    x = xq[0].copy()
+    kq = np.zeros(xq.shape)
+    top, ready = 0.0, 0
+    for j in range(n_cells):
+        if j == ready and fill is not None:
+            ready = fill(j, slice(None))
+            if drift is not None:
+                lo, hi = max(j * n_sub, first), ready * n_sub
+                drift[lo:hi] += rates[cells[lo - first:hi - first]]
+        for q in range(j * n_sub, (j + 1) * n_sub):
+            g = (x - prox(x)) / eps
+            hg = field_at(x) @ g
+            if q < first:
+                x = x - h * hg
+            else:
+                u = rates[cells[q - first]] if drift is None else drift[q]
+                x = x + h * (u - hg)
+            kq[q + 1] = kq[q] + h * g
+            top = max(top, float(g @ g))
+            if not float(x @ x) <= guard2:
+                raise ok.StabilityBreach(
+                    f"state norm {float(np.linalg.norm(x)):.3e} left the "
+                    f"guard ball at t={(q + 1) * h:.6g} ({where})")
+            xq[q + 1] = x
+    return kq, math.sqrt(top), {}
+
+
+def assert_bits(a, b):
+    """a and b hold the same float bits (a -0.0 is no +0.0)."""
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class Counted:
+    """A resolvent that counts its point calls and its stacked rows."""
+
+    def __init__(self, prox):
+        self.prox, self.points, self.stacks = prox, 0, []
+
+    def __call__(self, x):
+        if x.ndim == 1:
+            self.points += 1
+        else:
+            self.stacks.append(x.shape[0])
+        return self.prox(x)
+
+
+class TestInteriorStretches:
+    """Where g is exactly 0 at the start of a cell, _sweep takes the
+    following substeps in stacked passes; every result must equal the
+    substep loop's, bit for bit."""
+
+    H1 = ok.constant_field([[2.0]], c=2.0)
+
+    def sweep_both(self, phi, rates, x0, cfg, n_sub=3, dt=0.01):
+        # (xq, kq, max_grad, prox) of _sweep and of the reference loop;
+        # a StabilityBreach from either is returned in place of kq
+        out = []
+        for kernel in (solver._sweep, reference_sweep):
+            xq = np.full((rates.shape[0] * n_sub + 1,) + np.shape(x0),
+                         np.nan)
+            xq[0] = x0
+            prox = Counted(ok.make_resolvent(phi, cfg.eps))
+            try:
+                kq, top, _ = kernel(xq, n_sub, dt, cfg, prox,
+                                    ok.make_field_eval(self.H1), rates,
+                                    "test", prox_rows=prox)
+            except ok.StabilityBreach as exc:
+                kq, top = str(exc), None
+            out.append((xq, kq, top, prox))
+        return out
+
+    def test_one_stretch_from_before_the_delay_to_the_end(self):
+        # the state starts on the boundary, at -0.0 (g = 0), and only
+        # climbs: one stretch from substep 0, before the delay ends at
+        # substep 6, through the last substep.  Before the delay the loop
+        # keeps x - h (+0.0) = -0.0, so the stretch must add -0.0.
+        rates = np.ones((50, 1))
+        cfg = ok.PenalizedConfig(eps=0.02)
+        (xq, kq, top, prox), (rx, rk, rtop, _) = self.sweep_both(
+            halfline_phi(), rates, [-0.0], cfg)
+        assert_bits(xq, rx)
+        assert_bits(kq, rk)
+        assert np.signbit(xq[:7]).all()
+        assert top == rtop == 0.0
+        assert prox.points == 2 and prox.stacks == [150]
+
+    def test_no_stretch_without_a_stack_resolvent(self):
+        # a lone path given no prox_rows (a lone stochastic path) takes
+        # every substep in the loop, one point prox each
+        xq = np.empty((151, 1))
+        xq[0] = 0.0
+        prox = Counted(ok.make_resolvent(halfline_phi(), 0.02))
+        solver._sweep(xq, 3, 0.01, ok.PenalizedConfig(eps=0.02), prox,
+                      ok.make_field_eval(self.H1), np.ones((50, 1)), "test")
+        assert prox.stacks == [] and prox.points == 151
+
+    def test_stretch_ends_at_the_boundary(self):
+        # the state falls onto the boundary: the stretch ends at the first
+        # state whose prox moves it, and the substep loop takes over
+        rates = -np.ones((50, 1))
+        cfg = ok.PenalizedConfig(eps=0.02)
+        (xq, kq, top, prox), (rx, rk, rtop, rprox) = self.sweep_both(
+            halfline_phi(), rates, [0.2], cfg)
+        assert_bits(xq, rx)
+        assert_bits(kq, rk)
+        assert top == rtop > 0.0
+        assert prox.stacks and prox.points < rprox.points
+
+    @pytest.mark.parametrize("bad, message", [
+        ((np.nan,), "state norm nan left the guard ball at t=0.0833333 "
+                    "(test)"),
+        ((np.inf, -np.inf), "state norm inf left the guard ball at "
+                            "t=0.0833333 (test)")])
+    def test_bad_input_inside_a_stretch(self, bad, message):
+        # the substep loop raises at the first bad state, with its message
+        # and time and without a RuntimeWarning (an error under pytest)
+        rates = np.ones((50, 1))
+        rates[6:6 + len(bad), 0] = bad
+        cfg = ok.PenalizedConfig(eps=0.02)
+        (_, kq, _, prox), (_, rk, _, _) = self.sweep_both(
+            halfline_phi(), rates, [0.5], cfg)
+        assert kq == rk == message
+        assert prox.stacks
+
+    def test_guard_breach_inside_a_stretch(self):
+        # on the whole space every state is interior: the stretch stops
+        # short of the breaching state and the substep loop raises
+        phi = ok.indicator(ok.whole_space(1), r0=1.0)
+        cfg = ok.PenalizedConfig(eps=0.02, guard_radius=0.25)
+        (_, kq, _, prox), (_, rk, _, _) = self.sweep_both(
+            phi, np.ones((50, 1)), [0.0], cfg)
+        assert kq == rk == ("state norm 2.533e-01 left the guard ball at "
+                            "t=0.273333 (test)")
+        # the stretch takes substeps 0..80; substep 81 breaches
+        assert prox.stacks == [81] and prox.points == 2
+
+    def test_chunk_rows_match_their_reference_runs(self):
+        # three paths in one chunk: stretches need every row interior; a
+        # row with a NaN input leaves during one, the others go on
+        n_sub, dt, cfg = 3, 0.01, ok.PenalizedConfig(eps=0.02)
+        rates = np.ones((50, 3, 1))
+        rates[:, 1] = 0.5
+        rates[20, 2] = np.nan
+        rates[35:, 0] = -4.0
+        xq = np.empty((151, 3, 1))
+        xq[0] = [[0.0], [0.3], [0.1]]
+        prox = Counted(ok.make_resolvent(halfline_phi(), cfg.eps))
+        kq, tops, breaches = solver._sweep(
+            xq, n_sub, dt, cfg, prox, ok.make_field_eval(self.H1), rates,
+            ["a", "b", "c"])
+        assert list(breaches) == [2]
+        assert prox.stacks.count(3) < 150
+        for i, label in enumerate("abc"):
+            rx = np.empty((151, 1))
+            rx[0] = xq[0, i]
+            try:
+                rk, rtop, _ = reference_sweep(
+                    rx, n_sub, dt, cfg, ok.make_resolvent(halfline_phi(),
+                                                          cfg.eps),
+                    ok.make_field_eval(self.H1), rates[:, i], label)
+            except ok.StabilityBreach as exc:
+                assert str(breaches[i]) == str(exc)
+                continue
+            assert_bits(xq[:, i], rx)
+            assert_bits(kq[:, i], rk)
+            assert tops[i] == rtop
+
+    @pytest.mark.parametrize("path", [
+        "scenarios/box-rotation.json", "scenarios/halfline-ramp.json",
+        "bench/scenarios/simplex3.json"])
+    def test_scenario_levels_match_the_substep_loop(self, path,
+                                                     monkeypatch):
+        # whole levels of solve_penalized: stretches cross cells, and on
+        # box-rotation and simplex3, whose drift is filled block by block,
+        # they end at every block's end
+        sc = ok.load_scenario(os.path.join(ROOT, path))
+        stacks = []
+
+        def counted(phi, eps):
+            prox = Counted(make_resolvent(phi, eps))
+            stacks.append(prox.stacks)
+            return prox
+        make_resolvent = convex.make_resolvent
+        for eps in (0.1, 0.025, 0.013):
+            cfg = ok.PenalizedConfig(eps=eps)
+            m = ok.mollify(sc.m, eps)
+            with monkeypatch.context() as mp:
+                mp.setattr(convex, "make_resolvent", counted)
+                sol = ok.solve_penalized(sc.phi, sc.hf, sc.f, m, sc.x0, cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_sweep", reference_sweep)
+                ref = ok.solve_penalized(sc.phi, sc.hf, sc.f, m, sc.x0, cfg)
+            assert_bits(sol.x_quad, ref.x_quad)
+            assert_bits(sol.k_quad, ref.k_quad)
+            assert sol.diagnostics == ref.diagnostics
+        n_sub = sol.diagnostics["n_substeps_per_cell"]
+        assert max(max(s, default=0) for s in stacks) > n_sub
