@@ -62,7 +62,7 @@ class _ViPlan:
 
 
 def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
-             test_points=None, u0=None, blend_weights=(0.25, 0.5)) -> _ViPlan:
+             test_points=None, u0=None) -> _ViPlan:
     """The shared part of vi_residual on the mesh tq, set up once for any
     number of paths; raises on a test point outside the domain, on no test
     paths, and on a window off the mesh."""
@@ -77,7 +77,7 @@ def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
     blends = []
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float).ravel()
-        blends = [(f"blend[{theta}]", theta) for theta in blend_weights]
+        blends = [(f"blend[{theta}]", theta) for theta in (0.25, 0.5)]
     if not points and not blends:
         raise ValueError("no test paths: pass test_points and/or u0")
     spans = []
@@ -130,21 +130,21 @@ def _vi_worst(phi: ConvexFunction, plan: _ViPlan, xq: np.ndarray,
 
 
 def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
-                windows=None, test_points=None, u0=None,
-                blend_weights=(0.25, 0.5)) -> dict:
+                windows=None, test_points=None, u0=None) -> dict:
     """Worst variational-inequality residual over windows and test paths.
 
     For each window [s, t] and test path y the residual is
         sum <y - x, dk> + integral phi(x) - integral phi(y)
     which is <= 0 for an exact solution.  Test paths are the constant
     points supplied (each must lie in the domain) plus, when u0 is given,
-    blends (1 - theta) x + theta u0.  Solution-side phi values are taken at
-    domain-projected states; the feasibility defect is reported separately
-    by the solver.  Returns the residual, the worst window, the worst test
-    path label, and the tolerance scale 1e-4 * (1 + tv_k).
+    blends (1 - theta) x + theta u0 for theta = 0.25 and 0.5.  Solution-side
+    phi values are taken at domain-projected states; the feasibility defect
+    is reported separately by the solver.  Returns the residual, the worst
+    window, the worst test path label, and the tolerance scale
+    1e-4 * (1 + tv_k).
     """
     tq, xq, kq = _quad_mesh(sol)
-    plan = _vi_plan(phi, tq, windows, test_points, u0, blend_weights)
+    plan = _vi_plan(phi, tq, windows, test_points, u0)
     worst, window, label = _vi_worst(phi, plan, xq[None], kq[None])[0]
     return {"residual": worst, "worst_window": window,
             "worst_test_fn": label, "tol_vi": 1e-4 * (1.0 + sol.tv_k)}
@@ -168,16 +168,17 @@ def monotonicity_gap(sol1: SkorohodSolution, sol2: SkorohodSolution) -> float:
     return float(np.einsum("ij,ij->", x1[:-1] - x2[:-1], ddk))
 
 
-def _probe_sphere(dim: int, n_random: int, seed: int) -> np.ndarray:
+def _probe_sphere(dim: int) -> np.ndarray:
+    # the 2 dim axis directions and 200 seeded random ones
     dirs = [np.eye(dim)[i] * s for i in range(dim) for s in (+1.0, -1.0)]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_random, dim))
+    rng = np.random.default_rng(convex.PROBE_SEED)
+    z = rng.standard_normal((200, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return np.vstack([dirs, z])
 
 
-def annexB_bound(sol: SkorohodSolution, phi: ConvexFunction, u0, r0: float,
-                 n_sphere: int = 200, seed: int = 20260817) -> dict:
+def annexB_bound(sol: SkorohodSolution, phi: ConvexFunction, u0,
+                 r0: float) -> dict:
     """Reflection-activity bound around an interior point u0.
 
     Checks r0 * tv(k) + integral phi(x) <= sum <x - u0, dk> + T * phi_sharp
@@ -188,7 +189,7 @@ def annexB_bound(sol: SkorohodSolution, phi: ConvexFunction, u0, r0: float,
     if not r0 > 0.0:
         raise ValueError("r0 must be positive")
     u0 = np.asarray(u0, dtype=float).ravel()
-    sphere = u0 + r0 * _probe_sphere(u0.size, n_sphere, seed)
+    sphere = u0 + r0 * _probe_sphere(u0.size)
     outside = np.flatnonzero(~contains(phi.domain, sphere, tol=1e-7))
     if outside.size:
         raise ValueError(f"u0={u0} with r0={r0} is not interior: "

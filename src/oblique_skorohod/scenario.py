@@ -374,27 +374,26 @@ def default_test_points(sc: Scenario) -> list:
     return pts
 
 
-def validation_report(sc: Scenario, n_probes: int = 200,
-                      seed: int = 20260817) -> dict:
+def validation_report(sc: Scenario) -> dict:
     """Run every declarative check and return a pass/fail report."""
     checks = []
 
     def add(name: str, passed: bool, detail: str = ""):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(convex.PROBE_SEED)
     try:
         convex.interior_witness(sc.phi.domain, sc.phi.r0)
         add("interior_nonempty", True, f"r0={sc.phi.r0}")
     except ValueError as exc:
         add("interior_nonempty", False, str(exc))
-    h0_probe = convex.probe_h0(sc.phi, n_probes=1_000, seed=seed)
+    h0_probe = convex.probe_h0(sc.phi)
     add("h0_bound", h0_probe["passed"],
         f"declared {h0_probe['declared_h0']:.6g}, observed "
         f"{h0_probe['observed_max']:.6g}")
     add("x0_in_domain", convex.set_distance(sc.phi.domain, sc.x0) <= 1e-9)
 
-    probes = convex.sample_points(sc.phi.domain, n_probes, rng)
+    probes = convex.sample_points(sc.phi.domain, 200, rng)
     rep = fieldmod.validate_field(sc.hf, probes)
     add("field_bounds", rep.passed,
         f"eig range [{rep.eig_min:.6g}, {rep.eig_max:.6g}], "

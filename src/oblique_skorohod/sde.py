@@ -386,6 +386,8 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
     Any other exception of a chunk re-runs its seeds one at a time, so
     each path still gets its own outcome.
     """
+    n_paths = _count("n_paths", n_paths)
+    base_seed = _count("base_seed", base_seed)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     p = problem
@@ -402,7 +404,7 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
     stack = None
     tvs, defects, vis = [], [], []
     kept_seeds, kept_paths, failures = [], [], []
-    seeds = range(int(base_seed), int(base_seed) + n_paths)
+    seeds = range(base_seed, base_seed + n_paths)
     # as few chunks as the budget allows, as even as can be
     chunks = -(-n_paths // _chunk_rows(p))
     step = -(-n_paths // chunks)
@@ -452,7 +454,7 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
         "generator": GENERATOR_ID,
         "n_paths": n_paths,
         "n_ok": n_ok,
-        "base_seed": int(base_seed),
+        "base_seed": base_seed,
         "seeds_ok": kept_seeds,
         "mean_x": stack.mean(axis=0),
         "var_x": stack.var(axis=0, ddof=1) if n_ok > 1 else np.zeros_like(stack[0]),

@@ -429,6 +429,34 @@ class TestGeometryCache:
         assert isinstance(convex._GEOMETRY_CAP, int)
 
 
+
+class TestPassCap:
+    """PROJ_MAX_ITERS caps the faces that enter one projection; a point and
+    a stack raise at the same pass, and rows within the cap are unchanged."""
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_point_and_stack_share_the_cap(self, monkeypatch, cap):
+        s = _generated_polytopes()["acute-d4"]
+        xs = _outside_rows(s)
+        refs = ok.project_set(s, xs)
+        monkeypatch.setattr(convex, "PROJ_MAX_ITERS", cap)
+        message = f"active-set projection exceeded {cap} passes"
+        within = []
+        for i, x in enumerate(xs):
+            try:
+                z = ok.project_set(s, x)
+            except ProjectionError as exc:
+                assert str(exc) == message
+                with pytest.raises(ProjectionError, match=message):
+                    ok.project_set(s, x[None])
+            else:
+                assert_array_equal(z, refs[i])
+                within.append(i)
+        assert 0 < len(within) < len(xs)
+        assert_array_equal(ok.project_set(s, xs[within]), refs[within])
+        with pytest.raises(ProjectionError, match=message):
+            ok.project_set(s, xs)
+
 def _brute_quadratic_prox(phi: ok.ConvexFunction, eps: float,
                           xs: np.ndarray) -> np.ndarray:
     """J_eps of each row of xs for a quadratic on a polytope or box, by
@@ -668,7 +696,7 @@ class TestGeometryConstants:
 
     def test_probe_h0_passes_catalog(self, phi_catalog):
         for name, phi in phi_catalog.items():
-            rep = probe_h0(phi, n_probes=1_000, seed=20260817)
+            rep = probe_h0(phi)
             assert rep["passed"], f"h0 probe failed on {name}: {rep}"
 
     def test_probe_h0_flags_understated_bound(self):
@@ -680,7 +708,7 @@ class TestGeometryConstants:
                 [[-1.0, 0.0], [-np.sqrt(0.5), -np.sqrt(0.5)]], [0.0, 0.0]),
             r0=0.5, h0=0.545)
         phi = dataclasses.replace(base, h0=0.5)
-        rep = probe_h0(phi, n_probes=1_000, seed=20260817)
+        rep = probe_h0(phi)
         assert not rep["passed"]
 
     def test_domain_geometry_values(self):

@@ -494,6 +494,17 @@ class TestMonteCarlo:
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             assert sol.diagnostics["seed"] == seed
 
+    @pytest.mark.parametrize("n_paths, base_seed, name", [
+        (2.5, 1, "n_paths"), (4, 2.5, "base_seed"), (4, True, "base_seed")])
+    def test_counts_are_never_truncated(self, n_paths, base_seed, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ok.monte_carlo(self.problem(), n_paths, base_seed)
+
+    def test_integral_float_counts_are_accepted(self):
+        out = ok.monte_carlo(self.problem(), 2.0, 7.0)
+        assert out["seeds_ok"] == [7, 8]
+        assert out["n_paths"] == 2 and out["base_seed"] == 7
+
     def test_zero_noise_has_zero_variance(self):
         p = self.problem(g=ok.zero_diffusion(1, 1),
                          f=ok.constant_drift([-0.5]))
