@@ -6,9 +6,10 @@ Subcommands:
   converge    run the refinement ladder and report the observed rate
   validate    check a scenario's declarations without solving
 
-Exit codes: 0 success, 1 scenario or validation error, 2 solver failure
-(no convergence, stability breach, projection failure).  Errors are
-written to stderr as one JSON object.
+Exit codes: 0 success, 1 scenario, validation, input or file error, 2
+solver failure (no convergence, stability breach, projection failure,
+every path of an ensemble failed).  Errors are written to stderr as one
+JSON object.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import sys
 import numpy as np
 
 from . import diagnostics, output, scenario as scen
-from .convex import ProjectionError
 from .sde import GENERATOR_ID, BrownianDriver, SviProblem, monte_carlo, solve_svi_path
-from .solver import (NoConvergence, PenalizedConfig, StabilityBreach,
-                     solve_skorohod)
+from .solver import NoConvergence, PenalizedConfig, solve_skorohod
 
 
 def _stem(name: str) -> str:
@@ -102,6 +101,13 @@ def _run_checks(sc: scen.Scenario, sol) -> dict:
     return checks
 
 
+def _solution_csv(sol) -> str:
+    """A solution's grid nodes as CSV: t, x_1..x_d, k_1..k_d."""
+    names = [f"{c}_{i + 1}" for c in "xk" for i in range(sol.x.dim)]
+    return output.path_csv_text(
+        sol.x.dt, names, np.hstack((sol.x.values, sol.k.values)))
+
+
 def _write_det_outputs(sc: scen.Scenario, sol, args, mode: str) -> tuple[str, str]:
     stem = _stem(sc.name)
     csv_path = os.path.join(args.out, f"{stem}-solution.csv")
@@ -114,7 +120,7 @@ def _write_det_outputs(sc: scen.Scenario, sol, args, mode: str) -> tuple[str, st
         "solution": output.solution_summary(sol),
         "checks": _run_checks(sc, sol),
     }
-    output.write_text(csv_path, output.solution_csv_text(sol))
+    output.write_text(csv_path, _solution_csv(sol))
     output.write_text(json_path, output.summary_json_text(summary))
     return csv_path, json_path
 
@@ -185,7 +191,7 @@ def _cmd_solve_svi(args) -> int:
     if args.dump_paths:
         for seed, sol in zip(mc["seeds_ok"], paths):
             p = os.path.join(args.out, f"{stem}-path-{seed}.csv")
-            output.write_text(p, output.solution_csv_text(sol))
+            output.write_text(p, _solution_csv(sol))
             written.append(p)
     mean_path = mc.pop("mean_x")
     var_path = mc.pop("var_x")
@@ -202,12 +208,8 @@ def _cmd_solve_svi(args) -> int:
     }
     output.write_text(json_path, output.summary_json_text(summary))
     mean_csv = os.path.join(args.out, f"{stem}-mean.csv")
-    header = ["t"] + [f"mean_x_{i + 1}" for i in range(sc.dim)]
-    lines = [",".join(header)]
-    for i in range(mean_path.shape[0]):
-        lines.append(",".join([output.fmt_float(i * sc.dt)]
-                              + [output.fmt_float(v) for v in mean_path[i]]))
-    output.write_text(mean_csv, "\n".join(lines) + "\n")
+    output.write_text(mean_csv, output.path_csv_text(
+        sc.dt, [f"mean_x_{i + 1}" for i in range(sc.dim)], mean_path))
     _say(args, f"solve-svi: {mc['n_ok']}/{mc['n_paths']} paths ok "
                f"(base seed {mc['base_seed']}, generator {GENERATOR_ID})")
     _say(args, f"wrote {json_path} and {mean_csv}")
@@ -265,16 +267,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (scen.ScenarioError, FileNotFoundError) as exc:
-        _emit_error(exc)
-        return 1
     except NoConvergence as exc:
         _emit_error(exc, {"history": [[e, g] for e, g in exc.history]})
         return 2
-    except (StabilityBreach, ProjectionError) as exc:
+    except RuntimeError as exc:
+        # a guard breach, a ProjectionError, every path of an ensemble failed
         _emit_error(exc)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _emit_error(exc)
         return 1
 

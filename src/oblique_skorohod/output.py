@@ -23,19 +23,13 @@ def fmt_float(x: float) -> str:
     return repr(x)
 
 
-def solution_csv_text(sol: SkorohodSolution) -> str:
-    """Grid nodes as CSV: t, x_1..x_d, k_1..k_d.  LF line endings."""
-    d = sol.x.dim
-    header = ["t"] + [f"x_{i + 1}" for i in range(d)] + \
-        [f"k_{i + 1}" for i in range(d)]
-    lines = [",".join(header)]
-    xv, kv = sol.x.values, sol.k.values
-    dt = sol.x.dt
-    for i in range(xv.shape[0]):
-        row = [fmt_float(i * dt)]
-        row += [fmt_float(v) for v in xv[i]]
-        row += [fmt_float(v) for v in kv[i]]
-        lines.append(",".join(row))
+def path_csv_text(dt: float, names, values) -> str:
+    """Nodes of a path on a grid of step dt as CSV: t, then one column per
+    name (values holds one row per node).  LF line endings."""
+    lines = [",".join(["t", *names])]
+    for i, row in enumerate(values):
+        lines.append(",".join([fmt_float(i * dt)]
+                              + [fmt_float(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

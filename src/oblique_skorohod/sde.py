@@ -24,8 +24,8 @@ a given state history.  A path that leaves the guard ball fails alone.
 `monte_carlo` takes each path's certificates (tv_k, the feasibility defect,
 the VI residual) once per chunk from the chunk's arrays, with the helpers
 that a solution and `vi_residual` use for one path, and builds per-path
-solutions only when asked to collect them or when a chunk falls back to
-solo runs.
+solutions only when asked to collect them.  A chunk that fails reruns its
+seeds through the same chunk code, one seed per chunk.
 
 Gaussians come from a Box-Muller transform on the Philox counter-based
 generator keyed by the driver seed; the generator identity string is part
@@ -42,7 +42,7 @@ import numpy as np
 from . import convex
 from .coeffs import DiffusionSpec, DriftSpec
 from .convex import ConvexFunction, make_resolvent
-from .diagnostics import _feasible_points, _vi_plan, _vi_worst, vi_residual
+from .diagnostics import _feasible_points, _vi_plan, _vi_worst
 from .field import ObliqueField, make_field_eval
 from .paths import GridMismatch, SampledPath, _count, grid_cells
 from .solver import (_SLICE_ROWS, PenalizedConfig, SkorohodSolution,
@@ -231,7 +231,7 @@ def _setup(p: SviProblem):
     return (x0,) + _svi_mesh(p)
 
 
-def _solve_paths(problem: SviProblem, seeds, copy: bool,
+def _solve_paths(problem: SviProblem, seeds,
                  bpath: SampledPath | None = None):
     """The sample paths of the given seeds from one sweep of the substep
     kernel: (xq, kq, n_sub, breaches, solution).  xq and kq hold the
@@ -244,7 +244,8 @@ def _solve_paths(problem: SviProblem, seeds, copy: bool,
     A path is driven by its seed's Brownian path, or by bpath when given
     (for one seed, which then only labels the path).  The paths sweep as
     one state of shape (B, d), every row bit for bit as the path alone.  A
-    solution holds views of the shared arrays unless copy is set.
+    solution copies its rows out of the shared arrays when the sweep held
+    more than one path; a lone path's arrays are its own, and it keeps them.
     """
     p = problem
     x0, win, cfg, n_sub = _setup(p)
@@ -279,7 +280,7 @@ def _solve_paths(problem: SviProblem, seeds, copy: bool,
         kq, max_grad, breaches = _sweep(
             xq, n_sub, p.dt, cfg, convex.make_resolvent(p.phi, cfg.eps),
             make_field_eval(p.hf), rates, where, fill)
-    take = np.copy if copy else (lambda a: a)
+    take = np.copy if len(seeds) > 1 else (lambda a: a)
     sid = system_id(p.phi, p.hf)
 
     def solution(i):
@@ -316,8 +317,7 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     bpath = drv if given else brownian_path(drv)
     p = SviProblem(phi=phi, hf=hf, f=f, g=g, x0=x0, dt=bpath.dt,
                    horizon=bpath.horizon, noise_dims=bpath.dim, n=n, cfg=cfg)
-    # a lone path's arrays are its own: its solution may hold views
-    return _solve_paths(p, [None if given else drv.seed], False, bpath)[-1](0)
+    return _solve_paths(p, [None if given else drv.seed], bpath)[-1](0)
 
 
 # Bytes of per-row arrays (see _row_bytes) one chunk of monte_carlo may
@@ -351,7 +351,7 @@ def _chunk_outcomes(problem: SviProblem, plan, seeds, collect: bool) -> list:
     path on its own rows, so every number is the one its solution and
     vi_residual give, bit for bit, and the temporaries stay small."""
     p = problem
-    xq, kq, n_sub, breaches, solution = _solve_paths(p, seeds, collect)
+    xq, kq, n_sub, breaches, solution = _solve_paths(p, seeds)
     out = dict(breaches)
     live = [i for i in range(len(seeds)) if i not in breaches]
     step = max(1, _SLICE_ROWS // xq.shape[0])
@@ -380,26 +380,28 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
     chunk size.  Each path's tv_k, feasibility defect and VI residual are
     computed from the chunk's arrays, equal to those of its solution; the
     solutions themselves are built only for collect_paths.  A bad problem
-    (see _setup) raises its ValueError before any sweep.  A path that
-    raises, a guard breach in the sweep included, is recorded in
-    `failures` and left out of the statistics; the others still count.
-    Any other exception of a chunk re-runs its seeds one at a time, so
-    each path still gets its own outcome.
+    (see _setup), or a seed outside 64 bits, raises its ValueError before
+    any sweep.  A path that raises, a guard breach in the sweep included,
+    is recorded in `failures` and left out of the statistics; the others
+    still count.  Any other exception of a chunk reruns each of its seeds
+    as a chunk of one, lazily, so each path still gets its own outcome.
     """
     n_paths = _count("n_paths", n_paths)
     base_seed = _count("base_seed", base_seed)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not 0 <= base_seed <= 2 ** 64 - n_paths:
+        raise ValueError(f"seeds {base_seed} .. {base_seed + n_paths - 1} "
+                         "must fit in 64 bits")
     p = problem
     n_sub = _setup(p)[3]
-    test_points = list(p.test_points) or None
     plan = None
-    if test_points or p.u0 is not None:
+    if p.test_points or p.u0 is not None:
         # every path shares the mesh: the constant test points are
         # evaluated once
         nodes = int(round(p.horizon / p.dt)) * n_sub + 1
         plan = _vi_plan(p.phi, _substep_times(p.dt, n_sub, nodes),
-                        test_points=test_points, u0=p.u0)
+                        test_points=list(p.test_points) or None, u0=p.u0)
     # the kept paths' states, one row each in seed order
     stack = None
     tvs, defects, vis = [], [], []
@@ -412,24 +414,14 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
         chunk = seeds[lo:lo + step]
         try:
             outcomes = _chunk_outcomes(p, plan, chunk, collect_paths)
-        except Exception:  # noqa: BLE001  (the solo runs tell paths apart)
+        except Exception:  # noqa: BLE001  (the reruns tell paths apart)
             outcomes = [None] * len(chunk)
         for seed, out in zip(chunk, outcomes):
             try:
                 if out is None:
-                    # after a failed chunk the seed reruns alone, as the one
-                    # path of a solve_svi_path call (a span the tracer counts)
-                    sol = solve_svi_path(
-                        p.phi, p.hf, p.f, p.g, p.x0, BrownianDriver(
-                            seed=seed, dt=p.dt, dims=p.noise_dims,
-                            horizon=p.horizon), p.n, p.cfg)
-                    out = (sol.x.values, sol.tv_k,
-                           sol.diagnostics["max_feasibility_defect"],
-                           None if plan is None else vi_residual(
-                               sol, p.phi, u0=p.u0,
-                               test_points=test_points)["residual"],
-                           sol if collect_paths else None)
-                elif isinstance(out, Exception):
+                    # after a failed chunk the seed reruns as a chunk of one
+                    out, = _chunk_outcomes(p, plan, [seed], collect_paths)
+                if isinstance(out, Exception):
                     raise out
             except Exception as exc:  # noqa: BLE001  (per-path isolation)
                 failures.append({"seed": seed, "error": type(exc).__name__,

@@ -157,6 +157,21 @@ class TestSolveDet:
         assert code == 1
         assert err["error"]["type"] == "FileNotFoundError"
 
+    def test_out_below_a_file_exit_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["solve-det", HALFLINE, "--quiet",
+                         "--out", str(blocker / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "NotADirectoryError"
+
+    def test_directory_as_scenario_exit_1(self, tmp_path, capsys):
+        code = cli.main(["validate", str(tmp_path), "--out", str(tmp_path)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "IsADirectoryError"
+
     def test_invalid_json_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -386,6 +401,29 @@ class TestSolveSvi:
         assert "--paths" in err["error"]["message"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64 - 2)])
+    def test_seeds_outside_64_bits_exit_1(self, tmp_path, capsys, seed):
+        # every seed of the ensemble must fit, not only the base seed
+        code = cli.main(["solve-svi", SVI, "--out", str(tmp_path),
+                         "--paths", "4", "--seed", seed])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["type"] == "ValueError"
+        assert "must fit in 64 bits" in err["error"]["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_path_failing_exit_2(self, tmp_path, capsys):
+        payload = read_json(SVI)
+        payload["tolerances"] = {"guard_radius": 1e-3}
+        path = write_json(tmp_path / "svi-guard.json", payload)
+        out = tmp_path / "out"
+        code = cli.main(["solve-svi", path, "--out", str(out), "--paths", "4"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"]["type"] == "RuntimeError"
+        assert "every path failed" in err["error"]["message"]
+        assert not out.exists()
+
     def test_scenario_guard_radius_reaches_the_paths(self, tmp_path,
                                                        capsys):
         # solve-svi used to drop the scenario's scheme keys: with them the
@@ -469,5 +507,6 @@ def test_traced_ensemble_has_no_failures(tmp_path):
     assert ens["failures"] == []
     assert ens["n_ok"] == 8
     calls = spans.aggregate(tracer.spans(), tracer.names)
-    assert calls["sde.solve_svi_path"][0] == 0
+    # a rerun would draw its seed's noise a second time
+    assert calls["sde.brownian_path"][0] == 8
     assert calls["field.eval"][0] > 0

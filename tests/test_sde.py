@@ -519,6 +519,20 @@ class TestMonteCarlo:
             ok.monte_carlo(self.problem(noise_dims=2), 3, base_seed=9)
         assert swept == []
 
+    @pytest.mark.parametrize("base_seed", [-1, 2 ** 64 - 3])
+    def test_seeds_outside_64_bits_fail_before_the_sweep(
+            self, monkeypatch, base_seed):
+        # seeds base_seed .. base_seed + 3: one of them would not fit
+        swept = []
+        monkeypatch.setattr(sde, "_sweep", lambda *a: swept.append(a))
+        with pytest.raises(ValueError, match="must fit in 64 bits"):
+            ok.monte_carlo(self.problem(), 4, base_seed)
+        assert swept == []
+
+    def test_the_last_64_bit_seeds_are_accepted(self):
+        out = ok.monte_carlo(self.problem(), 2, 2 ** 64 - 2)
+        assert out["seeds_ok"] == [2 ** 64 - 2, 2 ** 64 - 1]
+
     def test_all_paths_failing_raises(self):
         p = self.problem(cfg=ok.PenalizedConfig(eps=1.0 / 8.0,
                                                 guard_radius=0.5))
@@ -783,6 +797,37 @@ class TestChunks:
         assert out["seeds_ok"] == [s for s in range(42, 52) if s != 45]
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             _assert_solo(sol, solo[seed])
+
+
+def test_a_failing_chunk_builds_no_solutions(monkeypatch):
+    # with test points and u0: the seeds of a chunk whose stacked prox
+    # raises rerun as chunks of one, which give the certificates of the
+    # unforced run and build no solution that was not asked for
+    p = _scenario_problem()
+    assert p.test_points and p.u0 is not None
+    unforced = ok.monte_carlo(p, 40, 42)
+    real_prox, real_solution = convex.make_resolvent, sde._solution
+    raised, built = [], []
+
+    def stacks_raise(phi, eps):
+        prox = real_prox(phi, eps)
+
+        def checked(x):
+            if x.ndim > 1:
+                raised.append(x.shape)
+                raise RuntimeError("no stacks")
+            return prox(x)
+        return checked
+
+    def counted(*args):
+        built.append(args)
+        return real_solution(*args)
+
+    monkeypatch.setattr(convex, "make_resolvent", stacks_raise)
+    monkeypatch.setattr(sde, "_solution", counted)
+    out = ok.monte_carlo(p, 40, 42)
+    assert raised and built == []
+    np.testing.assert_equal(out, unforced)
 
 
 def _chunk_certificates(monkeypatch, p, n_paths, base, collect=False):
