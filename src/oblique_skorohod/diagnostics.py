@@ -64,8 +64,10 @@ class _ViPlan:
 def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
              test_points=None, u0=None) -> _ViPlan:
     """The shared part of vi_residual on the mesh tq, set up once for any
-    number of paths; raises on a test point outside the domain, on no test
-    paths, and on a window off the mesh."""
+    number of paths.  Each window endpoint goes to its nearest mesh node,
+    and the window keeps its given label.  Raises on a test point outside
+    the domain, on no test paths, and on a window that, so rounded,
+    leaves the mesh or is empty."""
     horizon = float(tq[-1])
     dtq = float(tq[1] - tq[0])
     if windows is None:
@@ -139,9 +141,10 @@ def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
     points supplied (each must lie in the domain) plus, when u0 is given,
     blends (1 - theta) x + theta u0 for theta = 0.25 and 0.5.  Solution-side
     phi values are taken at domain-projected states; the feasibility defect
-    is reported separately by the solver.  Returns the residual, the worst
-    window, the worst test path label, and the tolerance scale
-    1e-4 * (1 + tv_k).
+    is reported separately by the solver.  Windows are summed between the
+    mesh nodes nearest their endpoints (see _vi_plan).  Returns the
+    residual, the worst window as given, the worst test path label, and
+    the tolerance scale 1e-4 * (1 + tv_k).
     """
     tq, xq, kq = _quad_mesh(sol)
     plan = _vi_plan(phi, tq, windows, test_points, u0)

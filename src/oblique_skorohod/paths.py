@@ -166,8 +166,7 @@ def mollify(m: SampledPath, eps: float) -> SampledPath:
     """
     if eps < m.dt * (1.0 - 1e-9):
         raise ValueError(f"mollifier width {eps} is below one grid cell {m.dt}")
-    eff = snapped_width(eps, m.dt)
-    k = int(round(eff / m.dt))
+    k = grid_cells(snapped_width(eps, m.dt), m.dt, f"mollifier width {eps}")
     v = m.values
     npts, d = v.shape
     if m.extension == "zero":

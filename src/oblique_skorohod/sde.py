@@ -24,8 +24,8 @@ a given state history.  A path that leaves the guard ball fails alone.
 `monte_carlo` takes each path's certificates (tv_k, the feasibility defect,
 the VI residual) once per chunk from the chunk's arrays, with the helpers
 that a solution and `vi_residual` use for one path, and builds per-path
-solutions only when asked to collect them.  A chunk that fails reruns its
-seeds through the same chunk code, one seed per chunk.
+solutions only when asked to collect them.  A chunk of several seeds that
+fails reruns its seeds through the same chunk code, one seed per chunk.
 
 Gaussians come from a Box-Muller transform on the Philox counter-based
 generator keyed by the driver seed; the generator identity string is part
@@ -209,18 +209,19 @@ class SviProblem:
 
 
 def _svi_mesh(p: SviProblem):
-    """(window in grid cells, the paths' config, substeps per cell); the
-    smoothing width defaults to the window 1/n."""
+    """(horizon in grid cells, window in grid cells, the paths' config,
+    substeps per cell); the smoothing width defaults to the window 1/n."""
+    cells = grid_cells(p.horizon, p.dt, f"horizon {p.horizon}")
     win = _window_cells(p.n, p.dt)
     cfg = PenalizedConfig(eps=win * p.dt) if p.cfg is None else p.cfg
-    return win, cfg, _substep_mesh(cfg, p.dt, p.hf.c)[1]
+    return cells, win, cfg, _substep_mesh(cfg, p.dt, p.hf.c)[1]
 
 
 def _setup(p: SviProblem):
-    """(x0 as a flat array, window cells, the paths' config, substeps per
-    cell) of a problem.  Raises ValueError on what fails every path of it
-    alike: a dimension or noise dimension mismatch, a test point outside
-    the domain, a width off the grid."""
+    """(x0 as a flat array, horizon cells, window cells, the paths' config,
+    substeps per cell) of a problem.  Raises ValueError on what fails every
+    path of it alike: a dimension or noise dimension mismatch, a test point
+    outside the domain, a horizon or width off the grid (GridMismatch)."""
     x0 = np.asarray(p.x0, dtype=float).ravel()
     if {p.phi.dim, p.hf.dim, p.f.dim, p.g.dim} != {x0.size}:
         raise ValueError("dimension mismatch between phi, H, f, g, x0")
@@ -248,18 +249,15 @@ def _solve_paths(problem: SviProblem, seeds,
     more than one path; a lone path's arrays are its own, and it keeps them.
     """
     p = problem
-    x0, win, cfg, n_sub = _setup(p)
-    db = None
+    x0, cells, win, cfg, n_sub = _setup(p)
+    # filled in place: a list of the paths' increments would raise the
+    # peak memory by one more chunk-sized array
+    db = np.empty((cells, len(seeds), p.noise_dims))
     for i, seed in enumerate(seeds):
-        # filled in place: a list of the paths' increments would raise the
-        # peak memory by one more chunk-sized array
-        inc = np.diff((bpath or brownian_path(BrownianDriver(
+        db[:, i] = np.diff((bpath or brownian_path(BrownianDriver(
             seed=seed, dt=p.dt, dims=p.noise_dims, horizon=p.horizon))).values,
             axis=0)
-        if db is None:
-            db = np.empty((inc.shape[0], len(seeds), inc.shape[1]))
-        db[:, i] = inc
-    xq = np.empty((db.shape[0] * n_sub + 1, len(seeds), x0.size))
+    xq = np.empty((cells * n_sub + 1, len(seeds), x0.size))
     xq[0] = x0
     mvals, rates, fill = _window_input(p.f, p.g, p.phi, xq[::n_sub], db,
                                        p.dt, win)
@@ -330,8 +328,7 @@ _CHUNK_BYTES = 768 * 1024
 def _row_bytes(problem: SviProblem) -> int:
     """Bytes a path holds in a chunk: its Brownian increments, its state
     and reflection on the substep mesh, and the values and rates of M."""
-    cells = int(round(problem.horizon / problem.dt))
-    n_sub = _svi_mesh(problem)[2]
+    cells, _, _, n_sub = _svi_mesh(problem)
     d = problem.hf.dim
     return 8 * (cells * problem.noise_dims
                 + (2 * (cells * n_sub + 1) + 2 * cells + 1) * d)
@@ -383,8 +380,10 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
     (see _setup), or a seed outside 64 bits, raises its ValueError before
     any sweep.  A path that raises, a guard breach in the sweep included,
     is recorded in `failures` and left out of the statistics; the others
-    still count.  Any other exception of a chunk reruns each of its seeds
-    as a chunk of one, lazily, so each path still gets its own outcome.
+    still count.  Any other exception of a chunk of several seeds reruns
+    each of them as a chunk of one, lazily, so each path still gets its
+    own outcome; a chunk of one is its seed's own run, and its exception
+    is that path's failure.
     """
     n_paths = _count("n_paths", n_paths)
     base_seed = _count("base_seed", base_seed)
@@ -394,13 +393,13 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
         raise ValueError(f"seeds {base_seed} .. {base_seed + n_paths - 1} "
                          "must fit in 64 bits")
     p = problem
-    n_sub = _setup(p)[3]
+    _, cells, _, _, n_sub = _setup(p)
     plan = None
     if p.test_points or p.u0 is not None:
         # every path shares the mesh: the constant test points are
         # evaluated once
-        nodes = int(round(p.horizon / p.dt)) * n_sub + 1
-        plan = _vi_plan(p.phi, _substep_times(p.dt, n_sub, nodes),
+        plan = _vi_plan(p.phi, _substep_times(p.dt, n_sub,
+                                              cells * n_sub + 1),
                         test_points=list(p.test_points) or None, u0=p.u0)
     # the kept paths' states, one row each in seed order
     stack = None
@@ -414,8 +413,9 @@ def monte_carlo(problem: SviProblem, n_paths: int, base_seed: int,
         chunk = seeds[lo:lo + step]
         try:
             outcomes = _chunk_outcomes(p, plan, chunk, collect_paths)
-        except Exception:  # noqa: BLE001  (the reruns tell paths apart)
-            outcomes = [None] * len(chunk)
+        except Exception as exc:  # noqa: BLE001  (reruns tell paths apart)
+            # a chunk of one is its seed's run: its exception is the outcome
+            outcomes = [exc] if len(chunk) == 1 else [None] * len(chunk)
         for seed, out in zip(chunk, outcomes):
             try:
                 if out is None:

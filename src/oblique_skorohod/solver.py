@@ -29,10 +29,11 @@ prox, g, H(x) g, the update, the guard test, storing x and g), and not
 even that inside the domain: where g is exactly 0 at the start of a cell,
 the state only integrates its input until it leaves the interior, so the
 kernel takes that stretch as one running sum with one stacked prox.  The
-delayed cell of each substep is computed once per level, the drift gets
-its rates once per filled block, and k and the largest gradient norm come
-from the stored g after the sweep, with the same sequential sums as a
-per-substep k += h g.
+delay eps is lag whole grid cells (paths.grid_cells), so substep q of
+n_sub per cell reads input cell q // n_sub - lag; those cells are computed
+once per level, in integers, the drift gets its rates once per filled
+block, and k and the largest gradient norm come from the stored g after
+the sweep, with the same sequential sums as a per-substep k += h g.
 """
 
 from __future__ import annotations
@@ -165,17 +166,6 @@ def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
 _SLICE_ROWS = 4096
 
 
-def _delayed_cells(n_steps, h, dt, eps, n_cells):
-    """(first, cells): substeps q < first come before the delay ends, and
-    substep q >= first reads grid cell cells[q - first], from the float
-    expressions tau = q h - eps, cell = int(tau / dt + 1e-9) of each
-    substep, vectorized."""
-    tau = np.arange(n_steps) * h - eps
-    first = int(np.count_nonzero(tau < -1e-12))
-    return first, np.minimum((tau[first:] / dt + 1e-9).astype(np.intp),
-                             n_cells - 1)
-
-
 def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
            drift=None, prox_rows=None):
     """The explicit substep kernel shared by the deterministic and the
@@ -185,16 +175,17 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     Time is the first axis: xq is (Q + 1, d) for one path and (Q + 1, B, d)
     for a chunk of B paths, and rates (cells, d) or (cells, B, d) likewise.
     xq[0] holds x0; xq receives the state and kq the reflection at every
-    substep h = dt / n_sub.  At substep q the delayed input rate is
-    rates[cell] plus drift[q] when given, cell being the grid cell of
-    tau = q h - eps; before time eps only the field term acts.  The delayed
+    substep h = dt / n_sub.  The delay eps is lag = eps / dt whole grid
+    cells (paths.grid_cells; GridMismatch otherwise).  At substep q the
+    delayed input rate is rates[q // n_sub - lag] plus drift[q] when given;
+    before substep lag n_sub (time eps) only the field term acts.  The delayed
     inputs are filled causally, one block at a time: before cell j, when
     the blocks filled so far end at cell j, fill(j, rows) computes the next
     block of the given rows from the states through substep j n_sub and
     returns the cell where it ends.
 
     The work is split by what it depends on.  Once per call, before the
-    loop: the delayed cell of every substep, vectorized.  Once per filled
+    loop: the delayed cell of every substep, in integers.  Once per filled
     block: fill, and with a drift the block's rates[cell] added into
     drift[q] in place.  Per substep, only what reads the state: the prox,
     g, H(x) g, the state update, the guard test and storing x and g.  After
@@ -231,8 +222,11 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     guard2 = cfg.guard_radius * cfg.guard_radius
     n_steps = xq.shape[0] - 1
     n_cells = n_steps // n_sub
-    first, cells = _delayed_cells(n_steps, h, dt, eps, n_cells)
-    # substep q >= first reads inputs[at[q - first]]
+    # substep q >= first reads rates[q // n_sub - lag], that is
+    # rates[cells[q - first]], through inputs[at[q - first]]
+    lag = grid_cells(eps, dt, f"eps = {eps}")
+    first = min(lag * n_sub, n_steps)
+    cells = np.arange(n_steps - first) // n_sub
     if drift is None:
         inputs, at = rates, cells
     else:
@@ -418,12 +412,14 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     drift = None if f.is_zero() else np.empty((m.n_cells * n_sub, d))
 
     def fill(j, _rows):
-        # substep q reads the state at q - lag_sub (x0 before time 0), so
-        # the states through substep j n_sub give the next lag cells
+        # the kernel reads the drift from substep lag_sub on, and substep
+        # q reads the state at q - lag_sub, so the states through substep
+        # j n_sub give the next lag cells (the first block none)
         hi = min(j + lag, m.n_cells)
-        q = np.arange(j * n_sub, hi * n_sub)
-        xd = convex.project_set(phi.domain, xq[np.maximum(q - lag_sub, 0)])
-        drift[j * n_sub:hi * n_sub] = f.eval(q * h - eps, xd)
+        q = np.arange(max(j, lag) * n_sub, hi * n_sub)
+        if q.size:
+            xd = convex.project_set(phi.domain, xq[q - lag_sub])
+            drift[q] = f.eval(q * h - eps, xd)
         return hi
 
     kq, max_grad, _ = _sweep(

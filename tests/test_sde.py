@@ -519,6 +519,15 @@ class TestMonteCarlo:
             ok.monte_carlo(self.problem(noise_dims=2), 3, base_seed=9)
         assert swept == []
 
+    def test_horizon_off_the_grid_fails_before_any_noise(self, monkeypatch):
+        # a horizon of 64.5 cells fails the problem once, as GridMismatch,
+        # before any path draws its noise
+        drawn = []
+        monkeypatch.setattr(sde, "brownian_path", drawn.append)
+        with pytest.raises(ok.GridMismatch, match="horizon 1.0078125"):
+            ok.monte_carlo(self.problem(horizon=1.0 + 1.0 / 128.0), 3, 9)
+        assert drawn == []
+
     @pytest.mark.parametrize("base_seed", [-1, 2 ** 64 - 3])
     def test_seeds_outside_64_bits_fail_before_the_sweep(
             self, monkeypatch, base_seed):
@@ -795,6 +804,28 @@ class TestChunks:
         assert out["failures"] == [{"seed": 45, "error": "LookupError",
                                     "message": "no noise for seed 45"}]
         assert out["seeds_ok"] == [s for s in range(42, 52) if s != 45]
+        for seed, sol in zip(out["seeds_ok"], out["paths"]):
+            _assert_solo(sol, solo[seed])
+
+    def test_a_failing_chunk_of_one_is_not_rerun(self, monkeypatch):
+        # a chunk of one seed is that seed's own run: its error is the
+        # path's failure, and the failing sweep does not run twice
+        p, solo = _solo_runs("halfline-svi")
+        real_path, noise_calls = sde.brownian_path, []
+
+        def noise_fails(drv):
+            noise_calls.append(drv.seed)
+            if drv.seed == 45:
+                raise LookupError("no noise for seed 45")
+            return real_path(drv)
+
+        monkeypatch.setattr(sde, "brownian_path", noise_fails)
+        _with_rows(monkeypatch, p, 1)
+        out = ok.monte_carlo(p, 4, 44, collect_paths=True)
+        assert noise_calls == [44, 45, 46, 47]
+        assert out["failures"] == [{"seed": 45, "error": "LookupError",
+                                    "message": "no noise for seed 45"}]
+        assert out["seeds_ok"] == [44, 46, 47]
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             _assert_solo(sol, solo[seed])
 

@@ -104,6 +104,51 @@ class TestPenalizedLevel:
         assert abs(sol.x.values[-1, 0] - eps) < 1e-10
         assert np.all(sol.k.values == 0.0)
 
+    def test_drift_is_evaluated_only_where_the_kernel_reads_it(
+            self, monkeypatch):
+        # f is read from substep lag n_sub on, each time at the state
+        # lag n_sub substeps back: no evaluation before time 0
+        times, real = [], ok.DriftSpec.eval
+
+        def spy(f, t, x):
+            times.append(np.asarray(t))
+            return real(f, t, x)
+        monkeypatch.setattr(ok.DriftSpec, "eval", spy)
+        sol = ok.solve_penalized(halfline_phi(),
+                                 ok.constant_field([[1.0]], c=2.0),
+                                 ok.constant_drift([-1.0]), zero_path(),
+                                 [1.0], ok.PenalizedConfig(eps=0.1))
+        t = np.concatenate(times)
+        n_sub = sol.diagnostics["n_substeps_per_cell"]
+        assert t.size == (GRID_N - round(0.1 / DT)) * n_sub
+        assert t.min() == 0.0
+
+    @pytest.mark.parametrize("stacked, with_drift", [
+        (False, False), (True, False), (False, True)])
+    def test_eps_near_a_grid_multiple_delays_by_whole_cells(
+            self, stacked, with_drift):
+        # eps = 4 dt (1 + 5e-10) is 4 cells to grid_cells' relative 1e-9,
+        # so substep q reads cell q // n_sub - 4 from substep 8 on; on the
+        # whole space g = 0 and every step h rates[cell] is exact in binary
+        dt, n_sub, lag = 0.5, 2, 4
+        cfg = ok.PenalizedConfig(eps=lag * dt * (1.0 + 5e-10))
+        rates = 2.0 ** np.arange(10)[:, None]
+        xq = np.empty((21, 1))
+        xq[0] = 0.0
+        prox = ok.make_resolvent(ok.indicator(ok.whole_space(1), r0=1.0),
+                                 cfg.eps)
+        drift = np.zeros((20, 1)) if with_drift else None
+        solver._sweep(xq, n_sub, dt, cfg, prox,
+                      ok.make_field_eval(ok.constant_field([[1.0]], c=1.0)),
+                      rates, "test",
+                      None if drift is None else (lambda j, rows: 10), drift,
+                      prox if stacked else None)
+        q = np.arange(20)
+        moves = np.where(q >= lag * n_sub,
+                         dt / n_sub * rates[np.maximum(q // n_sub - lag, 0),
+                                            0], 0.0)
+        assert_bits(np.diff(xq[:, 0]), moves)
+
     def test_discrete_identity_replay(self):
         # replay the update rule from the published quadrature arrays
         eps = 0.01
@@ -435,7 +480,12 @@ def reference_sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where,
     guard2 = cfg.guard_radius * cfg.guard_radius
     n_steps = xq.shape[0] - 1
     n_cells = n_steps // n_sub
-    first, cells = solver._delayed_cells(n_steps, h, dt, eps, n_cells)
+    # the delay on a float clock, apart from _sweep's whole cells: substep
+    # q >= first reads the grid cell of tau = q h - eps
+    tau = np.arange(n_steps) * h - eps
+    first = int(np.count_nonzero(tau < -1e-12))
+    cells = np.minimum((tau[first:] / dt + 1e-9).astype(np.intp),
+                       n_cells - 1)
     x = xq[0].copy()
     kq = np.zeros(xq.shape)
     top, ready = 0.0, 0
@@ -619,7 +669,8 @@ class TestInteriorStretches:
             stacks.append(prox.stacks)
             return prox
         make_resolvent = convex.make_resolvent
-        for eps in (0.1, 0.025, 0.013):
+        # eps = the horizon: no substep reads a delayed input
+        for eps in (1.0, 0.1, 0.025, 0.013):
             cfg = ok.PenalizedConfig(eps=eps)
             m = ok.mollify(sc.m, eps)
             with monkeypatch.context() as mp:
