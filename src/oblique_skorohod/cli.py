@@ -181,9 +181,8 @@ def _cmd_solve_svi(args) -> int:
         return 0
 
     problem = SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
-                         dt=sc.dt, horizon=sc.horizon,
-                         noise_dims=sc.noise_dims, n=sc.n_window, cfg=cfg,
-                         u0=sc.u0, test_points=tuple(sc.test_points))
+                         dt=sc.dt, horizon=sc.horizon, n=sc.n_window,
+                         cfg=cfg, u0=sc.u0, test_points=tuple(sc.test_points))
     mc = monte_carlo(problem, args.paths, sc.seed,
                      collect_paths=args.dump_paths)
     paths = mc.pop("paths", [])

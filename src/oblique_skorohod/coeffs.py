@@ -1,9 +1,9 @@
 """Drift and diffusion coefficient catalogs with certified bounds.
 
 Drifts f(t, x) act on domain-projected states and carry a certified bound
-profile fsharp(t) >= |f(t, x)| on the domain plus a Lipschitz modulus mu.
-Diffusions g(t, x) are (d, k) matrices against a k-dimensional noise and
-carry a Frobenius bound gsharp and a Lipschitz modulus ell.
+fsharp >= |f(t, x)| over the domain and the horizon.  Diffusions g(t, x)
+are (d, k) matrices against a k-dimensional noise and carry a Frobenius
+bound gsharp.  Neither carries a Lipschitz modulus: nothing reads one.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ class DriftSpec:
 
     kind "zero"; "constant" with vector b0; "affine" with f = A x + b0;
     "time_modulated" with f = profile(t) * (A x + b0).  fsharp bounds
-    |f(t, x)| over the domain and the horizon; mu is the spatial Lipschitz
-    modulus (constant in time for this catalog).
+    |f(t, x)| over the domain and the horizon.
     """
 
     kind: str
@@ -73,7 +72,6 @@ class DriftSpec:
     b0: np.ndarray | None = None
     profile: TimeProfile | None = None
     fsharp: float = 0.0
-    mu: float = 0.0
 
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -103,51 +101,38 @@ def constant_drift(b0) -> DriftSpec:
     b0 = np.asarray(b0, dtype=float).ravel()
     _check_finite(b0=b0)
     return DriftSpec(kind="constant", dim=b0.size, b0=b0,
-                     fsharp=float(np.linalg.norm(b0)), mu=0.0)
+                     fsharp=float(np.linalg.norm(b0)))
 
 
-def _affine_bound(A: np.ndarray, b0: np.ndarray,
-                  domain_radius: float | None) -> float | None:
-    if domain_radius is None:
-        return None
-    op = float(np.linalg.norm(A, 2))
-    return op * domain_radius + float(np.linalg.norm(b0))
-
-
-def affine_drift(A, b0, domain_radius: float | None = None,
-                 fsharp: float | None = None) -> DriftSpec:
+def _affine_drift(kind: str, A, b0, scale: float, domain_radius, fsharp,
+                  profile: TimeProfile | None = None) -> DriftSpec:
+    """A x + b0 (times profile(t) if given) as `kind`; fsharp defaults to
+    scale (|A|_2 domain_radius + |b0|), scale bounding the profile."""
     A = np.asarray(A, dtype=float)
     b0 = np.asarray(b0, dtype=float).ravel()
     if A.shape != (b0.size, b0.size):
         raise ValueError("A must be (d, d) matching b0")
     _check_finite(A=A, b0=b0)
     if fsharp is None:
-        fsharp = _affine_bound(A, b0, domain_radius)
-        if fsharp is None:
-            raise ValueError("affine drift needs a domain radius or explicit fsharp")
+        if domain_radius is None:
+            raise ValueError(f"{kind} drift needs a domain radius or explicit fsharp")
+        fsharp = scale * (float(np.linalg.norm(A, 2)) * domain_radius
+                          + float(np.linalg.norm(b0)))
     _check_finite(fsharp=fsharp, low=0.0)
-    return DriftSpec(kind="affine", dim=b0.size, A=A, b0=b0,
-                     fsharp=float(fsharp), mu=float(np.linalg.norm(A, 2)))
+    return DriftSpec(kind=kind, dim=b0.size, A=A, b0=b0, profile=profile,
+                     fsharp=float(fsharp))
+
+
+def affine_drift(A, b0, domain_radius: float | None = None,
+                 fsharp: float | None = None) -> DriftSpec:
+    return _affine_drift("affine", A, b0, 1.0, domain_radius, fsharp)
 
 
 def time_modulated_drift(A, b0, profile: TimeProfile, horizon: float,
                          domain_radius: float | None = None,
                          fsharp: float | None = None) -> DriftSpec:
-    A = np.asarray(A, dtype=float)
-    b0 = np.asarray(b0, dtype=float).ravel()
-    if A.shape != (b0.size, b0.size):
-        raise ValueError("A must be (d, d) matching b0")
-    _check_finite(A=A, b0=b0)
-    pb = profile.bound(horizon)
-    if fsharp is None:
-        base = _affine_bound(A, b0, domain_radius)
-        if base is None:
-            raise ValueError("time_modulated drift needs a domain radius or explicit fsharp")
-        fsharp = pb * base
-    _check_finite(fsharp=fsharp, low=0.0)
-    return DriftSpec(kind="time_modulated", dim=b0.size, A=A, b0=b0,
-                     profile=profile, fsharp=float(fsharp),
-                     mu=pb * float(np.linalg.norm(A, 2)))
+    return _affine_drift("time_modulated", A, b0, profile.bound(horizon),
+                         domain_radius, fsharp, profile)
 
 
 @dataclass(frozen=True)
@@ -162,7 +147,6 @@ class DiffusionSpec:
     base: np.ndarray | None = None
     gains: np.ndarray | None = None
     gsharp: float = 0.0
-    ell: float = 0.0
 
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -199,7 +183,7 @@ def constant_diffusion(matrix) -> DiffusionSpec:
     _check_finite(matrix=matrix)
     return DiffusionSpec(kind="constant", dim=matrix.shape[0],
                          noise_dim=matrix.shape[1], matrix=matrix,
-                         gsharp=float(np.linalg.norm(matrix, "fro")), ell=0.0)
+                         gsharp=float(np.linalg.norm(matrix, "fro")))
 
 
 def affine_diffusion(base, gains, gsharp: float) -> DiffusionSpec:
@@ -214,6 +198,5 @@ def affine_diffusion(base, gains, gsharp: float) -> DiffusionSpec:
     _check_finite(gsharp=gsharp, low=0.0)
     if gsharp == 0.0:
         raise ValueError("gsharp must be positive")
-    ell = float(np.sqrt(np.sum(gains * gains)))
     return DiffusionSpec(kind="affine_in_x", dim=d, noise_dim=k, base=base,
-                         gains=gains, gsharp=float(gsharp), ell=ell)
+                         gains=gains, gsharp=float(gsharp))

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import coeffs, convex, field as fieldmod
-from .paths import (GridMismatch, SampledPath, _count, grid_cells,
-                    snapped_width)
-from .sde import BrownianDriver
-from .solver import PenalizedConfig, _check_halvings
+from .paths import GridMismatch, SampledPath, _count, grid_cells
+from .sde import BrownianDriver, _window_cells
+from .solver import PenalizedConfig, _check_halvings, _first_eps
 
 
 class ScenarioError(ValueError):
@@ -70,6 +69,11 @@ def _declared(what: str, build, *args):
         raise ScenarioError(f"bad {what} declaration: {exc}") from exc
 
 
+def _check_dim(what: str, got: int, dim: int):
+    if got != dim:
+        raise ScenarioError(f"{what} dimension {got} != scenario dimension {dim}")
+
+
 def _build_set(raw: dict, dim: int) -> convex.Set:
     kind = _need(raw, "kind")
     if kind == "box":
@@ -87,8 +91,7 @@ def _build_set(raw: dict, dim: int) -> convex.Set:
 def _build_phi(raw: dict, dim: int) -> convex.ConvexFunction:
     kind = _need(raw, "kind")
     dom = _declared("set", _build_set, _need(raw, "set"), dim)
-    if dom.dim != dim:
-        raise ScenarioError(f"set dimension {dom.dim} != scenario dimension {dim}")
+    _check_dim("set", dom.dim, dim)
     r0 = float(_need(raw, "r0"))
     h0 = raw.get("h0")
     h0 = None if h0 is None else float(h0)
@@ -119,8 +122,7 @@ def _build_field(raw: dict, dim: int) -> fieldmod.ObliqueField:
             _need(raw, "w_direction"), float(raw.get("w_offset", 0.0)), c, b)
     else:
         raise ScenarioError(f"unknown field kind {kind!r}")
-    if hf.dim != dim:
-        raise ScenarioError(f"field dimension {hf.dim} != scenario dimension {dim}")
+    _check_dim("field", hf.dim, dim)
     return hf
 
 
@@ -223,6 +225,14 @@ def _build_m(raw: dict, dt: float, n_cells: int, dim: int,
     return SampledPath(t0=0.0, dt=dt, values=vals, extension="zero")
 
 
+def _test_points(raw, dim: int, domain: convex.Set) -> list:
+    points = [np.asarray(p, dtype=float).ravel() for p in raw or []]
+    for idx, pt in enumerate(points):
+        if pt.size != dim or not convex.contains(domain, pt, tol=1e-9):
+            raise ScenarioError(f"test point {idx} is outside the domain")
+    return points
+
+
 def _tolerances(tols: dict, dt: float) -> tuple:
     """(tol, eps0, max_halvings, substep_ratio, guard_radius); the scheme
     keys pass PenalizedConfig's own checks and max_halvings the ladder's,
@@ -279,6 +289,7 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     hf = _declared("field", _build_field, _need(raw, "H"), dim)
     f = _declared("drift", _build_drift, raw.get("f"), dim, phi.domain,
                   horizon)
+    _check_dim("drift", f.dim, dim)
 
     x0 = np.asarray(_need(raw, "x0"), dtype=float).ravel()
     if x0.size != dim:
@@ -291,9 +302,8 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
         "tolerances", _tolerances, tols, dt)
     if not tol >= 0.0:
         raise ScenarioError("tol must be >= 0")
-    eff_eps0 = 0.1 * (n_cells * dt) if eps0 is None else eps0
     try:
-        snapped["eps0"] = snapped_width(eff_eps0, dt)
+        snapped["eps0"] = _first_eps(eps0, n_cells * dt, dt)
     except ValueError as exc:
         raise ScenarioError(f"bad eps0: {exc}") from exc
 
@@ -315,21 +325,20 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
                   snapped=snapped)
 
     if has_m:
-        sc.m = _build_m(raw["m"], dt, n_cells, dim, base_dir)
+        sc.m = _declared("m", _build_m, raw["m"], dt, n_cells, dim, base_dir)
     else:
         sc.seed, sc.noise_dims, sc.n_window = _declared(
             "brownian", _brownian, raw, dt, sc.horizon)
         if sc.n_window < 1:
             raise ScenarioError("n_delay must be >= 1")
-        width = 1.0 / sc.n_window
         try:
-            snapped["window_cells"] = grid_cells(width, dt,
-                                                 f"window 1/n = {width}")
+            snapped["window_cells"] = _window_cells(sc.n_window, dt)
         except GridMismatch as exc:
             raise ScenarioError(str(exc)) from exc
         if "g" not in raw or raw["g"] is None:
             raise ScenarioError("stochastic scenarios need a diffusion g")
         sc.g = _declared("diffusion", _build_diffusion, raw["g"], dim)
+        _check_dim("diffusion", sc.g.dim, dim)
         if sc.g.noise_dim != sc.noise_dims:
             raise ScenarioError("g noise columns must match brownian dims")
 
@@ -340,11 +349,8 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
         if not convex.contains(phi.domain, u0, tol=1e-9):
             raise ScenarioError("u0 must lie in the constraint domain")
         sc.u0 = u0
-    for idx, p in enumerate(raw.get("test_points", []) or []):
-        pt = np.asarray(p, dtype=float).ravel()
-        if pt.size != dim or not convex.contains(phi.domain, pt, tol=1e-9):
-            raise ScenarioError(f"test point {idx} is outside the domain")
-        sc.test_points.append(pt)
+    sc.test_points = _declared("test_points", _test_points,
+                               raw.get("test_points"), dim, phi.domain)
     return sc
 
 

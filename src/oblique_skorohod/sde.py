@@ -35,7 +35,7 @@ of every output so reproducibility claims are auditable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -46,8 +46,8 @@ from .diagnostics import _feasible_points, _vi_plan, _vi_worst
 from .field import ObliqueField, make_field_eval
 from .paths import GridMismatch, SampledPath, _count, grid_cells
 from .solver import (_SLICE_ROWS, PenalizedConfig, SkorohodSolution,
-                     StabilityBreach, _grid_checks, _solution, _substep_mesh,
-                     _substep_times, _sweep, system_id)
+                     StabilityBreach, _flat_state, _grid_checks, _solution,
+                     _substep_mesh, _substep_times, _sweep, system_id)
 
 GENERATOR_ID = "philox4x64-boxmuller-v1"
 
@@ -201,11 +201,16 @@ class SviProblem:
     x0: np.ndarray
     dt: float
     horizon: float
-    noise_dims: int
     n: int
     cfg: PenalizedConfig | None = None
     u0: np.ndarray | None = None
     test_points: tuple = ()
+    noise_dims: InitVar[int | None] = None  # if stated, must be g's; not kept
+
+    def __post_init__(self, noise_dims):
+        if noise_dims is not None and noise_dims != self.g.noise_dim:
+            raise ValueError(f"noise dimension {noise_dims} does not match "
+                             f"the {self.g.noise_dim} noise columns of g")
 
 
 def _svi_mesh(p: SviProblem):
@@ -220,14 +225,9 @@ def _svi_mesh(p: SviProblem):
 def _setup(p: SviProblem):
     """(x0 as a flat array, horizon cells, window cells, the paths' config,
     substeps per cell) of a problem.  Raises ValueError on what fails every
-    path of it alike: a dimension or noise dimension mismatch, a test point
-    outside the domain, a horizon or width off the grid (GridMismatch)."""
-    x0 = np.asarray(p.x0, dtype=float).ravel()
-    if {p.phi.dim, p.hf.dim, p.f.dim, p.g.dim} != {x0.size}:
-        raise ValueError("dimension mismatch between phi, H, f, g, x0")
-    if p.noise_dims != p.g.noise_dim:
-        raise ValueError(f"noise dimension {p.noise_dims} does not match "
-                         f"the {p.g.noise_dim} noise columns of g")
+    path of it alike: a dimension mismatch, a test point outside the
+    domain, a horizon or width off the grid (GridMismatch)."""
+    x0 = _flat_state(p.x0, p.phi, p.hf, p.f, p.g, "g")
     _feasible_points(p.phi, p.test_points)
     return (x0,) + _svi_mesh(p)
 
@@ -252,10 +252,10 @@ def _solve_paths(problem: SviProblem, seeds,
     x0, cells, win, cfg, n_sub = _setup(p)
     # filled in place: a list of the paths' increments would raise the
     # peak memory by one more chunk-sized array
-    db = np.empty((cells, len(seeds), p.noise_dims))
+    db = np.empty((cells, len(seeds), p.g.noise_dim))
     for i, seed in enumerate(seeds):
         db[:, i] = np.diff((bpath or brownian_path(BrownianDriver(
-            seed=seed, dt=p.dt, dims=p.noise_dims, horizon=p.horizon))).values,
+            seed=seed, dt=p.dt, dims=p.g.noise_dim, horizon=p.horizon))).values,
             axis=0)
     xq = np.empty((cells * n_sub + 1, len(seeds), x0.size))
     xq[0] = x0
@@ -310,6 +310,7 @@ def solve_svi_path(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
 
     drv is normally a BrownianDriver; a pre-sampled driving path may be
     passed instead for pathwise solves against a fixed noise realization.
+    Either must be as wide as g has noise columns (ValueError otherwise).
     """
     given = isinstance(drv, SampledPath)
     bpath = drv if given else brownian_path(drv)
@@ -329,9 +330,8 @@ def _row_bytes(problem: SviProblem) -> int:
     """Bytes a path holds in a chunk: its Brownian increments, its state
     and reflection on the substep mesh, and the values and rates of M."""
     cells, _, _, n_sub = _svi_mesh(problem)
-    d = problem.hf.dim
-    return 8 * (cells * problem.noise_dims
-                + (2 * (cells * n_sub + 1) + 2 * cells + 1) * d)
+    return 8 * (cells * problem.g.noise_dim + problem.hf.dim
+                * (2 * (cells * n_sub + 1) + 2 * cells + 1))
 
 
 def _chunk_rows(problem: SviProblem) -> int:

@@ -149,6 +149,21 @@ def system_id(phi: ConvexFunction, hf: ObliqueField) -> str:
     return h.hexdigest()[:16]
 
 
+def _flat_state(x0, phi, hf, f, source, name: str) -> np.ndarray:
+    """x0 flat; ValueError unless it, phi, H, f and m or g share one dim."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if {phi.dim, hf.dim, f.dim, source.dim} != {x0.size}:
+        raise ValueError(f"dimension mismatch between phi, H, f, {name}, x0")
+    return x0
+
+
+def _first_eps(eps0: float | None, horizon: float, dt: float) -> float:
+    """The ladder's first width: eps0 (0.1 horizon if None) capped at the
+    horizon, snapped up to a grid multiple of dt."""
+    eps0 = 0.1 * horizon if eps0 is None else eps0
+    return snapped_width(min(eps0, horizon), dt)
+
+
 def _require_time_zero(m: SampledPath):
     if abs(m.t0) > 1e-12:
         raise GridMismatch("solver inputs must start at t = 0")
@@ -394,22 +409,20 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     m is treated as continuously differentiable: its derivative enters the
     update as per-cell increments, so summing the updates reproduces the
     increments of m exactly.  The drift adds f(tau, P(x(tau))) at the
-    delayed time tau.  Raises GridMismatch if cfg.eps is not a grid
-    multiple of m.dt and StabilityBreach if the state leaves the guard ball.
+    delayed time tau.  Raises ValueError on a dimension mismatch,
+    GridMismatch if cfg.eps is not a grid multiple of m.dt and
+    StabilityBreach if the state leaves the guard ball.
     """
     _require_time_zero(m)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    d = m.dim
-    if x0.size != d or phi.dim != d or hf.dim != d:
-        raise ValueError("dimension mismatch between phi, H, m, x0")
+    x0 = _flat_state(x0, phi, hf, f, m, "m")
     dt = m.dt
     eps = cfg.eps
     lag, n_sub = _substep_mesh(cfg, dt, hf.c)
     lag_sub = lag * n_sub
     h = dt / n_sub
-    xq = np.empty((m.n_cells * n_sub + 1, d))
+    xq = np.empty((m.n_cells * n_sub + 1, x0.size))
     xq[0] = x0
-    drift = None if f.is_zero() else np.empty((m.n_cells * n_sub, d))
+    drift = None if f.is_zero() else np.empty((m.n_cells * n_sub, x0.size))
 
     def fill(j, _rows):
         # the kernel reads the drift from substep lag_sub on, and substep
@@ -465,16 +478,14 @@ def solve_skorohod(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     grid nodes.  tol = 0 runs the full ladder (max_halvings halvings, or
     until eps reaches the grid floor) with no convergence requirement; with
     tol > 0 an exhausted ladder raises NoConvergence carrying the history.
-    Widths are snapped up to grid multiples and recorded as snapped.
+    Widths are snapped up to grid multiples, the first (_first_eps) being
+    eps0, 0.1 horizon by default, capped at the horizon.
     """
     _require_time_zero(m)
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
     max_halvings = _check_halvings(max_halvings)
-    horizon = m.horizon
-    if eps0 is None:
-        eps0 = 0.1 * horizon
-    eps = snapped_width(min(eps0, horizon), m.dt)
+    eps = _first_eps(eps0, m.horizon, m.dt)
     history: list[tuple[float, float | None]] = []
     tv_levels: list[float] = []
     prev: SkorohodSolution | None = None

@@ -203,8 +203,7 @@ ENSEMBLE_GOLDEN = (
 def test_ensemble_moments_are_bit_identical():
     sc = ok.load_scenario(os.path.join(SCEN, "halfline-svi.json"))
     problem = ok.SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
-                            dt=sc.dt, horizon=sc.horizon,
-                            noise_dims=sc.noise_dims, n=sc.n_window,
+                            dt=sc.dt, horizon=sc.horizon, n=sc.n_window,
                             u0=sc.u0, test_points=tuple(sc.test_points))
     out = ok.monte_carlo(problem, 256, 42)
     assert out["n_ok"] == 256

@@ -2,6 +2,7 @@
 tolerances a stochastic scenario may set, and the validation report."""
 
 import dataclasses
+import glob
 import json
 import os
 import re
@@ -310,7 +311,52 @@ def _edit(path, **entries):
     (_edit(SVI, n_delay=False),
      "bad brownian declaration: n_delay must be an integer"),
     (_edit(SVI, g={"kind": "zero", "noise_dims": 1.5}),
-     "bad diffusion declaration: noise_dims must be an integer")])
+     "bad diffusion declaration: noise_dims must be an integer"),
+    # coefficients of another width, which a solve used to broadcast
+    (_edit(BOX, f={"kind": "constant", "vector": [0.3]}),
+     "drift dimension 1 != scenario dimension 2"),
+    (_edit(BOX, f={"kind": "affine", "matrix": [[0.5]], "vector": [0.1]}),
+     "drift dimension 1 != scenario dimension 2"),
+    (_edit(SVI, g={"kind": "constant", "matrix": [[0.3], [0.1]]}),
+     "diffusion dimension 2 != scenario dimension 1"),
+    # blocks that used to end in a TypeError traceback
+    (_edit(HALFLINE, m=5), "bad m declaration"),
+    (_edit(HALFLINE, test_points=5), "bad test_points declaration")])
 def test_bad_scenarios(raw, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
         build_scenario(raw)
+
+
+@pytest.mark.parametrize("key", ["m", "test_points"])
+def test_malformed_block_is_one_json_error(tmp_path, capsys, key):
+    path = write_json(tmp_path / "bad-block.json", _edit(HALFLINE, **{key: 5}))
+    out = tmp_path / "out"
+    assert cli.main(["validate", path, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ScenarioError"
+    assert err["error"]["message"].startswith(f"bad {key} declaration: ")
+    assert not out.exists()
+
+
+def test_snapped_eps0_is_the_first_level(tmp_path):
+    # an eps0 above the horizon starts the ladder at the horizon, and the
+    # echo says so
+    raw = _edit(HALFLINE, tolerances={"eps0": 5.0, "tol": 0.0,
+                                      "max_halvings": 0})
+    path = write_json(tmp_path / "wide-eps0.json", raw)
+    assert cli.main(["solve-det", path, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    summary = read_json(tmp_path / "halfline-ramp-summary.json")
+    first = summary["solution"]["refinement_history"][0][0]
+    assert summary["snapped"]["eps0"] == first == 1.0
+
+
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(SCEN, "*.json"))
+    + glob.glob(os.path.join(SCEN, os.pardir, "bench", "scenarios",
+                             "*.json"))), ids=os.path.basename)
+def test_every_shipped_and_benchmark_scenario_validates(tmp_path, path):
+    assert cli.main(["validate", path, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    report, = [read_json(p) for p in tmp_path.iterdir()]
+    assert report["status"] == "pass"

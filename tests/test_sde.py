@@ -471,7 +471,7 @@ class TestMonteCarlo:
     def problem(self, **kw):
         phi, hf, f, g = svi_inputs()
         defaults = dict(phi=phi, hf=hf, f=f, g=g, x0=np.array([1.0]),
-                        dt=1.0 / 64.0, horizon=1.0, noise_dims=1, n=8)
+                        dt=1.0 / 64.0, horizon=1.0, n=8)
         defaults.update(kw)
         return ok.SviProblem(**defaults)
 
@@ -518,6 +518,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="noise dimension 2 does not match"):
             ok.monte_carlo(self.problem(noise_dims=2), 3, base_seed=9)
         assert swept == []
+
+    def test_a_problem_keeps_no_noise_width_of_its_own(self):
+        # the noise is as wide as g has columns; a caller stating another
+        # width is rejected as the problem is made
+        assert "noise_dims" not in {
+            f.name for f in dataclasses.fields(ok.SviProblem)}
+        with pytest.raises(ValueError, match="noise dimension 2 does not "
+                                             "match the 1 noise columns"):
+            self.problem(noise_dims=2)
+        assert "noise_dims" not in vars(self.problem(noise_dims=1))
 
     def test_horizon_off_the_grid_fails_before_any_noise(self, monkeypatch):
         # a horizon of 64.5 cells fails the problem once, as GridMismatch,
@@ -569,9 +579,8 @@ def _scenario_problem() -> ok.SviProblem:
     sc = ok.load_scenario(os.path.join(os.path.dirname(__file__), os.pardir,
                                        "scenarios", "halfline-svi.json"))
     return ok.SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
-                         dt=sc.dt, horizon=sc.horizon,
-                         noise_dims=sc.noise_dims, n=sc.n_window, u0=sc.u0,
-                         test_points=tuple(sc.test_points))
+                         dt=sc.dt, horizon=sc.horizon, n=sc.n_window,
+                         u0=sc.u0, test_points=tuple(sc.test_points))
 
 
 def _triangle_problem() -> ok.SviProblem:
@@ -586,7 +595,7 @@ def _triangle_problem() -> ok.SviProblem:
         f=ok.affine_drift([[-0.6, 0.3], [0.1, -0.4]], [-0.5, -0.8],
                           fsharp=2.0),
         g=ok.affine_diffusion([[0.4, 0.1], [-0.2, 0.5]], gains, gsharp=0.8),
-        x0=np.array([0.3, 0.4]), dt=1.0 / 256.0, horizon=1.0, noise_dims=2,
+        x0=np.array([0.3, 0.4]), dt=1.0 / 256.0, horizon=1.0,
         n=16)
 
 
@@ -601,7 +610,7 @@ def _ball_problem() -> ok.SviProblem:
             ok.TimeProfile(kind="sinusoid", amplitude=1.3, period=0.3,
                            phase=0.2), horizon=0.5, fsharp=3.0),
         g=ok.constant_diffusion([[0.9, 0.2], [-0.1, 0.7]]),
-        x0=np.array([0.2, -0.3]), dt=1.0 / 128.0, horizon=0.5, noise_dims=2,
+        x0=np.array([0.2, -0.3]), dt=1.0 / 128.0, horizon=0.5,
         n=16, u0=np.array([0.0, 0.0]))
 
 
@@ -616,7 +625,7 @@ def _quad_box_problem() -> ok.SviProblem:
                                     c=2.0, b=0.5, span=[0.4, 0.4]),
         f=ok.constant_drift([0.8, -0.9]),
         g=ok.constant_diffusion([[0.8, 0.0], [0.3, 0.6]]),
-        x0=np.array([0.5, 0.5]), dt=1.0 / 128.0, horizon=0.5, noise_dims=2,
+        x0=np.array([0.5, 0.5]), dt=1.0 / 128.0, horizon=0.5,
         n=16, test_points=(np.array([0.5, 0.5]),))
 
 
@@ -633,7 +642,7 @@ def _solo(p, seeds) -> dict:
     """seed -> what solve_svi_path gives: a solution or a StabilityBreach."""
     sols = {}
     for seed in seeds:
-        drv = ok.BrownianDriver(seed=seed, dt=p.dt, dims=p.noise_dims,
+        drv = ok.BrownianDriver(seed=seed, dt=p.dt, dims=p.g.noise_dim,
                                 horizon=p.horizon)
         try:
             sols[seed] = ok.solve_svi_path(p.phi, p.hf, p.f, p.g, p.x0, drv,
@@ -696,7 +705,7 @@ class TestChunks:
         p = ok.SviProblem(
             phi=phi, hf=hf, f=ok.zero_drift(1),
             g=ok.constant_diffusion([[1.0]]), x0=np.array([1.0]),
-            dt=1.0 / 64.0, horizon=1.0, noise_dims=1, n=8,
+            dt=1.0 / 64.0, horizon=1.0, n=8,
             cfg=ok.PenalizedConfig(eps=1.0 / 8.0, guard_radius=1.8))
         solo = _solo(p, range(500, 540))
         _with_rows(monkeypatch, p, rows)
@@ -728,7 +737,7 @@ class TestChunks:
         p = ok.SviProblem(
             phi=phi, hf=hf, f=ok.zero_drift(1),
             g=ok.constant_diffusion([[1.0]]), x0=np.array([1.0]),
-            dt=1.0 / 64.0, horizon=1.0, noise_dims=1, n=8,
+            dt=1.0 / 64.0, horizon=1.0, n=8,
             cfg=ok.PenalizedConfig(eps=1.0 / 8.0, guard_radius=1.8))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -884,7 +893,7 @@ def _halfline_breach_problem(**kw):
     phi, hf, _, _ = svi_inputs()
     return ok.SviProblem(
         phi=phi, hf=hf, f=ok.zero_drift(1), g=ok.constant_diffusion([[1.0]]),
-        x0=np.array([1.0]), dt=1.0 / 64.0, horizon=1.0, noise_dims=1, n=8,
+        x0=np.array([1.0]), dt=1.0 / 64.0, horizon=1.0, n=8,
         cfg=ok.PenalizedConfig(eps=1.0 / 8.0, guard_radius=1.8), **kw)
 
 
@@ -968,3 +977,25 @@ class TestChunkCertificates:
 def test_coefficient_constructors_reject_bad_constants(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_affine_drifts_share_one_builder():
+    # the time-modulated bound is the profile's bound times the affine one,
+    # bit for bit; neither kind carries a Lipschitz modulus
+    A, b0 = [[0.5, -0.2], [0.1, 0.3]], [0.4, -0.7]
+    profile = ok.TimeProfile(kind="sinusoid", amplitude=1.3, period=0.3)
+    affine = ok.affine_drift(A, b0, domain_radius=1.7)
+    modulated = ok.time_modulated_drift(A, b0, profile, 1.0,
+                                        domain_radius=1.7)
+    assert modulated.fsharp == 1.3 * affine.fsharp
+    assert modulated.profile is profile and affine.profile is None
+    for kind, build in (
+            ("affine", lambda: ok.affine_drift(A, b0)),
+            ("time_modulated",
+             lambda: ok.time_modulated_drift(A, b0, profile, 1.0))):
+        with pytest.raises(ValueError, match=f"{kind} drift needs a domain "
+                                             "radius or explicit fsharp"):
+            build()
+    names = {f.name for spec in (ok.DriftSpec, ok.DiffusionSpec)
+             for f in dataclasses.fields(spec)}
+    assert not {"mu", "ell"} & names

@@ -123,6 +123,25 @@ class TestPenalizedLevel:
         assert t.size == (GRID_N - round(0.1 / DT)) * n_sub
         assert t.min() == 0.0
 
+    @pytest.mark.parametrize("ladder", [False, True])
+    def test_drift_of_another_width_fails_before_the_sweep(
+            self, monkeypatch, ladder):
+        # a 1-wide constant drift on a 2-D box used to be broadcast over
+        # both coordinates; the one dimension check rejects it first
+        swept = []
+        monkeypatch.setattr(solver, "_sweep", lambda *a: swept.append(a))
+        phi = ok.indicator(ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.2)
+        hf = ok.constant_field(np.eye(2), c=1.0)
+        f, m, x0 = ok.constant_drift([0.3]), zero_path(dim=2), [0.5, 0.5]
+        with pytest.raises(ValueError, match="dimension mismatch between "
+                                             "phi, H, f, m, x0"):
+            if ladder:
+                ok.solve_skorohod(phi, hf, f, m, x0)
+            else:
+                ok.solve_penalized(phi, hf, f, m, x0,
+                                   ok.PenalizedConfig(eps=0.1))
+        assert swept == []
+
     @pytest.mark.parametrize("stacked, with_drift", [
         (False, False), (True, False), (False, True)])
     def test_eps_near_a_grid_multiple_delays_by_whole_cells(
