@@ -181,7 +181,7 @@ def _project_polytope(x, normals, offsets, resid, geo):
             face = geo.get(key) or _face_geometry(geo, key, face,
                                                   normals[active], n)
             r, step, ss = face[:3]
-            t = (float(n @ z) - offsets[p]) / ss \
+            t = (float(n.dot(z)) - offsets[p]) / ss \
                 if ss > PROJ_TOL * PROJ_TOL else math.inf
             k = None
             for j, (uj, rj) in enumerate(zip(u, r)):
@@ -198,7 +198,7 @@ def _project_polytope(x, normals, offsets, resid, geo):
             key += (~k,)
         active.append(p)
         u.append(up)
-        resid = normals @ z - offsets
+        resid = normals.dot(z) - offsets
     raise ProjectionError(
         f"active-set projection exceeded {PROJ_MAX_ITERS} passes")
 
@@ -287,7 +287,9 @@ def _projector(s: Set):
     each row of a stack (n, d), each row bit for bit as on its own; the
     result is x itself or a new array.  A polytope's closure keeps its
     active-set geometry across calls; project_set builds one per call.
-    The one place a projection dispatches on the kind of s."""
+    The one place a projection dispatches on the kind of s.  A point's
+    products are ndarray.dot, the bits of @ but for a zero's sign at d = 1,
+    which only comparisons read (t's numerator is a residual > PROJ_TOL)."""
     if s.kind == "box":
         lo, hi = s.lo, s.hi
         return lambda x: _clip(x, lo, hi)
@@ -303,10 +305,8 @@ def _projector(s: Set):
                 out = x.copy()
                 out[far] = center + (radius / nr[far])[:, None] * r[far]
                 return out
-            nr = math.sqrt(float(r @ r))
-            if nr <= radius:
-                return x
-            return center + (radius / nr) * r
+            nr = math.sqrt(float(r.dot(r)))
+            return x if nr <= radius else center + (radius / nr) * r
         return _ball
     normals, offsets = s.normals, s.offsets
     if normals.shape[0] == 0:
@@ -323,10 +323,8 @@ def _projector(s: Set):
             if x.ndim > 1:
                 v = (n1 @ x[:, :, None]) - b1
                 return x - np.where(v <= 0.0, still, v) * n1
-            v = float(n1 @ x) - b1
-            if v <= 0.0:
-                return x
-            return x - v * n1
+            v = float(n1.dot(x)) - b1
+            return x if v <= 0.0 else x - v * n1
         return _face
 
     geo = {}  # _project_polytope's geometry per active-set history
@@ -348,7 +346,7 @@ def _projector(s: Set):
                 out[rows] = _project_rows(x[rows], normals, offsets,
                                           resid[rows], geo)
             return out
-        resid = normals @ x - offsets
+        resid = normals.dot(x) - offsets
         if np.maximum.reduce(resid) <= PROJ_TOL:
             return x
         if not np.isfinite(x).all():
@@ -385,9 +383,7 @@ def set_distance(s: Set, x):
     """Distance to s of one point (a float) or of each row of a stack."""
     x = np.asarray(x, dtype=float)
     r = x - project_set(s, x)
-    if x.ndim > 1:
-        return _row_norms(r)
-    return float(np.linalg.norm(r))
+    return _row_norms(r) if x.ndim > 1 else float(np.linalg.norm(r))
 
 
 def shrink(s: Set, margin: float) -> Set:
@@ -559,7 +555,7 @@ def eval_fn(phi: ConvexFunction, x, feas_tol: float = 1e-9):
 
 def _prox_quadratic(phi: ConvexFunction, eps: float):
     # J_eps(x) minimizes z'Kz/2 - y'z over the domain, K = I/eps + A and
-    # y = x/eps - q; (M @ v[..., None])[..., 0] serves a point and a stack
+    # y = x/eps - q; mul(M, v) = (M @ v[..., None])[..., 0] serves a stack
     s, d, q = phi.domain, phi.dim, phi.q
     k = np.eye(d) / eps + phi.A
     mul = lambda m, v: (m @ v[..., None])[..., 0]
@@ -593,13 +589,17 @@ def _prox_quadratic(phi: ConvexFunction, eps: float):
     # polytope or box: with K = L L' and w = L'z, the Euclidean projection of
     # L^-1 y onto {w : N L^-T w <= o}; a box is [I; -I] z <= [hi; -lo]
     linv = np.linalg.inv(np.linalg.cholesky(k))
+    lt = linv.T  # one view: a contiguous copy may take another BLAS kernel
     if s.kind == "box":
         normals = np.vstack((np.eye(d), -np.eye(d)))
         offsets = np.concatenate((s.hi, -s.lo))
     else:
         normals, offsets = s.normals, s.offsets
-    proj = _projector(halfspace_intersection(normals @ linv.T, offsets, dim=d))
-    return lambda x: mul(linv.T, proj(mul(linv, x / eps - q)))
+    proj = _projector(halfspace_intersection(normals @ lt, offsets, dim=d))
+    if d == 1:  # .dot keeps a -0.0 product that @ (0 + a b) makes +0.0
+        return lambda x: mul(lt, proj(mul(linv, x / eps - q)))
+    return lambda x: lt.dot(proj(linv.dot(x / eps - q))) if x.ndim == 1 \
+        else mul(lt, proj(mul(linv, x / eps - q)))
 
 
 def make_resolvent(phi: ConvexFunction, eps: float):

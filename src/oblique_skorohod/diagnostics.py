@@ -36,14 +36,18 @@ def default_windows(horizon: float) -> list[tuple[float, float]]:
     return [(0.0, horizon), (0.0, 0.5 * horizon), (0.5 * horizon, horizon)]
 
 
-def _feasible_points(phi: ConvexFunction, test_points) -> list:
-    """The test points as flat arrays; raises ValueError unless each lies
-    in the domain (within 1e-7)."""
+def _feasible_points(phi: ConvexFunction, points,
+                     what: str = "test point") -> list:
+    """The points as flat arrays; raises ValueError unless each is as
+    wide as the domain and lies in it (within 1e-7)."""
     pts = []
-    for p in test_points:
+    for p in points:
         p = np.asarray(p, dtype=float).ravel()
+        if p.size != phi.dim:
+            raise ValueError(f"{what} {p} has dimension {p.size}, the "
+                             f"domain {phi.dim}")
         if not contains(phi.domain, p, tol=1e-7):
-            raise ValueError(f"test point {p} is outside the domain")
+            raise ValueError(f"{what} {p} is outside the domain")
         pts.append(p)
     return pts
 

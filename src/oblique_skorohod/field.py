@@ -125,22 +125,25 @@ def make_field_eval(hf: ObliqueField):
                 out[:, i, i] = base + _clip(raw, lo, span)
                 return out
             out = np.zeros((d, d))
-            out.ravel()[::d + 1] = base + _clip(slopes @ x + offsets, lo, span)
+            out.ravel()[::d + 1] = base + _clip(slopes.dot(x) + offsets, lo,
+                                                span)
             return out
         return _diag
     m0, m1, wd, wo = hf.m0, hf.m1, hf.w_direction, hf.w_offset
+    blend = lambda w: (1.0 - w) * m0 + w * m1
+    clamped = blend(0.0), blend(1.0)
 
     def _blend(x):
         # the smoothstep of the weight argument clipped to [0, 1]; a point
-        # takes the clamps as branches, which cost less than min and max
+        # takes the clamps as branches, which cost less than min and max,
+        # and their values from clamped
         if x.ndim > 1:
             t = np.clip((wd @ x[:, :, None])[:, :, None] + wo, 0.0, 1.0)
-            w = t * t * (3.0 - 2.0 * t)
-        else:
-            s = float(wd @ x) + wo
-            w = 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else \
-                s * s * (3.0 - 2.0 * s)
-        return (1.0 - w) * m0 + w * m1
+            return blend(t * t * (3.0 - 2.0 * t))
+        s = float(wd.dot(x)) + wo
+        if s <= 0.0 or s >= 1.0:
+            return clamped[s >= 1.0]
+        return blend(s * s * (3.0 - 2.0 * s))
     return _blend
 
 

@@ -174,9 +174,11 @@ def build_Mn(f: DriftSpec, g: DiffusionSpec, x_hist: SampledPath,
     """The delayed-window input path M on the grid of bpath.
 
     x_hist supplies the delayed states X(t - 1/n) (frozen extension before
-    its start); phi supplies the domain projection.  Raises GridMismatch
-    when 1/n is not a grid multiple.
+    its start); phi supplies the domain projection.  Raises ValueError
+    unless phi, f, g and x_hist share one dim (the drivers' check), and
+    GridMismatch when 1/n is not a grid multiple.
     """
+    _flat_state(x_hist.values[0], phi=phi, f=f, g=g)
     dt = bpath.dt
     cells = bpath.n_cells
     if x_hist.n_cells != cells or abs(x_hist.dt - dt) > 1e-15:
@@ -225,10 +227,12 @@ def _svi_mesh(p: SviProblem):
 def _setup(p: SviProblem):
     """(x0 as a flat array, horizon cells, window cells, the paths' config,
     substeps per cell) of a problem.  Raises ValueError on what fails every
-    path of it alike: a dimension mismatch, a test point outside the
-    domain, a horizon or width off the grid (GridMismatch)."""
-    x0 = _flat_state(p.x0, p.phi, p.hf, p.f, p.g, "g")
+    path of it alike: a dimension mismatch, a test point or u0 of another
+    width or outside the domain, a horizon or width off the grid
+    (GridMismatch)."""
+    x0 = _flat_state(p.x0, phi=p.phi, H=p.hf, f=p.f, g=p.g)
     _feasible_points(p.phi, p.test_points)
+    _feasible_points(p.phi, () if p.u0 is None else [p.u0], "u0")
     return (x0,) + _svi_mesh(p)
 
 

@@ -21,26 +21,28 @@ eps-average of m.
 
 One kernel, `_sweep`, performs the substeps for both this module and the
 stochastic solver in `sde`; the callers differ only in the input rate they
-supply (m' plus the delayed drift here, the window input M there).  Both
-delayed inputs read the state one delay width back, so the kernel has them
-computed one block at a time, each block with one stacked projection.
-Per substep runs only the work whose result depends on the state (the
-prox, g, H(x) g, the update, the guard test, storing x and g), and not
-even that inside the domain: where g is exactly 0 at the start of a cell,
-the state only integrates its input until it leaves the interior, so the
-kernel takes that stretch as one running sum with one stacked prox.  The
-delay eps is lag whole grid cells (paths.grid_cells), so substep q of
-n_sub per cell reads input cell q // n_sub - lag; those cells are computed
-once per level, in integers, the drift gets its rates once per filled
-block, and k and the largest gradient norm come from the stored g after
-the sweep, with the same sequential sums as a per-substep k += h g.
+supply (m' plus the delayed drift here, the window input M there).  A
+constant drift reads no state and is part of the rate, b0 + m'.  A drift
+that reads the state and the window input read it one delay width back,
+so the kernel has them computed one block at a time (fill), each block
+with one stacked projection.  Per substep runs only the work whose result
+depends on the state (the prox, g, H(x) g, the update, the guard test,
+storing x and g), and not even that inside the domain: where g is exactly
+0 at the start of a cell, the state only integrates its input until it
+leaves the interior, so the kernel takes that stretch as one running sum
+with one stacked prox.  The delay eps is lag whole grid cells
+(paths.grid_cells), so substep q of n_sub per cell reads input cell
+q // n_sub - lag: the cell's input row is taken once per cell, those
+cells are computed once per level, in integers, a state-reading drift
+gets its rates once per filled block, and k and the largest gradient norm
+come from the stored g after the sweep, with the same sequential sums as
+a per-substep k += h g.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -149,11 +151,13 @@ def system_id(phi: ConvexFunction, hf: ObliqueField) -> str:
     return h.hexdigest()[:16]
 
 
-def _flat_state(x0, phi, hf, f, source, name: str) -> np.ndarray:
-    """x0 flat; ValueError unless it, phi, H, f and m or g share one dim."""
+def _flat_state(x0, **parts) -> np.ndarray:
+    """x0 flat; ValueError unless it and the named parts (phi, H, f, m or
+    g) share one dim."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    if {phi.dim, hf.dim, f.dim, source.dim} != {x0.size}:
-        raise ValueError(f"dimension mismatch between phi, H, f, {name}, x0")
+    if {p.dim for p in parts.values()} != {x0.size}:
+        raise ValueError(
+            f"dimension mismatch between {', '.join(parts)}, x0")
     return x0
 
 
@@ -201,12 +205,16 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
 
     The work is split by what it depends on.  Once per call, before the
     loop: the delayed cell of every substep, in integers.  Once per filled
-    block: fill, and with a drift the block's rates[cell] added into
-    drift[q] in place.  Per substep, only what reads the state: the prox,
-    g, H(x) g, the state update, the guard test and storing x and g.  After
-    the sweep, in slices of time: the largest g.g (np.fmax, so a NaN norm
-    is skipped), then kq scaled by h and summed along time with
-    np.add.accumulate, the same sequential sums as k = k + h g.
+    block: fill, which runs only for an input that reads the state (a
+    state-reading drift or the window input; a constant drift comes as part
+    of rates), and with a drift the block's rates[cell] added into drift[q]
+    in place.  Once per cell: its input row rates[j - lag] (taken again
+    after a row leaves a chunk).  Per substep, only what reads the state:
+    the prox, g, H(x) g (ndarray.dot for a point with d > 1, the bits of @
+    at a lower call cost), the state update, the guard test and storing x
+    and g.  After the sweep, in slices of time: the largest g.g (np.fmax,
+    so a NaN norm is skipped), then kq scaled by h and summed along time
+    with np.add.accumulate, the same sequential sums as k = k + h g.
 
     Interior stretches skip the per-substep work where it cannot change
     anything.  At the start of each cell, when g is exactly 0 (every row's,
@@ -238,14 +246,10 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     n_steps = xq.shape[0] - 1
     n_cells = n_steps // n_sub
     # substep q >= first reads rates[q // n_sub - lag], that is
-    # rates[cells[q - first]], through inputs[at[q - first]]
+    # rates[cells[q - first]], or drift[q] with a drift
     lag = grid_cells(eps, dt, f"eps = {eps}")
     first = min(lag * n_sub, n_steps)
     cells = np.arange(n_steps - first) // n_sub
-    if drift is None:
-        inputs, at = rates, cells
-    else:
-        inputs, at = drift[first:], range(n_steps - first)
     x = xq[0].copy()
     kq = np.zeros(xq.shape)
     breaches = {}
@@ -275,7 +279,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         mid = min(max(first, q), stop)
         s[1:mid - q + 1] = -0.0
         if mid < stop:
-            u = inputs[mid - first:stop - first] if drift is not None \
+            u = drift[mid:stop] if drift is not None \
                 else rates[cells[mid - first:stop - first]]
             s[mid - q + 1:] = h * u[:, rows]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -291,11 +295,20 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         xq[q + 1:q + taken + 1, rows] = s[1:taken + 1]
         return taken, s[taken].copy()
 
+    def cell_input(j):
+        # the rate every substep of cell j reads, taken once per cell (and
+        # again after a row leaves); None before the delay or with a drift
+        return None if j < lag or drift is not None else rates[j - lag, rows]
+
     if xq.ndim == 2:
-        apply = operator.matmul
+        # m.dot(v) takes the bits of m @ v at half the call cost for d > 1.
+        # For d = 1 it is m v where m @ v is 0 + m v: a -0.0 product (g =
+        # -0.0, as at x = -0.0 on a box from 0) would turn x = -0.0 into
+        # +0.0 through x - h hg, so d = 1 stays on matmul
+        apply = np.ndarray.dot if x.size > 1 else np.matmul
 
         def inside(v):
-            return float(v @ v) <= guard2
+            return v.dot(v) <= guard2
 
         def leave(q):
             raise StabilityBreach(message(x, q, where))
@@ -331,7 +344,9 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
             if drift is not None:
                 lo, hi = max(j * n_sub, first), ready * n_sub
                 drift[lo:hi] += rates[cells[lo - first:hi - first]]
-        if q == j * n_sub and prox_rows is not None and not g.any():
+        # np.count_nonzero(g): g.any() without its Python wrapper
+        if q == j * n_sub and prox_rows is not None \
+                and not np.count_nonzero(g):
             taken, x = stretch(q, min(q + span, n_steps if fill is None
                                       else ready * n_sub))
             if taken:
@@ -339,17 +354,21 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
                 g = (x - prox(x)) / eps
                 if q >= end:
                     continue
+        u = cell_input(j)
         for q in range(q, end):
             hg = apply(field_at(x), g)
             if q < first:
                 x = x - h * hg
             else:
-                x = x + h * (inputs[at[q - first], rows] - hg)
+                if drift is not None:
+                    u = drift[q, rows]
+                x = x + h * (u - hg)
             kq[q + 1, rows] = g
             if not inside(x):
                 leave(q)
                 if not x.shape[0]:
                     return kq, np.zeros(xq.shape[1]), breaches
+                u = cell_input(j)
             xq[q + 1, rows] = x
             g = (x - prox(x)) / eps
         q = end
@@ -409,12 +428,13 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     m is treated as continuously differentiable: its derivative enters the
     update as per-cell increments, so summing the updates reproduces the
     increments of m exactly.  The drift adds f(tau, P(x(tau))) at the
-    delayed time tau.  Raises ValueError on a dimension mismatch,
-    GridMismatch if cfg.eps is not a grid multiple of m.dt and
+    delayed time tau; a constant drift b0 joins the rate of m, b0 + m',
+    the sum a block fill would take.  Raises ValueError on a dimension
+    mismatch, GridMismatch if cfg.eps is not a grid multiple of m.dt and
     StabilityBreach if the state leaves the guard ball.
     """
     _require_time_zero(m)
-    x0 = _flat_state(x0, phi, hf, f, m, "m")
+    x0 = _flat_state(x0, phi=phi, H=hf, f=f, m=m)
     dt = m.dt
     eps = cfg.eps
     lag, n_sub = _substep_mesh(cfg, dt, hf.c)
@@ -422,7 +442,11 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     h = dt / n_sub
     xq = np.empty((m.n_cells * n_sub + 1, x0.size))
     xq[0] = x0
-    drift = None if f.is_zero() else np.empty((m.n_cells * n_sub, x0.size))
+    rates = np.diff(m.values, axis=0) / dt
+    if f.kind == "constant":  # it reads no state: the fill's b0 + rate
+        rates = f.b0 + rates
+    drift = None if f.kind in ("zero", "constant") else \
+        np.empty((m.n_cells * n_sub, x0.size))
 
     def fill(j, _rows):
         # the kernel reads the drift from substep lag_sub on, and substep
@@ -437,8 +461,7 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
 
     kq, max_grad, _ = _sweep(
         xq, n_sub, dt, cfg, make_resolvent(phi, eps), make_field_eval(hf),
-        np.diff(m.values, axis=0) / dt, f"eps={eps}",
-        None if drift is None else fill, drift,
+        rates, f"eps={eps}", None if drift is None else fill, drift,
         # the stretches' stacks: the benchmark tracer's face check on
         # solver.make_resolvent reads one point
         convex.make_resolvent(phi, eps))

@@ -847,3 +847,69 @@ class TestRowContract:
                 assert_array_equal(op(hf, xs),
                                    np.array([op(hf, x) for x in xs]),
                                    err_msg=hf.kind)
+
+
+def _bitwise_kinds(d: int) -> tuple[dict, list]:
+    """(resolvent catalog, fields) of width d for the point-product test:
+    every set kind (a two-face interval for d = 1), each function kind on
+    it, and each field kind, the blend's weight direction along x[0]."""
+    ones = np.ones(d)
+    faces = np.vstack((-np.eye(d), ones)) if d > 1 else [[-1.0], [1.0]]
+    sets = {"box": ok.box(np.zeros(d), ones),
+            "ball": ok.ball(np.zeros(d), 1.0),
+            "one-face": ok.halfspace_intersection([-ones], [0.0]),
+            "polytope": ok.halfspace_intersection(faces, np.eye(d + 1)[-1]
+                                                  if d > 1 else [0.0, 1.0]),
+            "whole": ok.whole_space(d)}
+    a = np.linspace(0.5, -0.25, d)
+    quad = np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d)) / d
+    phis = {}
+    for name, s in sets.items():
+        h0 = None if s.kind != "halfspace_intersection" or name == "whole" \
+            else 1.0
+        r0 = 0.05
+        phis[f"indicator-{name}"] = ok.indicator(s, r0=r0, h0=h0)
+        # q[0] = 0: at x[0] = -0.0 the prox's products meet a -0.0
+        phis[f"quadratic-{name}"] = ok.quadratic_plus_indicator(
+            quad, np.r_[0.0, a[1:]], s, r0=r0, h0=h0)
+        phis[f"affine-{name}"] = ok.lipschitz_affine_plus_indicator(
+            a, 0.1, s, r0=r0, h0=h0)
+    base = np.full(d, 1.0)
+    fields = [ok.constant_field(quad, c=2.0),
+              ok.diagonal_affine_field(base, 0.3 * quad, c=2.0, b=0.5,
+                                       offsets=np.full(d, -0.0),
+                                       span=np.full(d, 0.4)),
+              ok.rotation_blend_field(np.eye(d), np.diag(np.linspace(
+                  2.0, 0.5, d)), np.eye(d)[0], 0.0, c=2.0, b=5.1)]
+    return phis, fields
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_point_products_match_the_stack_bit_for_bit(d):
+    # a point's products are ndarray.dot, a stack's stay on @: every point
+    # closure must give the bits of its stack row, signed zeros included,
+    # on random states and on states exactly on a face, at a box corner,
+    # at the origin (+0.0 and -0.0) and at both clamps of the blend weight
+    rng = np.random.default_rng(20 + d)
+    zeros = np.zeros(d)
+    on = [zeros, -zeros, np.ones(d), np.eye(d)[0], -np.eye(d)[0],
+          np.r_[-0.0, np.ones(d - 1) / max(d - 1, 1)][:d],
+          np.r_[1.0, -np.zeros(d - 1)], np.full(d, 1.0 / d),
+          np.r_[0.5, -0.5 * np.ones(d - 1) / max(d - 1, 1)][:d]]
+    xs = np.vstack(on + list(rng.normal(0.0, 1.5, size=(40, d))))
+    phis, fields = _bitwise_kinds(d)
+    closures = [(f"{name} eps={eps}", make_resolvent(phi, eps))
+                for name, phi in phis.items() for eps in (1.0, 0.05)]
+    closures += [(hf.kind, ok.make_field_eval(hf)) for hf in fields]
+    # the clip ufunc's own rule is no product's: on a 1-column stack its
+    # broadcast loop keeps x = -0.0 at lo = +0.0, where a point gets +0.0
+    clip_rule = (d == 1) & np.signbit(xs[:, 0]) & (xs[:, 0] == 0.0)
+    bad = []
+    for name, op in closures:
+        stack = op(xs)
+        for i, x in enumerate(xs):
+            if name.startswith("indicator-box") and clip_rule[i]:
+                continue
+            if op(x.copy()).tobytes() != stack[i].tobytes():
+                bad.append((name, x))
+    assert bad == []

@@ -1,6 +1,7 @@
 """Diagnostics tests against closed-form reflected solutions."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestViResidual:
         with pytest.raises(ValueError, match="window"):
             ok.vi_residual(sol, phi, windows=[(0.0, 2.0)],
                            test_points=[np.array([1.0])])
+
+    def test_a_point_of_another_width_is_rejected(self):
+        # on box-rotation a 1-wide point was broadcast against the 2-D box
+        # and gave a residual
+        sc = ok.load_scenario(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "scenarios",
+                                           "box-rotation.json"))
+        cfg = ok.PenalizedConfig(eps=0.1)
+        sol = ok.solve_penalized(sc.phi, sc.hf, sc.f, ok.mollify(sc.m, 0.1),
+                                 sc.x0, cfg)
+        with pytest.raises(ValueError, match=r"test point \[0.5\] has "
+                                             "dimension 1, the domain 2"):
+            ok.vi_residual(sol, sc.phi, test_points=[np.array([0.5])])
 
 
 def per_path_vi_worst(phi, plan, xq, kq):

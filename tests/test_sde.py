@@ -166,6 +166,20 @@ class TestBuildMn:
         frac = float(np.mean(np.abs(vals) > 2.0 * np.sqrt(target)))
         assert abs(frac - 0.0455) < 0.02
 
+    def test_drift_of_another_width_is_rejected(self):
+        # a 1-wide drift against a 2-D state history was broadcast over both
+        # coordinates; build_Mn now makes the drivers' dimension check
+        dt = 1.0 / 64.0
+        xh = ok.SampledPath(t0=0.0, dt=dt, values=np.full((65, 2), 0.5),
+                            extension="frozen")
+        b = ok.brownian_path(ok.BrownianDriver(seed=1, dt=dt, dims=2,
+                                               horizon=1.0))
+        phi = ok.indicator(ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.2)
+        with pytest.raises(ValueError, match="dimension mismatch between "
+                                             "phi, f, g, x0"):
+            ok.build_Mn(ok.constant_drift([0.3]),
+                        ok.constant_diffusion(np.eye(2)), xh, b, 8, phi)
+
     def test_grid_mismatch(self):
         dt = 1e-3
         cells = 1000
@@ -528,6 +542,27 @@ class TestMonteCarlo:
                                              "match the 1 noise columns"):
             self.problem(noise_dims=2)
         assert "noise_dims" not in vars(self.problem(noise_dims=1))
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"test_points": (np.array([0.5]),)},
+         r"test point \[0.5\] has dimension 1, the domain 2"),
+        ({"u0": [0.5]}, r"u0 \[0.5\] has dimension 1, the domain 2"),
+        ({"u0": [5.0, 5.0]}, r"u0 \[5. 5.\] is outside the domain")])
+    def test_points_of_another_width_or_outside_fail_before_the_sweep(
+            self, monkeypatch, kw, message):
+        # on a 2-D box a 1-wide test point was broadcast by contains and
+        # nothing checked u0: each ran and reported max_vi_residual 0.0
+        swept = []
+        monkeypatch.setattr(sde, "_sweep", lambda *a: swept.append(a))
+        p = self.problem(phi=ok.indicator(ok.box([0.0, 0.0], [1.0, 1.0]),
+                                          r0=0.2),
+                         hf=ok.constant_field(np.eye(2), c=1.0),
+                         f=ok.zero_drift(2),
+                         g=ok.constant_diffusion(0.3 * np.eye(2)),
+                         x0=np.array([0.5, 0.5]), **kw)
+        with pytest.raises(ValueError, match=message):
+            ok.monte_carlo(p, 3, base_seed=9)
+        assert swept == []
 
     def test_horizon_off_the_grid_fails_before_any_noise(self, monkeypatch):
         # a horizon of 64.5 cells fails the problem once, as GridMismatch,

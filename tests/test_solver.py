@@ -107,7 +107,8 @@ class TestPenalizedLevel:
     def test_drift_is_evaluated_only_where_the_kernel_reads_it(
             self, monkeypatch):
         # f is read from substep lag n_sub on, each time at the state
-        # lag n_sub substeps back: no evaluation before time 0
+        # lag n_sub substeps back: no evaluation before time 0.  The drift
+        # reads the state (a constant one is part of the rate, unevaluated)
         times, real = [], ok.DriftSpec.eval
 
         def spy(f, t, x):
@@ -116,12 +117,32 @@ class TestPenalizedLevel:
         monkeypatch.setattr(ok.DriftSpec, "eval", spy)
         sol = ok.solve_penalized(halfline_phi(),
                                  ok.constant_field([[1.0]], c=2.0),
-                                 ok.constant_drift([-1.0]), zero_path(),
-                                 [1.0], ok.PenalizedConfig(eps=0.1))
+                                 ok.affine_drift([[-0.5]], [-1.0], fsharp=2.0),
+                                 zero_path(), [1.0],
+                                 ok.PenalizedConfig(eps=0.1))
         t = np.concatenate(times)
         n_sub = sol.diagnostics["n_substeps_per_cell"]
         assert t.size == (GRID_N - round(0.1 / DT)) * n_sub
         assert t.min() == 0.0
+
+    @pytest.mark.parametrize("path", ["scenarios/box-rotation.json",
+                                      "bench/scenarios/simplex3.json"])
+    def test_constant_drift_is_part_of_the_rate(self, path):
+        # a constant drift joins the input rate, b0 + rate; an affine one
+        # with A = 0 is filled block by block into the drift array, which
+        # adds the same b0 + rate: the levels agree bit for bit
+        sc = ok.load_scenario(os.path.join(ROOT, path))
+        d = sc.f.dim
+        affine = ok.affine_drift(np.zeros((d, d)), sc.f.b0,
+                                 fsharp=sc.f.fsharp)
+        cfg = ok.PenalizedConfig(eps=0.005)
+        m = ok.mollify(sc.m, cfg.eps)
+        sol, ref = (ok.solve_penalized(sc.phi, sc.hf, f, m, sc.x0, cfg)
+                    for f in (sc.f, affine))
+        assert sc.f.kind == "constant" and sc.f.b0.any()
+        assert sol.diagnostics["n_substeps_per_cell"] >= 2
+        assert_bits(sol.x_quad, ref.x_quad)
+        assert_bits(sol.k_quad, ref.k_quad)
 
     @pytest.mark.parametrize("ladder", [False, True])
     def test_drift_of_another_width_fails_before_the_sweep(
@@ -601,6 +622,28 @@ class TestInteriorStretches:
                       ok.make_field_eval(self.H1), np.ones((50, 1)), "test")
         assert prox.stacks == [] and prox.points == 151
 
+    def test_a_zero_product_keeps_its_sign_in_one_dimension(self):
+        # on a box from 0, x = -0.0 has prox +0.0, so g = -0.0 and, with
+        # d = 1, H(x) g is 0 + 2 (-0.0) = +0.0 (the reference's @; .dot
+        # would give -0.0): x - h hg and x + h (u - hg) with u = -0.0 keep
+        # x at -0.0.  A lone path without prox_rows takes every substep in
+        # the loop
+        phi = ok.indicator(ok.box([0.0], [1.0]), r0=0.2)
+        cfg = ok.PenalizedConfig(eps=0.02)
+        runs = []
+        for kernel in (solver._sweep, reference_sweep):
+            xq = np.empty((151, 1))
+            xq[0] = -0.0
+            kq, top, _ = kernel(xq, 3, 0.01, cfg,
+                                ok.make_resolvent(phi, cfg.eps),
+                                ok.make_field_eval(self.H1),
+                                np.full((50, 1), -0.0), "test")
+            runs.append((xq, kq, top))
+        (xq, kq, top), (rx, rk, rtop) = runs
+        assert_bits(xq, rx)
+        assert_bits(kq, rk)
+        assert np.signbit(xq).all() and top == rtop == 0.0
+
     def test_stretch_ends_at_the_boundary(self):
         # the state falls onto the boundary: the stretch ends at the first
         # state whose prox moves it, and the substep loop takes over
@@ -678,8 +721,8 @@ class TestInteriorStretches:
     def test_scenario_levels_match_the_substep_loop(self, path,
                                                      monkeypatch):
         # whole levels of solve_penalized: stretches cross cells, and on
-        # box-rotation and simplex3, whose drift is filled block by block,
-        # they end at every block's end
+        # box-rotation and simplex3 their constant drift is part of the
+        # rate, so no block end cuts them
         sc = ok.load_scenario(os.path.join(ROOT, path))
         stacks = []
 
