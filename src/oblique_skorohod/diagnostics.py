@@ -39,14 +39,17 @@ def default_windows(horizon: float) -> list[tuple[float, float]]:
 def _feasible_points(phi: ConvexFunction, points,
                      what: str = "test point") -> list:
     """The points as flat arrays; raises ValueError unless each is as
-    wide as the domain and lies in it (within 1e-7)."""
+    wide as the domain, finite and in it within contains' 1e-9: the one
+    membership rule for declared points (x0, u0, test points)."""
     pts = []
     for p in points:
         p = np.asarray(p, dtype=float).ravel()
         if p.size != phi.dim:
             raise ValueError(f"{what} {p} has dimension {p.size}, the "
                              f"domain {phi.dim}")
-        if not contains(phi.domain, p, tol=1e-7):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{what} {p} is not finite")
+        if not contains(phi.domain, p):
             raise ValueError(f"{what} {p} is outside the domain")
         pts.append(p)
     return pts

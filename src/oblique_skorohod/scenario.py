@@ -16,9 +16,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import coeffs, convex, field as fieldmod
+from .diagnostics import _feasible_points
 from .paths import GridMismatch, SampledPath, _count, grid_cells
 from .sde import BrownianDriver, _window_cells
-from .solver import PenalizedConfig, _check_halvings, _first_eps
+from .solver import (GUARD_RADIUS, LADDER_TOL, MAX_HALVINGS, SUBSTEP_RATIO,
+                     PenalizedConfig, _check_halvings, _first_eps)
 
 
 class ScenarioError(ValueError):
@@ -37,6 +39,12 @@ class Scenario:
     phi: convex.ConvexFunction
     hf: fieldmod.ObliqueField
     f: coeffs.DriftSpec
+    # the scheme options, the solver's defaults where none is declared
+    tol: float
+    eps0: float | None
+    max_halvings: int
+    substep_ratio: int
+    guard_radius: float
     m: SampledPath | None = None
     g: coeffs.DiffusionSpec | None = None
     seed: int = 0
@@ -44,11 +52,6 @@ class Scenario:
     n_window: int = 1
     u0: np.ndarray | None = None
     test_points: list = dc_field(default_factory=list)
-    tol: float = 1e-3
-    eps0: float | None = None
-    max_halvings: int = 10
-    substep_ratio: int = 10
-    guard_radius: float = 1e6
     snapped: dict = dc_field(default_factory=dict)
 
 
@@ -225,25 +228,17 @@ def _build_m(raw: dict, dt: float, n_cells: int, dim: int,
     return SampledPath(t0=0.0, dt=dt, values=vals, extension="zero")
 
 
-def _test_points(raw, dim: int, domain: convex.Set) -> list:
-    points = [np.asarray(p, dtype=float).ravel() for p in raw or []]
-    for idx, pt in enumerate(points):
-        if pt.size != dim or not convex.contains(domain, pt, tol=1e-9):
-            raise ScenarioError(f"test point {idx} is outside the domain")
-    return points
-
-
 def _tolerances(tols: dict, dt: float) -> tuple:
     """(tol, eps0, max_halvings, substep_ratio, guard_radius); the scheme
     keys pass PenalizedConfig's own checks and max_halvings the ladder's,
     as every solve applies them."""
     eps0 = tols.get("eps0")
     scheme = PenalizedConfig(
-        eps=dt, substep_ratio=tols.get("substep_ratio", 10),
-        guard_radius=float(tols.get("guard_radius", 1e6)))
-    return (float(tols.get("tol", 1e-3)),
+        eps=dt, substep_ratio=tols.get("substep_ratio", SUBSTEP_RATIO),
+        guard_radius=float(tols.get("guard_radius", GUARD_RADIUS)))
+    return (float(tols.get("tol", LADDER_TOL)),
             None if eps0 is None else float(eps0),
-            _check_halvings(tols.get("max_halvings", 10)),
+            _check_halvings(tols.get("max_halvings", MAX_HALVINGS)),
             scheme.substep_ratio, scheme.guard_radius)
 
 
@@ -291,11 +286,7 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
                   horizon)
     _check_dim("drift", f.dim, dim)
 
-    x0 = np.asarray(_need(raw, "x0"), dtype=float).ravel()
-    if x0.size != dim:
-        raise ScenarioError("x0 dimension mismatch")
-    if convex.set_distance(phi.domain, x0) > 1e-9:
-        raise ScenarioError("x0 must lie in the constraint domain")
+    x0, = _declared("x0", _feasible_points, phi, [_need(raw, "x0")], "x0")
 
     tols = raw.get("tolerances", {})
     tol, eps0, max_halvings, substep_ratio, guard_radius = _declared(
@@ -343,14 +334,9 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
             raise ScenarioError("g noise columns must match brownian dims")
 
     if raw.get("u0") is not None:
-        u0 = np.asarray(raw["u0"], dtype=float).ravel()
-        if u0.size != dim:
-            raise ScenarioError("u0 dimension mismatch")
-        if not convex.contains(phi.domain, u0, tol=1e-9):
-            raise ScenarioError("u0 must lie in the constraint domain")
-        sc.u0 = u0
-    sc.test_points = _declared("test_points", _test_points,
-                               raw.get("test_points"), dim, phi.domain)
+        sc.u0, = _declared("u0", _feasible_points, phi, [raw["u0"]], "u0")
+    sc.test_points = _declared("test_points", _feasible_points, phi,
+                               raw.get("test_points") or [])
     return sc
 
 
@@ -397,7 +383,11 @@ def validation_report(sc: Scenario) -> dict:
     add("h0_bound", h0_probe["passed"],
         f"declared {h0_probe['declared_h0']:.6g}, observed "
         f"{h0_probe['observed_max']:.6g}")
-    add("x0_in_domain", convex.set_distance(sc.phi.domain, sc.x0) <= 1e-9)
+    try:
+        _feasible_points(sc.phi, [sc.x0], "x0")
+        add("x0_in_domain", True)
+    except ValueError as exc:
+        add("x0_in_domain", False, str(exc))
 
     probes = convex.sample_points(sc.phi.domain, 200, rng)
     rep = fieldmod.validate_field(sc.hf, probes)

@@ -266,21 +266,23 @@ def _solve_paths(problem: SviProblem, seeds,
     mvals, rates, fill = _window_input(p.f, p.g, p.phi, xq[::n_sub], db,
                                        p.dt, win)
     where = [f"seed={seed}, n={p.n}" for seed in seeds]
+    # stacks through convex.make_resolvent: the benchmark tracer's face
+    # check on sde.make_resolvent reads one point
+    prox_rows = convex.make_resolvent(p.phi, cfg.eps)
     if len(seeds) == 1:
         # the row views take the point operations of solve_penalized, which
         # run about twice as fast as a one-row stack
         try:
             kq, max_grad, breaches = _sweep(
                 xq[:, 0], n_sub, p.dt, cfg, make_resolvent(p.phi, cfg.eps),
-                make_field_eval(p.hf), rates[:, 0], where[0], fill)
+                prox_rows, make_field_eval(p.hf), rates[:, 0], where[0],
+                fill)
             kq, max_grad = kq[:, None], [max_grad]
         except StabilityBreach as exc:
             kq, max_grad, breaches = None, None, {0: exc}
     else:
-        # convex.make_resolvent: the benchmark tracer's face check on the
-        # resolvent (sde.make_resolvent) reads one point
         kq, max_grad, breaches = _sweep(
-            xq, n_sub, p.dt, cfg, convex.make_resolvent(p.phi, cfg.eps),
+            xq, n_sub, p.dt, cfg, prox_rows, prox_rows,
             make_field_eval(p.hf), rates, where, fill)
     take = np.copy if len(seeds) > 1 else (lambda a: a)
     sid = system_id(p.phi, p.hf)

@@ -24,19 +24,19 @@ stochastic solver in `sde`; the callers differ only in the input rate they
 supply (m' plus the delayed drift here, the window input M there).  A
 constant drift reads no state and is part of the rate, b0 + m'.  A drift
 that reads the state and the window input read it one delay width back,
-so the kernel has them computed one block at a time (fill), each block
-with one stacked projection.  Per substep runs only the work whose result
-depends on the state (the prox, g, H(x) g, the update, the guard test,
+so the kernel has them added into the rates one block at a time (fill),
+each block with one stacked projection; such a drift changes every
+substep, so its level runs on the substep grid.  Per substep runs only
+the work whose result depends on the state (the prox, g, H(x) g, the update, the guard test,
 storing x and g), and not even that inside the domain: where g is exactly
 0 at the start of a cell, the state only integrates its input until it
 leaves the interior, so the kernel takes that stretch as one running sum
 with one stacked prox.  The delay eps is lag whole grid cells
 (paths.grid_cells), so substep q of n_sub per cell reads input cell
 q // n_sub - lag: the cell's input row is taken once per cell, those
-cells are computed once per level, in integers, a state-reading drift
-gets its rates once per filled block, and k and the largest gradient norm
-come from the stored g after the sweep, with the same sequential sums as
-a per-substep k += h g.
+cells are computed once per level, in integers, and k and the largest
+gradient norm come from the stored g after the sweep, with the same
+sequential sums as a per-substep k += h g.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ from .convex import ConvexFunction, make_resolvent, set_distance
 from .field import ObliqueField, make_field_eval
 from .paths import (GridMismatch, SampledPath, _count, _variations,
                     grid_cells, mollify, snapped_width, total_variation)
+
+
+# The scheme's defaults, read by every caller that offers them
+SUBSTEP_RATIO = 10
+GUARD_RADIUS = 1e6
+LADDER_TOL = 1e-3
+MAX_HALVINGS = 10
 
 
 class StabilityBreach(RuntimeError):
@@ -78,8 +85,8 @@ class PenalizedConfig:
     """
 
     eps: float
-    substep_ratio: int = 10
-    guard_radius: float = 1e6
+    substep_ratio: int = SUBSTEP_RATIO
+    guard_radius: float = GUARD_RADIUS
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -185,8 +192,8 @@ def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
 _SLICE_ROWS = 4096
 
 
-def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
-           drift=None, prox_rows=None):
+def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
+           fill=None):
     """The explicit substep kernel shared by the deterministic and the
     stochastic solvers, for one path or a chunk of paths; returns (kq,
     largest regularized-gradient norm, breaches).
@@ -196,9 +203,9 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     xq[0] holds x0; xq receives the state and kq the reflection at every
     substep h = dt / n_sub.  The delay eps is lag = eps / dt whole grid
     cells (paths.grid_cells; GridMismatch otherwise).  At substep q the
-    delayed input rate is rates[q // n_sub - lag] plus drift[q] when given;
-    before substep lag n_sub (time eps) only the field term acts.  The delayed
-    inputs are filled causally, one block at a time: before cell j, when
+    delayed input rate is rates[q // n_sub - lag]; before substep lag n_sub
+    (time eps) only the field term acts.  An input that reads the state is
+    filled causally into rates, one block at a time: before cell j, when
     the blocks filled so far end at cell j, fill(j, rows) computes the next
     block of the given rows from the states through substep j n_sub and
     returns the cell where it ends.
@@ -207,8 +214,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     loop: the delayed cell of every substep, in integers.  Once per filled
     block: fill, which runs only for an input that reads the state (a
     state-reading drift or the window input; a constant drift comes as part
-    of rates), and with a drift the block's rates[cell] added into drift[q]
-    in place.  Once per cell: its input row rates[j - lag] (taken again
+    of rates).  Once per cell: its input row rates[j - lag] (taken again
     after a row leaves a chunk).  Per substep, only what reads the state:
     the prox, g, H(x) g (ndarray.dot for a point with d > 1, the bits of @
     at a lower call cost), the state update, the guard test and storing x
@@ -223,13 +229,12 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     interior.  So the kernel takes the substeps up to the end of the
     filled inputs in passes of whole cells, a few thousand state rows
     each: one np.add.accumulate of the increments (the loop's own order of
-    sums), one stacked guard test and one stacked prox_rows call, which
-    serves stacks of states (a chunk's prox does).
+    sums), one stacked guard test and one call of prox_rows, the resolvent
+    of stacks of states (a chunk's prox is one).
     The stretch ends after the first state that prox moves (prox(x) == x
     implies g == 0) or before the first state outside the guard ball,
     which the loop then takes, raising or recording its breach as ever.
-    Its g rows stay at kq's +0.0.  A lone path given no prox_rows (a lone
-    stochastic path) takes every substep in the loop.
+    Its g rows stay at kq's +0.0.
 
     The state leaving the guard ball (a NaN state included) is a
     StabilityBreach naming `where`.  One path raises it and gets a float
@@ -246,7 +251,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
     n_steps = xq.shape[0] - 1
     n_cells = n_steps // n_sub
     # substep q >= first reads rates[q // n_sub - lag], that is
-    # rates[cells[q - first]], or drift[q] with a drift
+    # rates[cells[q - first]]
     lag = grid_cells(eps, dt, f"eps = {eps}")
     first = min(lag * n_sub, n_steps)
     cells = np.arange(n_steps - first) // n_sub
@@ -279,8 +284,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         mid = min(max(first, q), stop)
         s[1:mid - q + 1] = -0.0
         if mid < stop:
-            u = drift[mid:stop] if drift is not None \
-                else rates[cells[mid - first:stop - first]]
+            u = rates[cells[mid - first:stop - first]]
             s[mid - q + 1:] = h * u[:, rows]
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.accumulate(s, axis=0, out=s)
@@ -297,8 +301,8 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
 
     def cell_input(j):
         # the rate every substep of cell j reads, taken once per cell (and
-        # again after a row leaves); None before the delay or with a drift
-        return None if j < lag or drift is not None else rates[j - lag, rows]
+        # again after a row leaves); None before the delay
+        return None if j < lag else rates[j - lag, rows]
 
     if xq.ndim == 2:
         # m.dot(v) takes the bits of m @ v at half the call cost for d > 1.
@@ -313,8 +317,6 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
         def leave(q):
             raise StabilityBreach(message(x, q, where))
     else:
-        prox_rows = prox
-
         def apply(m, v):
             return (m @ v[:, :, None])[:, :, 0]
 
@@ -341,12 +343,8 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
             continue  # an interior stretch took this cell
         if j == ready and fill is not None:
             ready = fill(j, rows)
-            if drift is not None:
-                lo, hi = max(j * n_sub, first), ready * n_sub
-                drift[lo:hi] += rates[cells[lo - first:hi - first]]
         # np.count_nonzero(g): g.any() without its Python wrapper
-        if q == j * n_sub and prox_rows is not None \
-                and not np.count_nonzero(g):
+        if q == j * n_sub and not np.count_nonzero(g):
             taken, x = stretch(q, min(q + span, n_steps if fill is None
                                       else ready * n_sub))
             if taken:
@@ -360,8 +358,6 @@ def _sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where, fill=None,
             if q < first:
                 x = x - h * hg
             else:
-                if drift is not None:
-                    u = drift[q, rows]
                 x = x + h * (u - hg)
             kq[q + 1, rows] = g
             if not inside(x):
@@ -428,9 +424,9 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     m is treated as continuously differentiable: its derivative enters the
     update as per-cell increments, so summing the updates reproduces the
     increments of m exactly.  The drift adds f(tau, P(x(tau))) at the
-    delayed time tau; a constant drift b0 joins the rate of m, b0 + m',
-    the sum a block fill would take.  Raises ValueError on a dimension
-    mismatch, GridMismatch if cfg.eps is not a grid multiple of m.dt and
+    delayed time tau into the rate of m: a constant b0 once, b0 + m', one
+    that reads the state per substep, on the substep grid.  Raises
+    ValueError on a dimension mismatch, GridMismatch if cfg.eps is not a grid multiple of m.dt and
     StabilityBreach if the state leaves the guard ball.
     """
     _require_time_zero(m)
@@ -443,28 +439,33 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     xq = np.empty((m.n_cells * n_sub + 1, x0.size))
     xq[0] = x0
     rates = np.diff(m.values, axis=0) / dt
-    if f.kind == "constant":  # it reads no state: the fill's b0 + rate
+    # the kernel's cell and its substeps per cell
+    cell, per_cell, fill = dt, n_sub, None
+    if f.kind == "constant":  # it reads no state
         rates = f.b0 + rates
-    drift = None if f.kind in ("zero", "constant") else \
-        np.empty((m.n_cells * n_sub, x0.size))
+    elif f.kind != "zero":
+        # a drift that reads the state changes every substep: the kernel
+        # runs on the substep grid, where substep q reads rates[q - lag_sub]
+        rates = np.repeat(rates, n_sub, axis=0)
+        cell, per_cell = h, 1
 
-    def fill(j, _rows):
-        # the kernel reads the drift from substep lag_sub on, and substep
-        # q reads the state at q - lag_sub, so the states through substep
-        # j n_sub give the next lag cells (the first block none)
-        hi = min(j + lag, m.n_cells)
-        q = np.arange(max(j, lag) * n_sub, hi * n_sub)
-        if q.size:
-            xd = convex.project_set(phi.domain, xq[q - lag_sub])
-            drift[q] = f.eval(q * h - eps, xd)
-        return hi
+        def fill(j, _rows):
+            # substep q reads the state at q - lag_sub, so the states
+            # through substep j give the next lag_sub substeps' drift (the
+            # first block none)
+            hi = min(j + lag_sub, rates.shape[0])
+            q = np.arange(max(j, lag_sub), hi)
+            if q.size:
+                xd = convex.project_set(phi.domain, xq[q - lag_sub])
+                rates[q - lag_sub] += f.eval(q * h - eps, xd)
+            return hi
 
     kq, max_grad, _ = _sweep(
-        xq, n_sub, dt, cfg, make_resolvent(phi, eps), make_field_eval(hf),
-        rates, f"eps={eps}", None if drift is None else fill, drift,
+        xq, per_cell, cell, cfg, make_resolvent(phi, eps),
         # the stretches' stacks: the benchmark tracer's face check on
         # solver.make_resolvent reads one point
-        convex.make_resolvent(phi, eps))
+        convex.make_resolvent(phi, eps), make_field_eval(hf), rates,
+        f"eps={eps}", fill)
     diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": h}
     return _solution(phi, system_id(phi, hf), dt, n_sub, eps, xq, kq,
                      max_grad, diag, m)
@@ -491,10 +492,11 @@ def _node_gap(a: SampledPath, b: SampledPath) -> float:
 
 
 def solve_skorohod(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
-                   m: SampledPath, x0, tol: float = 1e-3,
-                   eps0: float | None = None, max_halvings: int = 10,
-                   substep_ratio: int = 10,
-                   guard_radius: float = 1e6) -> SkorohodSolution:
+                   m: SampledPath, x0, tol: float = LADDER_TOL,
+                   eps0: float | None = None,
+                   max_halvings: int = MAX_HALVINGS,
+                   substep_ratio: int = SUBSTEP_RATIO,
+                   guard_radius: float = GUARD_RADIUS) -> SkorohodSolution:
     """Refined solution: mollify m at width eps, solve, halve eps, repeat.
 
     Terminates when consecutive levels agree uniformly within tol at the

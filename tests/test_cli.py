@@ -240,7 +240,11 @@ class TestSolveDet:
         ("halfline-svi", {"n_delay": 8.5},
          "bad brownian declaration: n_delay must be an integer"),
         ("halfline-svi", {"brownian": {"seed": True}},
-         "bad brownian declaration: seed must be an integer")])
+         "bad brownian declaration: seed must be an integer"),
+        # this loaded, and solve-det exited 2 with "state norm nan left
+        # the guard ball"
+        ("halfline-ramp", {"x0": [float("inf")]},
+         "bad x0 declaration: x0 [inf] is not finite")])
     def test_bad_declaration_exit_1(self, tmp_path, capsys, command, name,
                                     entry, message):
         # validate rejects at load what every solve rejects, and says so

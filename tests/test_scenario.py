@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+import oblique_skorohod as ok
 from oblique_skorohod import cli
 from oblique_skorohod.scenario import (ScenarioError, build_scenario,
                                        load_scenario, validation_report)
@@ -250,16 +251,20 @@ def _edit(path, **entries):
     ([], "scenario must be a JSON object"),
     (_edit(HALFLINE, dimension=9), "dimension must be in 1..8"),
     (_edit(HALFLINE, dt=-0.001), "dt must be positive"),
-    (_edit(HALFLINE, x0=[0.0, 0.0]), "x0 dimension mismatch"),
+    (_edit(HALFLINE, x0=[0.0, 0.0]),
+     "bad x0 declaration: x0 [0. 0.] has dimension 2, the domain 1"),
     (_edit(HALFLINE, H={"kind": "spiral", "c": 2.0}), "unknown field kind"),
     (_edit(HALFLINE, m={"kind": "noise"}), "unknown input kind"),
     (_edit(HALFLINE, m={"kind": "sinusoid", "amplitude": [1.0],
                         "period": 0.0}), "sinusoid period must be positive"),
     (_edit(HALFLINE, tolerances={"eps0": -1.0}), "bad eps0"),
-    (_edit(HALFLINE, u0=[1.0, 2.0]), "u0 dimension mismatch"),
-    (_edit(HALFLINE, u0=[-1.0]), "u0 must lie in the constraint domain"),
+    (_edit(HALFLINE, u0=[1.0, 2.0]),
+     "bad u0 declaration: u0 [1. 2.] has dimension 2, the domain 1"),
+    (_edit(HALFLINE, u0=[-1.0]),
+     "bad u0 declaration: u0 [-1.] is outside the domain"),
     (_edit(HALFLINE, test_points=[[0.5], [-1.0]]),
-     "test point 1 is outside the domain"),
+     "bad test_points declaration: test point [-1.] is outside the "
+     "domain"),
     (_edit(SVI, m={"kind": "zero"}), "declare exactly one of"),
     (_edit(SVI, brownian={"seed": 1, "dt": 0.001}),
      "brownian dt must match the scenario dt"),
@@ -325,6 +330,28 @@ def _edit(path, **entries):
 def test_bad_scenarios(raw, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
         build_scenario(raw)
+
+
+@pytest.mark.parametrize("u0, outside", [(-5e-8, True), (-5e-10, False)])
+def test_a_declared_point_gets_one_verdict_at_load_and_in_the_ensemble(
+        u0, outside):
+    # the loader and monte_carlo's set-up apply one membership rule (within
+    # contains' 1e-9): the set-up's 1e-7 used to accept u0 = -5e-8, which
+    # the loader rejected
+    sc = load_scenario(SVI)
+    p = ok.SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
+                      dt=sc.dt, horizon=sc.horizon, n=sc.n_window,
+                      u0=np.array([u0]))
+    raw = _edit(SVI, u0=[u0])
+    if outside:
+        message = f"u0 {np.array([u0])} is outside the domain"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            build_scenario(raw)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ok.monte_carlo(p, 2, 42)
+    else:
+        assert build_scenario(raw).u0[0] == u0
+        assert ok.monte_carlo(p, 2, 42)["n_ok"] == 2
 
 
 @pytest.mark.parametrize("key", ["m", "test_points"])

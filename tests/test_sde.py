@@ -811,20 +811,17 @@ class TestChunks:
             == {real(p.phi, p.hf)}
 
     def test_a_failing_chunk_reruns_its_paths_alone(self, monkeypatch):
-        # a chunk whose stacked prox raises falls back to one run per seed
-        real = convex.make_resolvent
+        # a chunk whose sweep of stacked states raises falls back to one
+        # run per seed
+        real = sde._sweep
 
-        def point_only(phi, eps):
-            prox = real(phi, eps)
-
-            def checked(x):
-                if x.ndim > 1:
-                    raise RuntimeError("no stacks")
-                return prox(x)
-            return checked
+        def paths_alone(xq, *args):
+            if xq.ndim > 2:
+                raise RuntimeError("no stacked states")
+            return real(xq, *args)
 
         p, solo = _solo_runs("halfline-svi")
-        monkeypatch.setattr(convex, "make_resolvent", point_only)
+        monkeypatch.setattr(sde, "_sweep", paths_alone)
         _with_rows(monkeypatch, p, 64)
         out = ok.monte_carlo(p, 10, 42, collect_paths=True)
         assert out["failures"] == []
@@ -851,6 +848,36 @@ class TestChunks:
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             _assert_solo(sol, solo[seed])
 
+    @pytest.mark.parametrize("name", ["halfline-svi", "triangle-affine"])
+    def test_a_lone_path_takes_stretches_with_its_chunk_row_bits(
+            self, monkeypatch, name):
+        # a one-seed sweep takes interior stretches with stacked prox calls
+        # (convex.make_resolvent, the stacks' resolvent) and its point
+        # operations elsewhere; each path is its row of a chunk, bit for bit
+        make, _, base = CHUNK_CASES[name]
+        p = make()
+        seeds = list(range(base, base + 4))
+        xq, kq, _, breaches, _ = sde._solve_paths(p, seeds)
+        assert breaches == {}
+        real, stacks = convex.make_resolvent, []
+
+        def counted(phi, eps):
+            prox = real(phi, eps)
+
+            def rows(x):
+                if x.ndim > 1:
+                    stacks.append(x.shape[0])
+                return prox(x)
+            return rows
+
+        monkeypatch.setattr(convex, "make_resolvent", counted)
+        for i, seed in enumerate(seeds):
+            stacks.clear()
+            xs, ks, _, _, _ = sde._solve_paths(p, [seed])
+            assert stacks
+            for lone, row in ((xs, xq), (ks, kq)):
+                assert lone[:, 0].tobytes() == row[:, i].tobytes()
+
     def test_a_failing_chunk_of_one_is_not_rerun(self, monkeypatch):
         # a chunk of one seed is that seed's own run: its error is the
         # path's failure, and the failing sweep does not run twice
@@ -875,30 +902,26 @@ class TestChunks:
 
 
 def test_a_failing_chunk_builds_no_solutions(monkeypatch):
-    # with test points and u0: the seeds of a chunk whose stacked prox
-    # raises rerun as chunks of one, which give the certificates of the
-    # unforced run and build no solution that was not asked for
+    # with test points and u0: the seeds of a chunk whose sweep of stacked
+    # states raises rerun as chunks of one, which give the certificates of
+    # the unforced run and build no solution that was not asked for
     p = _scenario_problem()
     assert p.test_points and p.u0 is not None
     unforced = ok.monte_carlo(p, 40, 42)
-    real_prox, real_solution = convex.make_resolvent, sde._solution
+    real_sweep, real_solution = sde._sweep, sde._solution
     raised, built = [], []
 
-    def stacks_raise(phi, eps):
-        prox = real_prox(phi, eps)
-
-        def checked(x):
-            if x.ndim > 1:
-                raised.append(x.shape)
-                raise RuntimeError("no stacks")
-            return prox(x)
-        return checked
+    def stacks_raise(xq, *args):
+        if xq.ndim > 2:
+            raised.append(xq.shape)
+            raise RuntimeError("no stacked states")
+        return real_sweep(xq, *args)
 
     def counted(*args):
         built.append(args)
         return real_solution(*args)
 
-    monkeypatch.setattr(convex, "make_resolvent", stacks_raise)
+    monkeypatch.setattr(sde, "_sweep", stacks_raise)
     monkeypatch.setattr(sde, "_solution", counted)
     out = ok.monte_carlo(p, 40, 42)
     assert raised and built == []

@@ -129,8 +129,8 @@ class TestPenalizedLevel:
                                       "bench/scenarios/simplex3.json"])
     def test_constant_drift_is_part_of_the_rate(self, path):
         # a constant drift joins the input rate, b0 + rate; an affine one
-        # with A = 0 is filled block by block into the drift array, which
-        # adds the same b0 + rate: the levels agree bit for bit
+        # with A = 0 is filled block by block into the rates on the
+        # substep grid, rate + b0, the same bits: the levels agree
         sc = ok.load_scenario(os.path.join(ROOT, path))
         d = sc.f.dim
         affine = ok.affine_drift(np.zeros((d, d)), sc.f.b0,
@@ -163,13 +163,14 @@ class TestPenalizedLevel:
                                    ok.PenalizedConfig(eps=0.1))
         assert swept == []
 
-    @pytest.mark.parametrize("stacked, with_drift", [
-        (False, False), (True, False), (False, True)])
+    @pytest.mark.parametrize("substep_grid", [False, True])
     def test_eps_near_a_grid_multiple_delays_by_whole_cells(
-            self, stacked, with_drift):
+            self, substep_grid):
         # eps = 4 dt (1 + 5e-10) is 4 cells to grid_cells' relative 1e-9,
         # so substep q reads cell q // n_sub - 4 from substep 8 on; on the
-        # whole space g = 0 and every step h rates[cell] is exact in binary
+        # whole space g = 0 and every step h rates[cell] is exact in binary.
+        # On the substep grid (a state-reading drift's form, its fill
+        # adding nothing) eps is 8 substeps to the same 1e-9
         dt, n_sub, lag = 0.5, 2, 4
         cfg = ok.PenalizedConfig(eps=lag * dt * (1.0 + 5e-10))
         rates = 2.0 ** np.arange(10)[:, None]
@@ -177,12 +178,14 @@ class TestPenalizedLevel:
         xq[0] = 0.0
         prox = ok.make_resolvent(ok.indicator(ok.whole_space(1), r0=1.0),
                                  cfg.eps)
-        drift = np.zeros((20, 1)) if with_drift else None
-        solver._sweep(xq, n_sub, dt, cfg, prox,
-                      ok.make_field_eval(ok.constant_field([[1.0]], c=1.0)),
-                      rates, "test",
-                      None if drift is None else (lambda j, rows: 10), drift,
-                      prox if stacked else None)
+        field_at = ok.make_field_eval(ok.constant_field([[1.0]], c=1.0))
+        if substep_grid:
+            solver._sweep(xq, 1, dt / n_sub, cfg, prox, prox, field_at,
+                          np.repeat(rates, n_sub, axis=0), "test",
+                          lambda j, rows: 20)
+        else:
+            solver._sweep(xq, n_sub, dt, cfg, prox, prox, field_at, rates,
+                          "test")
         q = np.arange(20)
         moves = np.where(q >= lag * n_sub,
                          dt / n_sub * rates[np.maximum(q // n_sub - lag, 0),
@@ -511,11 +514,15 @@ def test_tracer_patch_points_are_the_closure_builders(monkeypatch):
         assert (mod, "make_field_eval") in built
 
 
-def reference_sweep(xq, n_sub, dt, cfg, prox, field_at, rates, where,
-                    fill=None, drift=None, prox_rows=None):
+def reference_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
+                    where, fill=None, drift=None):
     """The substep kernel of one path as a plain loop over every substep:
     one prox, one field evaluation and one update each, k summed as it
-    goes.  _sweep skips and stacks work, and must give the same bits."""
+    goes.  _sweep skips and stacks work, and must give the same bits.
+    prox_rows goes unused.  The reference keeps its own drift path, apart
+    from _sweep's one input form: given a per-substep drift array, which
+    fill fills, it adds each filled block's cell rates into drift[q], and
+    substep q reads drift[q]."""
     eps, h = cfg.eps, dt / n_sub
     guard2 = cfg.guard_radius * cfg.guard_radius
     n_steps = xq.shape[0] - 1
@@ -589,9 +596,9 @@ class TestInteriorStretches:
             xq[0] = x0
             prox = Counted(ok.make_resolvent(phi, cfg.eps))
             try:
-                kq, top, _ = kernel(xq, n_sub, dt, cfg, prox,
+                kq, top, _ = kernel(xq, n_sub, dt, cfg, prox, prox,
                                     ok.make_field_eval(self.H1), rates,
-                                    "test", prox_rows=prox)
+                                    "test")
             except ok.StabilityBreach as exc:
                 kq, top = str(exc), None
             out.append((xq, kq, top, prox))
@@ -612,34 +619,26 @@ class TestInteriorStretches:
         assert top == rtop == 0.0
         assert prox.points == 2 and prox.stacks == [150]
 
-    def test_no_stretch_without_a_stack_resolvent(self):
-        # a lone path given no prox_rows (a lone stochastic path) takes
-        # every substep in the loop, one point prox each
-        xq = np.empty((151, 1))
-        xq[0] = 0.0
-        prox = Counted(ok.make_resolvent(halfline_phi(), 0.02))
-        solver._sweep(xq, 3, 0.01, ok.PenalizedConfig(eps=0.02), prox,
-                      ok.make_field_eval(self.H1), np.ones((50, 1)), "test")
-        assert prox.stacks == [] and prox.points == 151
-
     def test_a_zero_product_keeps_its_sign_in_one_dimension(self):
         # on a box from 0, x = -0.0 has prox +0.0, so g = -0.0 and, with
         # d = 1, H(x) g is 0 + 2 (-0.0) = +0.0 (the reference's @; .dot
         # would give -0.0): x - h hg and x + h (u - hg) with u = -0.0 keep
-        # x at -0.0.  A lone path without prox_rows takes every substep in
-        # the loop
+        # x at -0.0.  g = -0.0 is exactly 0, so _sweep takes the level in
+        # stretches, which add -0.0 and store k's +0.0 for the loop's -0.0
+        # g, the same k once summed
         phi = ok.indicator(ok.box([0.0], [1.0]), r0=0.2)
         cfg = ok.PenalizedConfig(eps=0.02)
         runs = []
         for kernel in (solver._sweep, reference_sweep):
             xq = np.empty((151, 1))
             xq[0] = -0.0
-            kq, top, _ = kernel(xq, 3, 0.01, cfg,
-                                ok.make_resolvent(phi, cfg.eps),
+            prox = Counted(ok.make_resolvent(phi, cfg.eps))
+            kq, top, _ = kernel(xq, 3, 0.01, cfg, prox, prox,
                                 ok.make_field_eval(self.H1),
                                 np.full((50, 1), -0.0), "test")
-            runs.append((xq, kq, top))
-        (xq, kq, top), (rx, rk, rtop) = runs
+            runs.append((xq, kq, top, prox))
+        (xq, kq, top, prox), (rx, rk, rtop, _) = runs
+        assert prox.stacks
         assert_bits(xq, rx)
         assert_bits(kq, rk)
         assert np.signbit(xq).all() and top == rtop == 0.0
@@ -696,17 +695,17 @@ class TestInteriorStretches:
         xq[0] = [[0.0], [0.3], [0.1]]
         prox = Counted(ok.make_resolvent(halfline_phi(), cfg.eps))
         kq, tops, breaches = solver._sweep(
-            xq, n_sub, dt, cfg, prox, ok.make_field_eval(self.H1), rates,
-            ["a", "b", "c"])
+            xq, n_sub, dt, cfg, prox, prox, ok.make_field_eval(self.H1),
+            rates, ["a", "b", "c"])
         assert list(breaches) == [2]
         assert prox.stacks.count(3) < 150
         for i, label in enumerate("abc"):
             rx = np.empty((151, 1))
             rx[0] = xq[0, i]
             try:
+                rprox = ok.make_resolvent(halfline_phi(), cfg.eps)
                 rk, rtop, _ = reference_sweep(
-                    rx, n_sub, dt, cfg, ok.make_resolvent(halfline_phi(),
-                                                          cfg.eps),
+                    rx, n_sub, dt, cfg, rprox, rprox,
                     ok.make_field_eval(self.H1), rates[:, i], label)
             except ok.StabilityBreach as exc:
                 assert str(breaches[i]) == str(exc)
@@ -746,3 +745,45 @@ class TestInteriorStretches:
             assert sol.diagnostics == ref.diagnostics
         n_sub = sol.diagnostics["n_substeps_per_cell"]
         assert max(max(s, default=0) for s in stacks) > n_sub
+
+    @pytest.mark.parametrize("path, kind", [
+        ("scenarios/box-rotation.json", "affine"),
+        ("bench/scenarios/simplex3.json", "time_modulated")])
+    def test_drift_reading_levels_match_the_reference_drift_path(self, path,
+                                                                 kind):
+        # a drift that reads the state: solve_penalized runs _sweep on the
+        # substep grid, the drift filled into the rates; the reference
+        # runs on the cell grid with its own per-substep drift array
+        sc = ok.load_scenario(os.path.join(ROOT, path))
+        d = sc.dim
+        A = 0.1 * np.ones((d, d)) - 0.5 * np.eye(d)
+        f = ok.affine_drift(A, sc.f.b0, fsharp=3.0) if kind == "affine" \
+            else ok.time_modulated_drift(
+                A, sc.f.b0, ok.TimeProfile(kind="sinusoid", amplitude=1.3,
+                                           period=0.3, phase=0.2),
+                horizon=sc.horizon, fsharp=3.0)
+        for eps in (0.1, 0.005):
+            cfg = ok.PenalizedConfig(eps=eps)
+            m = ok.mollify(sc.m, eps)
+            sol = ok.solve_penalized(sc.phi, sc.hf, f, m, sc.x0, cfg)
+            lag, n_sub = solver._substep_mesh(cfg, m.dt, sc.hf.c)
+            h = m.dt / n_sub
+            xq = np.empty_like(sol.x_quad)
+            xq[0] = sc.x0
+            drift = np.empty((xq.shape[0] - 1, d))
+
+            def fill(j, _rows):
+                hi = min(j + lag, m.n_cells)
+                q = np.arange(max(j, lag) * n_sub, hi * n_sub)
+                if q.size:
+                    xd = ok.project_set(sc.phi.domain, xq[q - lag * n_sub])
+                    drift[q] = f.eval(q * h - eps, xd)
+                return hi
+            prox = ok.make_resolvent(sc.phi, eps)
+            kq, top, _ = reference_sweep(
+                xq, n_sub, m.dt, cfg, prox, prox, ok.make_field_eval(sc.hf),
+                np.diff(m.values, axis=0) / m.dt, "ref", fill, drift)
+            assert_bits(sol.x_quad, xq)
+            assert_bits(sol.k_quad, kq)
+            assert sol.diagnostics["max_gradient_norm"] == top
+        assert n_sub >= 2
