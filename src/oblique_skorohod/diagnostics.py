@@ -32,10 +32,6 @@ def _trapz(vals: np.ndarray, dt: float):
     return float(out) if vals.ndim == 1 else out
 
 
-def default_windows(horizon: float) -> list[tuple[float, float]]:
-    return [(0.0, horizon), (0.0, 0.5 * horizon), (0.5 * horizon, horizon)]
-
-
 def _feasible_points(phi: ConvexFunction, points,
                      what: str = "test point") -> list:
     """The points as flat arrays; raises ValueError unless each is as
@@ -72,9 +68,9 @@ def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
              test_points=None, u0=None) -> _ViPlan:
     """The shared part of vi_residual on the mesh tq, set up once for any
     number of paths.  Each window endpoint goes to its nearest mesh node,
-    and the window keeps its given label.  Raises on a test point outside
-    the domain, on no test paths, and on a window that, so rounded,
-    leaves the mesh or is empty."""
+    and the window is labelled by the node times it is summed over.
+    Raises on a test point outside the domain, on no test paths, and on a
+    window that, so rounded, leaves the mesh or is empty."""
     horizon = float(tq[-1])
     dtq = float(tq[1] - tq[0])
     if windows is None:
@@ -95,7 +91,7 @@ def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
         i1 = int(round((b - tq[0]) / dtq))
         if not (0 <= i0 < i1 <= tq.size - 1):
             raise ValueError(f"window ({a}, {b}) not on the solution mesh")
-        spans.append(((a, b), i0, i1, [
+        spans.append(((float(tq[i0]), float(tq[i1])), i0, i1, [
             (label, p, _trapz(phi_y[i0:i1 + 1], dtq))
             for label, p, phi_y in points]))
     return _ViPlan(dtq, spans, blends, u0)
@@ -150,8 +146,8 @@ def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,
     phi values are taken at domain-projected states; the feasibility defect
     is reported separately by the solver.  Windows are summed between the
     mesh nodes nearest their endpoints (see _vi_plan).  Returns the
-    residual, the worst window as given, the worst test path label, and
-    the tolerance scale 1e-4 * (1 + tv_k).
+    residual, the worst window as the node times it was summed over, the
+    worst test path label, and the tolerance scale 1e-4 * (1 + tv_k).
     """
     tq, xq, kq = _quad_mesh(sol)
     plan = _vi_plan(phi, tq, windows, test_points, u0)

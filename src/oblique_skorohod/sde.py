@@ -120,13 +120,14 @@ def _window_input(f: DriftSpec, g: DiffusionSpec, phi: ConvexFunction,
 
     Returns (values, rates, fill).  Node i + 1 of M reads only the delayed
     state x_hist[i - win] (x_hist[0] before time 0), so once x_hist is final
-    through node j, fill(j, rows) computes M of the given rows of the paths
-    (every row by default) through node j + win + 1 (at most the last node)
-    in one stacked step and returns that node.  Calls go j = 0, then each j
-    the previous call returned.  rates[i] is the increment rate of M over
-    cell i.  A step is one projection and one evaluation of f and of g on
-    the delayed states flattened to rows, each with its node's time, so
-    every row comes out as on its own.  The running sums are
+    through node j, fill(j) computes M of every path through node
+    j + win + 1 (at most the last node) in one stacked step and returns
+    that node.  Calls go j = 0, then each j the previous call returned.  A
+    path the sweep has dropped is filled like the others, from the last
+    state the kernel left in its x_hist rows.  rates[i] is the increment
+    rate of M over cell i.  A step is one projection and one evaluation of
+    f and of g on the delayed states flattened to rows, each with its
+    node's time, so every row comes out as on its own.  The running sums are
     np.add.accumulate along time seeded with the block's first node, which
     adds in the order of a cell-by-cell loop; only the nodes that later
     blocks read are kept.
@@ -140,10 +141,10 @@ def _window_input(f: DriftSpec, g: DiffusionSpec, phi: ConvexFunction,
     ito, drift = np.zeros((1,) + shape), np.zeros((1,) + shape)
     run = np.zeros((win + 1,) + shape)
 
-    def fill(j: int, rows=slice(None)) -> int:
+    def fill(j: int) -> int:
         hi = min(j + win + 1, cells)
         i = np.arange(j, hi)
-        xd = x_hist[np.maximum(i - win, 0)][:, rows]
+        xd = x_hist[np.maximum(i - win, 0)]
         flat = xd.reshape(-1, shape[-1])
         t = np.repeat(i * dt, flat.shape[0] // i.size)
         px = convex.project_set(phi.domain, flat)
@@ -151,19 +152,18 @@ def _window_input(f: DriftSpec, g: DiffusionSpec, phi: ConvexFunction,
         def running(sums, increments):
             # nodes j .. hi of a running sum from its node-j entry
             return np.add.accumulate(np.concatenate(
-                (sums[-1:, rows], increments.reshape(xd.shape))))
+                (sums[-1:], increments.reshape(xd.shape))))
 
-        dw = db[j:hi][:, rows].reshape(flat.shape[0], -1, 1)
+        dw = db[j:hi].reshape(flat.shape[0], -1, 1)
         ito_b = running(ito, (g.eval(t, px) @ dw)[:, :, 0])
         drift_b = running(drift, dt * f.eval(t, px))
         # run at nodes j - win .. hi
-        run_b = np.concatenate((run[:, rows], running(run, ito_b[:-1])[1:]))
+        run_b = np.concatenate((run, running(run, ito_b[:-1])[1:]))
         lo = np.maximum(i + 1 - win, 0) - (j - win)
         new = drift_b[1:] + (run_b[win + 1:] - run_b[lo]) / win
-        values[j + 1:hi + 1, rows] = new
-        rates[j:hi, rows] = (new - values[j:hi][:, rows]) / dt
-        ito[:, rows], drift[:, rows] = ito_b[-1:], drift_b[-1:]
-        run[:, rows] = run_b[-win - 1:]
+        values[j + 1:hi + 1] = new
+        rates[j:hi] = (new - values[j:hi]) / dt
+        ito[:], drift[:], run[:] = ito_b[-1:], drift_b[-1:], run_b[-win - 1:]
         return hi
 
     return values, rates, fill
@@ -215,25 +215,19 @@ class SviProblem:
                              f"the {self.g.noise_dim} noise columns of g")
 
 
-def _svi_mesh(p: SviProblem):
-    """(horizon in grid cells, window in grid cells, the paths' config,
-    substeps per cell); the smoothing width defaults to the window 1/n."""
-    cells = grid_cells(p.horizon, p.dt, f"horizon {p.horizon}")
-    win = _window_cells(p.n, p.dt)
-    cfg = PenalizedConfig(eps=win * p.dt) if p.cfg is None else p.cfg
-    return cells, win, cfg, _substep_mesh(cfg, p.dt, p.hf.c)[1]
-
-
 def _setup(p: SviProblem):
     """(x0 as a flat array, horizon cells, window cells, the paths' config,
-    substeps per cell) of a problem.  Raises ValueError on what fails every
-    path of it alike: a dimension mismatch, a test point or u0 of another
-    width or outside the domain, a horizon or width off the grid
-    (GridMismatch)."""
+    substeps per cell) of a problem, the smoothing width defaulting to the
+    window 1/n.  Raises ValueError on what fails every path of it alike: a
+    dimension mismatch, a test point or u0 of another width or outside the
+    domain, a horizon or width off the grid (GridMismatch)."""
     x0 = _flat_state(p.x0, phi=p.phi, H=p.hf, f=p.f, g=p.g)
     _feasible_points(p.phi, p.test_points)
     _feasible_points(p.phi, () if p.u0 is None else [p.u0], "u0")
-    return (x0,) + _svi_mesh(p)
+    cells = grid_cells(p.horizon, p.dt, f"horizon {p.horizon}")
+    win = _window_cells(p.n, p.dt)
+    cfg = PenalizedConfig(eps=win * p.dt) if p.cfg is None else p.cfg
+    return x0, cells, win, cfg, _substep_mesh(cfg, p.dt, p.hf.c)[1]
 
 
 def _solve_paths(problem: SviProblem, seeds,
@@ -242,9 +236,11 @@ def _solve_paths(problem: SviProblem, seeds,
     kernel: (xq, kq, n_sub, breaches, solution).  xq and kq hold the
     states and reflections of every path on the substep mesh, time first
     (Q + 1, B, d); breaches maps the row of a path that left the guard
-    ball to its StabilityBreach (those rows of xq and kq are incomplete);
-    solution(i) builds row i's solution or raises its breach.  Any other
-    exception, a bad problem or a failing sweep, propagates.
+    ball to its StabilityBreach (among several paths a breached row's xq
+    keeps its last state and its kq its last reflection; a lone path that
+    breaches gets kq None); solution(i) builds row i's solution or raises
+    its breach.  Any other exception, a bad problem or a failing sweep,
+    propagates.
 
     A path is driven by its seed's Brownian path, or by bpath when given
     (for one seed, which then only labels the path).  The paths sweep as
@@ -335,7 +331,7 @@ _CHUNK_BYTES = 768 * 1024
 def _row_bytes(problem: SviProblem) -> int:
     """Bytes a path holds in a chunk: its Brownian increments, its state
     and reflection on the substep mesh, and the values and rates of M."""
-    cells, _, _, n_sub = _svi_mesh(problem)
+    _, cells, _, _, n_sub = _setup(problem)
     return 8 * (cells * problem.g.noise_dim + problem.hf.dim
                 * (2 * (cells * n_sub + 1) + 2 * cells + 1))
 

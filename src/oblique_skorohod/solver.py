@@ -20,23 +20,25 @@ uniformly within tol; the mollified input for each level is the trailing
 eps-average of m.
 
 One kernel, `_sweep`, performs the substeps for both this module and the
-stochastic solver in `sde`; the callers differ only in the input rate they
-supply (m' plus the delayed drift here, the window input M there).  A
-constant drift reads no state and is part of the rate, b0 + m'.  A drift
-that reads the state and the window input read it one delay width back,
-so the kernel has them added into the rates one block at a time (fill),
-each block with one stacked projection; such a drift changes every
-substep, so its level runs on the substep grid.  Per substep runs only
-the work whose result depends on the state (the prox, g, H(x) g, the update, the guard test,
-storing x and g), and not even that inside the domain: where g is exactly
-0 at the start of a cell, the state only integrates its input until it
-leaves the interior, so the kernel takes that stretch as one running sum
-with one stacked prox.  The delay eps is lag whole grid cells
-(paths.grid_cells), so substep q of n_sub per cell reads input cell
-q // n_sub - lag: the cell's input row is taken once per cell, those
-cells are computed once per level, in integers, and k and the largest
-gradient norm come from the stored g after the sweep, with the same
-sequential sums as a per-substep k += h g.
+stochastic solver in `sde`; the callers differ only in the input rate
+they supply (m' plus the delayed drift here, the window input M there).
+A constant drift reads no state and is part of the rate, b0 + m'.  A
+drift that reads the state and the window input read it one delay width
+back, so the kernel has them added into the rates one block at a time
+(fill(j), every row of a chunk alike), each block with one stacked
+projection; such a drift changes every substep, so its level runs on the
+substep grid.  Per substep runs only the work whose result depends on
+the state (the prox, g, H(x) g, the update, the guard test, storing x
+and g), and not even that inside the domain: where g is exactly 0 at the
+start of a cell, the state only integrates its input until it leaves the
+interior, so the kernel takes that stretch as one running sum with one
+stacked prox.  The delay eps is lag whole grid cells (paths.grid_cells),
+so substep q of n_sub per cell reads input cell q // n_sub - lag, and
+the rate -0.0 before the delay (the zero extension, with the bits of the
+field term alone): the cell's input row is taken once per cell, and k
+and the largest gradient norm come from the stored g after the sweep,
+with the same sequential sums as a per-substep k += h g.  A chunk row
+that leaves the guard ball keeps its last state in xq from there on.
 """
 
 from __future__ import annotations
@@ -203,24 +205,25 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     xq[0] holds x0; xq receives the state and kq the reflection at every
     substep h = dt / n_sub.  The delay eps is lag = eps / dt whole grid
     cells (paths.grid_cells; GridMismatch otherwise).  At substep q the
-    delayed input rate is rates[q // n_sub - lag]; before substep lag n_sub
-    (time eps) only the field term acts.  An input that reads the state is
-    filled causally into rates, one block at a time: before cell j, when
-    the blocks filled so far end at cell j, fill(j, rows) computes the next
-    block of the given rows from the states through substep j n_sub and
-    returns the cell where it ends.
+    delayed input rate is rates[q // n_sub - lag], and -0.0 before substep
+    lag n_sub (time eps), the inputs' zero extension: x + h (-0.0 - H(x) g)
+    has the bits of x - h H(x) g, so only the field term acts.  An input
+    that reads the state is filled causally into rates, one block at a
+    time: before cell j, when the blocks filled so far end at cell j, fill(j)
+    computes the next block of every row from the states through substep
+    j n_sub and returns the cell where it ends.  Without fill the rates
+    count as filled through the last cell.
 
-    The work is split by what it depends on.  Once per call, before the
-    loop: the delayed cell of every substep, in integers.  Once per filled
-    block: fill, which runs only for an input that reads the state (a
-    state-reading drift or the window input; a constant drift comes as part
-    of rates).  Once per cell: its input row rates[j - lag] (taken again
-    after a row leaves a chunk).  Per substep, only what reads the state:
-    the prox, g, H(x) g (ndarray.dot for a point with d > 1, the bits of @
-    at a lower call cost), the state update, the guard test and storing x
-    and g.  After the sweep, in slices of time: the largest g.g (np.fmax,
-    so a NaN norm is skipped), then kq scaled by h and summed along time
-    with np.add.accumulate, the same sequential sums as k = k + h g.
+    The work is split by what it depends on.  Once per filled block: fill,
+    which runs only for an input that reads the state (a state-reading
+    drift or the window input; a constant drift comes as part of rates).
+    Once per cell: its input row rates[j - lag] (taken again after a row
+    leaves a chunk).  Per substep, only what reads the state: the prox, g,
+    H(x) g (ndarray.dot for a point with d > 1, the bits of @ at a lower
+    call cost), the state update, the guard test and storing x and g.
+    After the sweep, in slices of time: the largest g.g (np.fmax, so a NaN
+    norm is skipped), then kq scaled by h and summed along time with
+    np.add.accumulate, the same sequential sums as k = k + h g.
 
     Interior stretches skip the per-substep work where it cannot change
     anything.  At the start of each cell, when g is exactly 0 (every row's,
@@ -229,8 +232,9 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     interior.  So the kernel takes the substeps up to the end of the
     filled inputs in passes of whole cells, a few thousand state rows
     each: one np.add.accumulate of the increments (the loop's own order of
-    sums), one stacked guard test and one call of prox_rows, the resolvent
-    of stacks of states (a chunk's prox is one).
+    sums; a pass maps its substeps to their input cells itself), one
+    stacked guard test and one call of prox_rows, the resolvent of stacks
+    of states (a chunk's prox is one).
     The stretch ends after the first state that prox moves (prox(x) == x
     implies g == 0) or before the first state outside the guard ball,
     which the loop then takes, raising or recording its breach as ever.
@@ -240,21 +244,19 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     StabilityBreach naming `where`.  One path raises it and gets a float
     norm.  In a chunk, `where` holds one label per row; a breaching row is
     recorded in breaches (row -> the StabilityBreach its own run raises)
-    and leaves the chunk, so neither the kernel nor fill reads it again;
-    its stored g stays zero from there on (its k constant) and its norm
-    is 0.  Each row comes out bit for bit as on its own: the row operations
-    below are the point products, stacked.
+    and leaves the chunk, which only the kernel tracks: its remaining xq
+    rows take its last stored state, once, so fill, which fills every row,
+    reads finite states; its stored g stays zero from there on (its k
+    constant) and its norm is 0.  Each row comes out bit for bit as on its
+    own: the row operations below are the point products, stacked.
     """
     eps = cfg.eps
     h = dt / n_sub
     guard2 = cfg.guard_radius * cfg.guard_radius
     n_steps = xq.shape[0] - 1
     n_cells = n_steps // n_sub
-    # substep q >= first reads rates[q // n_sub - lag], that is
-    # rates[cells[q - first]]
     lag = grid_cells(eps, dt, f"eps = {eps}")
-    first = min(lag * n_sub, n_steps)
-    cells = np.arange(n_steps - first) // n_sub
+    first = min(lag * n_sub, n_steps)  # the first substep after the delay
     x = xq[0].copy()
     kq = np.zeros(xq.shape)
     breaches = {}
@@ -283,9 +285,10 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
         s[0] = x
         mid = min(max(first, q), stop)
         s[1:mid - q + 1] = -0.0
-        if mid < stop:
-            u = rates[cells[mid - first:stop - first]]
-            s[mid - q + 1:] = h * u[:, rows]
+        # substeps mid .. stop - 1 fill whole cells: each cell's increment
+        # goes to its n_sub substeps
+        u = rates[mid // n_sub - lag:stop // n_sub - lag, None]
+        s[mid - q + 1:].reshape((-1, n_sub) + x.shape)[:] = h * u[:, :, rows]
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.accumulate(s, axis=0, out=s)
             n_ok = leading((sq(s[1:]) <= guard2).reshape(stop - q, -1)
@@ -301,8 +304,9 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
 
     def cell_input(j):
         # the rate every substep of cell j reads, taken once per cell (and
-        # again after a row leaves); None before the delay
-        return None if j < lag else rates[j - lag, rows]
+        # again after a row leaves); -0.0 before the delay, where
+        # x + h (-0.0 - hg) has the bits of x - h hg
+        return -0.0 if j < lag else rates[j - lag, rows]
 
     if xq.ndim == 2:
         # m.dot(v) takes the bits of m @ v at half the call cost for d > 1.
@@ -327,26 +331,28 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
             nonlocal x, live, rows
             keep = sq(x) <= guard2
             for i in np.flatnonzero(~keep):
-                breaches[int(live[i])] = StabilityBreach(
-                    message(x[i], q, where[live[i]]))
+                row = int(live[i])
+                breaches[row] = StabilityBreach(message(x[i], q, where[row]))
+                # fill still reads the row: it keeps its last stored state
+                xq[q + 1:, row] = xq[q, row]
             x, live = x[keep], live[keep]
             rows = live
         live = np.arange(x.shape[0])
     # whole cells per stretch pass, its temporaries a few thousand rows
     span = n_sub * max(1, _SLICE_ROWS // (n_sub * x.size // x.shape[-1]))
-    ready = 0
+    # the inputs are final through cell ready: every cell without a fill
+    ready = 0 if fill else n_cells
     q = 0  # the next substep; g is the regularized gradient at x
     g = (x - prox(x)) / eps
     for j in range(n_cells):
         end = (j + 1) * n_sub
         if q >= end:
             continue  # an interior stretch took this cell
-        if j == ready and fill is not None:
-            ready = fill(j, rows)
+        if j == ready:
+            ready = fill(j)
         # np.count_nonzero(g): g.any() without its Python wrapper
         if q == j * n_sub and not np.count_nonzero(g):
-            taken, x = stretch(q, min(q + span, n_steps if fill is None
-                                      else ready * n_sub))
+            taken, x = stretch(q, min(q + span, ready * n_sub))
             if taken:
                 q += taken
                 g = (x - prox(x)) / eps
@@ -355,10 +361,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
         u = cell_input(j)
         for q in range(q, end):
             hg = apply(field_at(x), g)
-            if q < first:
-                x = x - h * hg
-            else:
-                x = x + h * (u - hg)
+            x = x + h * (u - hg)
             kq[q + 1, rows] = g
             if not inside(x):
                 leave(q)
@@ -449,7 +452,7 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
         rates = np.repeat(rates, n_sub, axis=0)
         cell, per_cell = h, 1
 
-        def fill(j, _rows):
+        def fill(j):
             # substep q reads the state at q - lag_sub, so the states
             # through substep j give the next lag_sub substeps' drift (the
             # first block none)

@@ -28,6 +28,11 @@ def grid_times(n: int = GRID_N, dt: float = DT) -> np.ndarray:
     return dt * np.arange(n + 1)
 
 
+def default_windows(horizon: float) -> list[tuple[float, float]]:
+    """The whole horizon and its two halves, as VI residual windows."""
+    return [(0.0, horizon), (0.0, 0.5 * horizon), (0.5 * horizon, horizon)]
+
+
 def ramp_path(*slopes: float, dt: float = DT, n: int = GRID_N) -> ok.SampledPath:
     t = dt * np.arange(n + 1)
     vals = t[:, None] * np.asarray(slopes, dtype=float)

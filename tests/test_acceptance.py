@@ -14,10 +14,9 @@ import pytest
 
 import oblique_skorohod as ok
 from oblique_skorohod import cli
-from oblique_skorohod.diagnostics import default_windows
 
-from conftest import (DT, GRID_N, make_bundles, make_phis, ramp_path,
-                      solve_bundle)
+from conftest import (DT, GRID_N, default_windows, make_bundles, make_phis,
+                      ramp_path, solve_bundle)
 from convex_suites import SUITES, run_suite
 from test_cli import flat_pair, read_json
 

@@ -8,10 +8,10 @@ import pytest
 
 import oblique_skorohod as ok
 from oblique_skorohod import convex
-from oblique_skorohod.diagnostics import (_trapz, _vi_plan, _vi_worst,
-                                          default_windows)
+from oblique_skorohod.diagnostics import _trapz, _vi_plan, _vi_worst
 
-from conftest import DT, halfline_set, make_bundles, ramp_path, solve_bundle
+from conftest import (DT, default_windows, halfline_set, make_bundles,
+                      ramp_path, solve_bundle)
 
 
 def halfline_phi() -> ok.ConvexFunction:
@@ -45,6 +45,15 @@ class TestViResidual:
     def test_window_restriction(self):
         sol = ok.oracle_halfline(2.0, 0.0, ramp_path(-1.0))
         out = ok.vi_residual(sol, halfline_phi(), windows=[(0.0, 0.5)],
+                             test_points=[np.array([1.0])])
+        assert abs(out["residual"] + 0.25) < 1e-10
+        assert out["worst_window"] == (0.0, 0.5)
+
+    def test_an_off_mesh_window_is_labelled_by_its_nodes(self):
+        # 0.5004 rounds to the node at 0.5 on the 1e-3 mesh: the residual
+        # is summed over (0, 0.5), and the window says so
+        sol = ok.oracle_halfline(2.0, 0.0, ramp_path(-1.0))
+        out = ok.vi_residual(sol, halfline_phi(), windows=[(0.0, 0.5004)],
                              test_points=[np.array([1.0])])
         assert abs(out["residual"] + 0.25) < 1e-10
         assert out["worst_window"] == (0.0, 0.5)

@@ -757,13 +757,21 @@ class TestChunks:
     def test_a_breach_inside_a_fill_block(self, monkeypatch):
         # seed 503 leaves the guard ball at t = 0.328125: substep 41 of
         # h = 1/128, in cell 20, inside the fill block of cells 18..26
-        # (window 8 cells, blocks of 9).  Its stored gradient stays zero
-        # from there on, so the pass after the sweep reads no uninitialized
-        # memory and warns of nothing; the other rows are their solo runs.
-        swept = []
+        # (window 8 cells, blocks of 9).  Its later states stay at its last
+        # stored one, which the fill, called with the cell alone, goes on
+        # reading for every row; its stored gradient stays zero from there
+        # on.  So nothing reads uninitialized memory or warns, and the
+        # other rows are their solo runs.
+        swept, states, calls = [], [], []
 
-        def spy(*args):
-            swept.append(real_sweep(*args))
+        def spy(xq, *args):
+            *head, fill = args
+
+            def spied(*a):
+                calls.append(a)
+                return fill(*a)
+            states.append(xq)
+            swept.append(real_sweep(xq, *head, spied))
             return swept[-1]
 
         real_sweep = sde._sweep
@@ -788,6 +796,8 @@ class TestChunks:
         kq, norms, breaches = swept[-1]
         assert list(breaches) == [3] and norms[3] == 0.0
         assert (kq[43:, 3] == kq[42, 3]).all()
+        assert (states[-1][42:, 3] == states[-1][41, 3]).all()
+        assert calls and {len(a) for a in calls} == {1}
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             ref = solo[seed]
             np.testing.assert_array_equal(sol.x_quad, ref.x_quad)

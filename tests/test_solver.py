@@ -182,7 +182,7 @@ class TestPenalizedLevel:
         if substep_grid:
             solver._sweep(xq, 1, dt / n_sub, cfg, prox, prox, field_at,
                           np.repeat(rates, n_sub, axis=0), "test",
-                          lambda j, rows: 20)
+                          lambda j: 20)
         else:
             solver._sweep(xq, n_sub, dt, cfg, prox, prox, field_at, rates,
                           "test")
@@ -538,7 +538,7 @@ def reference_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     top, ready = 0.0, 0
     for j in range(n_cells):
         if j == ready and fill is not None:
-            ready = fill(j, slice(None))
+            ready = fill(j)
             if drift is not None:
                 lo, hi = max(j * n_sub, first), ready * n_sub
                 drift[lo:hi] += rates[cells[lo - first:hi - first]]
@@ -772,7 +772,7 @@ class TestInteriorStretches:
             xq[0] = sc.x0
             drift = np.empty((xq.shape[0] - 1, d))
 
-            def fill(j, _rows):
+            def fill(j):
                 hi = min(j + lag, m.n_cells)
                 q = np.arange(max(j, lag) * n_sub, hi * n_sub)
                 if q.size:
@@ -787,3 +787,45 @@ class TestInteriorStretches:
             assert_bits(sol.k_quad, kq)
             assert sol.diagnostics["max_gradient_norm"] == top
         assert n_sub >= 2
+
+
+class TestBeforeTheDelay:
+    """Before the delay ends every substep reads the rate -0.0: _sweep's
+    x + h (-0.0 - hg) must keep the bits of the reference's x - h hg, also
+    where g is not zero, so that no stretch takes the substeps."""
+
+    @pytest.mark.parametrize("hi, H, starts", [
+        # d = 1 on a box from 0: row 0 sits at -0.0 (g is a zero), row 1
+        # starts below the box, so g is not zero in the chunk
+        ([1.0], [[2.0]], [[-0.0], [-0.3]]),
+        ([1.0, 1.0], [[2.0, 0.5], [0.5, 1.0]], [[-0.0, 0.5], [-0.2, 1.4]]),
+    ])
+    def test_loop_substeps_match_the_reference(self, hi, H, starts):
+        phi = ok.indicator(ok.box(np.zeros(len(hi)), hi), r0=0.2)
+        field_at = ok.make_field_eval(ok.constant_field(H, c=2.5))
+        # the delay is 20 cells of 3 substeps, 60 of the 150
+        n_sub, dt, cfg, first = 3, 0.01, ok.PenalizedConfig(eps=0.2), 60
+        starts = np.array(starts)
+        rates = np.ones((50,) + starts.shape)
+        xq = np.empty((151,) + starts.shape)
+        xq[0] = starts
+        prox = ok.make_resolvent(phi, cfg.eps)
+        kq, tops, breaches = solver._sweep(xq, n_sub, dt, cfg, prox, prox,
+                                           field_at, rates, ["a", "b"])
+        assert breaches == {}
+        # the chunk took every substep before the delay in the loop
+        assert np.diff(kq[:first + 1, 1], axis=0).any(axis=-1).all()
+        assert np.signbit(xq[:first + 1, 0, 0]).all()
+        for i in range(2):
+            runs = []
+            for kernel in (solver._sweep, reference_sweep):
+                x = np.empty((151, starts.shape[1]))
+                x[0] = starts[i]
+                runs.append((x,) + kernel(x, n_sub, dt, cfg, prox, prox,
+                                          field_at, rates[:, i], "p")[:2])
+            (px, pk, ptop), (rx, rk, rtop) = runs
+            assert_bits(px, rx)
+            assert_bits(pk, rk)
+            assert_bits(xq[:, i], rx)
+            assert_bits(kq[:, i], rk)
+            assert ptop == rtop == tops[i]
