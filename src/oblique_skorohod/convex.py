@@ -284,12 +284,15 @@ def _row_norms(r: np.ndarray) -> np.ndarray:
 
 def _projector(s: Set):
     """Closure x -> the Euclidean projection onto s of one point (d,) or of
-    each row of a stack (n, d), each row bit for bit as on its own; the
-    result is x itself or a new array.  A polytope's closure keeps its
-    active-set geometry across calls; project_set builds one per call.
-    The one place a projection dispatches on the kind of s.  A point's
-    products are ndarray.dot, the bits of @ but for a zero's sign at d = 1,
-    which only comparisons read (t's numerator is a residual > PROJ_TOL)."""
+    each row of a stack (n, d), each row bit for bit as on its own but for
+    one exception: a 1-D box clips the point -0.0 to +0.0 and keeps -0.0
+    in a stack row.  The result is x itself or a new array.  A polytope's
+    closure keeps its active-set geometry across calls; project_set builds
+    one per call.  The one place a projection dispatches on the kind of s.
+    A point's products are ndarray.dot, the bits of @ but for a zero's sign
+    at d = 1, which only comparisons read (t's numerator is a residual >
+    PROJ_TOL).  The one-face closure of d = 1 carries float_form, the map
+    of a Python float with the point's bits."""
     if s.kind == "box":
         lo, hi = s.lo, s.hi
         return lambda x: _clip(x, lo, hi)
@@ -325,6 +328,10 @@ def _projector(s: Set):
                 return x - np.where(v <= 0.0, still, v) * n1
             v = float(n1.dot(x)) - b1
             return x if v <= 0.0 else x - v * n1
+        if n1.size == 1:
+            c1 = float(n1[0])
+            _face.float_form = lambda x: \
+                x if (v := c1 * x - b1) <= 0.0 else x - v * c1
         return _face
 
     geo = {}  # _project_polytope's geometry per active-set history
@@ -609,7 +616,8 @@ def make_resolvent(phi: ConvexFunction, eps: float):
     dispatches on kind: the projector of the domain for the indicator, the
     same projector of x - eps a for the affine kind, and for the quadratic
     kind an exact projection in the metric K = I/eps + A onto a polytope or
-    box, a trust-region solve on a ball."""
+    box, a trust-region solve on a ball.  The first two carry the
+    projector's float_form, where it has one."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if phi.kind == "quadratic_plus_indicator":
@@ -618,7 +626,10 @@ def make_resolvent(phi: ConvexFunction, eps: float):
     if phi.kind == "indicator":
         return proj
     shift = eps * phi.a
-    return lambda x: proj(x - shift)
+    prox = lambda x: proj(x - shift)
+    if hasattr(proj, "float_form"):
+        prox.float_form = lambda x, s1=float(shift[0]): proj.float_form(x - s1)
+    return prox
 
 
 def resolvent(phi: ConvexFunction, eps: float, x) -> np.ndarray:
@@ -690,6 +701,7 @@ def probe_h0(phi: ConvexFunction) -> dict:
     rad = bounding_radius(phi.domain)
     scale = rad if rad is not None else max(4.0 * phi.r0, 1.0)
     pts = sample_points(phi.domain, 1_000, rng, scale=scale)
-    worst = float(set_distance(inner, pts).max(initial=0.0))
+    with np.errstate(over="ignore"):  # a distance past 1e154 reads inf
+        worst = float(set_distance(inner, pts).max(initial=0.0))
     return {"declared_h0": phi.h0, "observed_max": worst,
             "passed": worst <= phi.h0 + 1e-9}

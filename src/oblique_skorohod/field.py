@@ -106,11 +106,16 @@ def rotation_blend_field(m0, m1, w_direction, w_offset: float,
 def make_field_eval(hf: ObliqueField):
     """Closure x -> H(x): (d, d) for one point (d,), (n, d, d) for a stack
     (n, d), each row bit for bit as on its own.  The one place the field
-    dispatches on kind; the point paths serve the solvers' substeps."""
+    dispatches on kind; the point paths serve the solvers' substeps.  The
+    constant kind of d = 1 carries float_form, H of a Python float point
+    as a float."""
     if hf.kind == "constant":
         mat = hf.matrix
-        return lambda x: mat if x.ndim == 1 else \
+        at = lambda x: mat if x.ndim == 1 else \
             np.repeat(mat[None], x.shape[0], axis=0)
+        if hf.dim == 1:
+            at.float_form = lambda x, m=float(mat[0, 0]): m
+        return at
     if hf.kind == "diagonal_affine":
         base, slopes, offsets, span = hf.base, hf.slopes, hf.offsets, hf.span
         lo, d = -span, hf.dim

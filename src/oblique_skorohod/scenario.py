@@ -291,6 +291,10 @@ def build_scenario(raw: dict, base_dir: str | None = None) -> Scenario:
     tols = raw.get("tolerances", {})
     tol, eps0, max_halvings, substep_ratio, guard_radius = _declared(
         "tolerances", _tolerances, tols, dt)
+    norm = math.hypot(*x0)  # hypot: no overflow on a huge x0
+    if norm > guard_radius:
+        raise ScenarioError(f"x0 norm {norm:.3e} lies outside the guard "
+                            f"ball of radius {guard_radius:g}")
     if not tol >= 0.0:
         raise ScenarioError("tol must be >= 0")
     try:

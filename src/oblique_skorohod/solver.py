@@ -38,7 +38,9 @@ the rate -0.0 before the delay (the zero extension, with the bits of the
 field term alone): the cell's input row is taken once per cell, and k
 and the largest gradient norm come from the stored g after the sweep,
 with the same sequential sums as a per-substep k += h g.  A chunk row
-that leaves the guard ball keeps its last state in xq from there on.
+that leaves the guard ball keeps its last state in xq from there on.  A
+point of dimension 1 runs the loop on Python floats where its resolvent
+and its field have float forms, with the same bits.
 """
 
 from __future__ import annotations
@@ -221,6 +223,10 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     leaves a chunk).  Per substep, only what reads the state: the prox, g,
     H(x) g (ndarray.dot for a point with d > 1, the bits of @ at a lower
     call cost), the state update, the guard test and storing x and g.
+    A point of d = 1 whose prox and field_at both carry a float_form
+    holds x, g, its cell rate and H(x) as Python floats, with the bits of
+    the arrays, converting at entry and around stretches; a closure
+    without one (a wrapped closure) keeps the point on arrays.
     After the sweep, in slices of time: the largest g.g (np.fmax, so a NaN
     norm is skipped), then kq scaled by h and summed along time with
     np.add.accumulate, the same sequential sums as k = k + h g.
@@ -257,11 +263,11 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     n_cells = n_steps // n_sub
     lag = grid_cells(eps, dt, f"eps = {eps}")
     first = min(lag * n_sub, n_steps)  # the first substep after the delay
-    x = xq[0].copy()
     kq = np.zeros(xq.shape)
     breaches = {}
-    # rows: the rows still in the sweep, every row until one breaches
-    rows = slice(None)
+    # rows: the rows still in the sweep, every row until one breaches; at:
+    # the loop's index of them into xq and kq (0 for a float point)
+    rows = at = slice(None)
 
     def message(x_row, q, label):
         return (f"state norm {float(np.linalg.norm(x_row)):.3e} left the "
@@ -281,42 +287,53 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
         # ends) while the states stay interior: returns how many it takes
         # and the state after them.  A state outside the guard ball is
         # left to the substep loop, which raises or records its breach.
-        s = np.empty((stop - q + 1,) + x.shape)
-        s[0] = x
+        xs = np.atleast_1d(x)  # a float state as its one-entry row
+        s = np.empty((stop - q + 1,) + xs.shape)
+        s[0] = xs
         mid = min(max(first, q), stop)
         s[1:mid - q + 1] = -0.0
         # substeps mid .. stop - 1 fill whole cells: each cell's increment
         # goes to its n_sub substeps
         u = rates[mid // n_sub - lag:stop // n_sub - lag, None]
-        s[mid - q + 1:].reshape((-1, n_sub) + x.shape)[:] = h * u[:, :, rows]
+        s[mid - q + 1:].reshape((-1, n_sub) + xs.shape)[:] = h * u[:, :, rows]
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.accumulate(s, axis=0, out=s)
             n_ok = leading((sq(s[1:]) <= guard2).reshape(stop - q, -1)
                            .all(axis=1))
         if not n_ok:
             return 0, x
-        flat = s[1:n_ok + 1].reshape(-1, x.shape[-1])
+        flat = s[1:n_ok + 1].reshape(-1, xs.shape[-1])
         # prox(x) == x implies g == 0; the first state that moves ends it
         taken = min(n_ok, 1 + leading(
             (prox_rows(flat) == flat).reshape(n_ok, -1).all(axis=1)))
         xq[q + 1:q + taken + 1, rows] = s[1:taken + 1]
-        return taken, s[taken].copy()
+        return taken, load(s[taken])
 
     def cell_input(j):
         # the rate every substep of cell j reads, taken once per cell (and
         # again after a row leaves); -0.0 before the delay, where
         # x + h (-0.0 - hg) has the bits of x - h hg
-        return -0.0 if j < lag else rates[j - lag, rows]
+        return -0.0 if j < lag else load(rates[j - lag, rows])
 
+    load = np.ndarray.copy  # a state or rate row as the loop holds it
+    nonzero = np.count_nonzero  # g.any() without its Python wrapper
     if xq.ndim == 2:
-        # m.dot(v) takes the bits of m @ v at half the call cost for d > 1.
-        # For d = 1 it is m v where m @ v is 0 + m v: a -0.0 product (g =
-        # -0.0, as at x = -0.0 on a box from 0) would turn x = -0.0 into
-        # +0.0 through x - h hg, so d = 1 stays on matmul
-        apply = np.ndarray.dot if x.size > 1 else np.matmul
-
-        def inside(v):
-            return v.dot(v) <= guard2
+        forms = [getattr(fn, "float_form", None) for fn in (prox, field_at)]
+        if None not in forms:
+            # d = 1 on Python floats, with the bits of the arrays below:
+            # 0 + m v is the 1 x 1 m @ v (a -0.0 product turns +0.0), and
+            # bool(g), like count_nonzero, counts a NaN
+            prox, field_at = forms
+            load, at, nonzero = lambda v: float(v[0]), 0, bool
+            apply = lambda m, v: 0.0 + m * v
+            inside = lambda v: v * v <= guard2
+        else:
+            # m.dot(v) takes the bits of m @ v at half the call cost for
+            # d > 1.  For d = 1 it is m v where m @ v is 0 + m v: a -0.0
+            # product (g = -0.0, as at x = -0.0 on a box from 0) would turn
+            # x = -0.0 into +0.0 through x - h hg, so d = 1 stays on matmul
+            apply = np.ndarray.dot if xq.shape[1] > 1 else np.matmul
+            inside = lambda v: v.dot(v) <= guard2
 
         def leave(q):
             raise StabilityBreach(message(x, q, where))
@@ -328,7 +345,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
             return bool((sq(v) <= guard2).all())
 
         def leave(q):
-            nonlocal x, live, rows
+            nonlocal x, live, rows, at
             keep = sq(x) <= guard2
             for i in np.flatnonzero(~keep):
                 row = int(live[i])
@@ -336,10 +353,11 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
                 # fill still reads the row: it keeps its last stored state
                 xq[q + 1:, row] = xq[q, row]
             x, live = x[keep], live[keep]
-            rows = live
-        live = np.arange(x.shape[0])
+            rows = at = live
+        live = np.arange(xq.shape[1])
+    x = load(xq[0])
     # whole cells per stretch pass, its temporaries a few thousand rows
-    span = n_sub * max(1, _SLICE_ROWS // (n_sub * x.size // x.shape[-1]))
+    span = n_sub * max(1, _SLICE_ROWS // (n_sub * math.prod(xq.shape[1:-1])))
     # the inputs are final through cell ready: every cell without a fill
     ready = 0 if fill else n_cells
     q = 0  # the next substep; g is the regularized gradient at x
@@ -350,8 +368,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
             continue  # an interior stretch took this cell
         if j == ready:
             ready = fill(j)
-        # np.count_nonzero(g): g.any() without its Python wrapper
-        if q == j * n_sub and not np.count_nonzero(g):
+        if q == j * n_sub and not nonzero(g):
             taken, x = stretch(q, min(q + span, ready * n_sub))
             if taken:
                 q += taken
@@ -362,13 +379,13 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
         for q in range(q, end):
             hg = apply(field_at(x), g)
             x = x + h * (u - hg)
-            kq[q + 1, rows] = g
+            kq[q + 1, at] = g
             if not inside(x):
                 leave(q)
                 if not x.shape[0]:
                     return kq, np.zeros(xq.shape[1]), breaches
                 u = cell_input(j)
-            xq[q + 1, rows] = x
+            xq[q + 1, at] = x
             g = (x - prox(x)) / eps
         q = end
     top = np.zeros(xq.shape[1:-1])

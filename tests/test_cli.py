@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -417,8 +418,11 @@ class TestSolveSvi:
         assert list(tmp_path.iterdir()) == []
 
     def test_every_path_failing_exit_2(self, tmp_path, capsys):
+        # x0 inside the guard ball (one outside fails the load with exit
+        # 1); every path then leaves it
         payload = read_json(SVI)
         payload["tolerances"] = {"guard_radius": 1e-3}
+        payload["x0"] = [0.0]
         path = write_json(tmp_path / "svi-guard.json", payload)
         out = tmp_path / "out"
         code = cli.main(["solve-svi", path, "--out", str(out), "--paths", "4"])
@@ -492,20 +496,27 @@ class TestSolveSvi:
         assert det_csv == svi_csv
 
 
-def test_traced_ensemble_has_no_failures(tmp_path):
-    # the benchmark's traced run wraps library names and checks some of
-    # their results; a chunk that reached a wrapper taking one point would
-    # fail, and its paths would rerun one at a time (or fail) here
+def run_traced(argv):
+    """(exit code, tracer, the span module) of cli.main(argv) under the
+    benchmark's tracer."""
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     tracer = spans.Tracer()
     spans.install(tracer)
     try:
-        code = cli.main(["solve-svi", SVI, "--paths", "8", "--out",
-                         str(tmp_path), "--quiet"])
+        code = cli.main(argv)
     finally:
         tracer.restore()
+    return code, tracer, spans
+
+
+def test_traced_ensemble_has_no_failures(tmp_path):
+    # the benchmark's traced run wraps library names and checks some of
+    # their results; a chunk that reached a wrapper taking one point would
+    # fail, and its paths would rerun one at a time (or fail) here
+    code, tracer, spans = run_traced(["solve-svi", SVI, "--paths", "8",
+                                      "--out", str(tmp_path), "--quiet"])
     assert code == 0
     ens = read_json(tmp_path / "halfline-svi-ensemble.json")["ensemble"]
     assert ens["failures"] == []
@@ -514,3 +525,66 @@ def test_traced_ensemble_has_no_failures(tmp_path):
     # a rerun would draw its seed's noise a second time
     assert calls["sde.brownian_path"][0] == 8
     assert calls["field.eval"][0] > 0
+
+
+def test_traced_det_has_no_failures(tmp_path):
+    # the tracer's wrapped resolvent and field carry no float form, so a
+    # traced 1-D level keeps the array loop (the face check reads a point
+    # result as an array); it must write what the float loop writes
+    code, tracer, spans = run_traced(["solve-det", HALFLINE, "--out",
+                                      str(tmp_path / "traced"), "--quiet"])
+    assert code == 0
+    assert [k for k in tracer.counters if k.endswith(".errors")] == []
+    calls = spans.aggregate(tracer.spans(), tracer.names)
+    assert calls["field.eval"][0] > tracer.counters["solver.substeps"] / 10
+    assert cli.main(["solve-det", HALFLINE, "--out", str(tmp_path / "plain"),
+                     "--quiet"]) == 0
+    for name in ("halfline-ramp-solution.csv", "halfline-ramp-summary.json"):
+        assert (tmp_path / "traced" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
+class TestHugeDeclarations:
+    """Numbers near the float range end in a verdict or a JSON error,
+    never in an overflow warning (run with every warning an error)."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("command", ["validate", "solve-det",
+                                         "converge"])
+    def test_x0_outside_the_guard_ball_exit_1(self, tmp_path, capsys,
+                                              command):
+        # this validated with exit 0, and solve-det overflowed x.x (two
+        # RuntimeWarnings) before its guard breach, exit 2
+        payload = read_json(HALFLINE)
+        payload["x0"] = [1e300]
+        path = write_json(tmp_path / "far.json", payload)
+        code = cli.main([command, path, "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err == {"error": {
+            "type": "ScenarioError",
+            "message": "x0 norm 1.000e+300 lies outside the guard ball of "
+                       "radius 1e+06"}}
+        assert not (tmp_path / "out").exists()
+
+    def test_x0_inside_the_guard_ball_loads(self, tmp_path):
+        payload = read_json(HALFLINE)
+        payload["x0"] = [1e5]
+        sc = load_scenario(write_json(tmp_path / "far.json", payload))
+        assert sc.x0.tolist() == [1e5]
+
+    def test_huge_r0_fails_h0_bound_without_a_warning(self, tmp_path,
+                                                      capsys):
+        # the probe's distances overflow to inf, which fails the bound
+        payload = read_json(HALFLINE)
+        payload["phi"]["r0"] = 1e300
+        path = write_json(tmp_path / "deep.json", payload)
+        code = cli.main(["validate", path, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert "[FAIL] h0_bound  (declared 0.5, observed inf)" in out

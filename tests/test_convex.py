@@ -909,7 +909,59 @@ def test_point_products_match_the_stack_bit_for_bit(d):
         stack = op(xs)
         for i, x in enumerate(xs):
             if name.startswith("indicator-box") and clip_rule[i]:
+                # the one exception to the row contract, pinned: the point
+                # clips to +0.0, its stack row keeps -0.0
+                assert not np.signbit(op(x.copy())[0])
+                assert np.signbit(stack[i, 0])
                 continue
             if op(x.copy()).tobytes() != stack[i].tobytes():
                 bad.append((name, x))
     assert bad == []
+
+
+def _float_inputs(s: ok.Set) -> list[float]:
+    # the face point b / n, its neighbours and points well inside and
+    # outside it, signed zeros, tiny and huge values, infinities and NaN
+    face = float(s.offsets[0] / s.normals[0, 0])
+    near = [float(np.nextafter(face, t)) for t in (-np.inf, np.inf)]
+    return ([0.0, -0.0, face, face - 1.0, face + 1.0, 1e-300, -1e-300,
+             1e300, -1e300, np.inf, -np.inf, np.nan] + near
+            + np.random.default_rng(7).normal(face, 2.0, 30).tolist())
+
+
+@pytest.mark.parametrize("normal, offset", [([[-2.0]], [0.0]),
+                                            ([[3.0]], [1.5])])
+def test_float_forms_match_the_array_point(normal, offset):
+    # the substep kernel runs a 1-D point on these float forms: each gives
+    # a Python float with the bits of its array point closure
+    s = ok.halfspace_intersection(normal, offset)
+    ops = [("projector", convex._projector(s))]
+    for eps in (1.0, 0.05):
+        ops += [(f"indicator eps={eps}",
+                 make_resolvent(ok.indicator(s, r0=0.1, h0=0.1), eps)),
+                (f"affine eps={eps}", make_resolvent(
+                    ok.lipschitz_affine_plus_indicator([0.7], 0.2, s,
+                                                       r0=0.1, h0=0.1),
+                    eps))]
+    bad = []
+    for name, op in ops:
+        for x in _float_inputs(s):
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = op(np.array([x]))
+            got = op.float_form(x)
+            if type(got) is not float or \
+                    np.array([got]).tobytes() != want.tobytes():
+                bad.append((name, x, got, want))
+    assert bad == []
+
+
+def test_only_the_one_face_resolvents_of_d1_have_float_forms():
+    # every other kind keeps the kernel's array point path
+    one = ok.halfspace_intersection([[-1.0]], [0.0])
+    assert hasattr(convex._projector(one), "float_form")
+    for s in (ok.box([0.0], [1.0]), ok.ball([0.0], 1.0), ok.whole_space(1),
+              ok.halfspace_intersection([[-1.0], [1.0]], [0.0, 1.0]),
+              ok.halfspace_intersection([[-1.0, 0.0]], [0.0])):
+        assert not hasattr(convex._projector(s), "float_form")
+    quad = ok.quadratic_plus_indicator([[1.0]], [0.2], one, r0=0.1, h0=0.1)
+    assert not hasattr(make_resolvent(quad, 0.1), "float_form")

@@ -208,3 +208,22 @@ def test_nan_field_fails_with_nan_quotients():
 def test_constructors_reject_bad_constants(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_constant_float_form_matches_the_array_point():
+    # the substep kernel reads H of a 1-D point through this float form:
+    # a Python float with the bits of the array point's one entry
+    for m in (2.0, 0.5, 1.0):
+        at = ok.make_field_eval(ok.constant_field([[m]], c=2.0))
+        for x in (0.0, -0.0, 0.3, -1e-300, 1e300, np.inf, -np.inf, np.nan):
+            got = at.float_form(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == at(np.array([x]))[0, 0]\
+                .tobytes()
+    # every other field keeps the kernel's array point path
+    for hf in (ok.constant_field(np.eye(2), c=1.0),
+               ok.diagonal_affine_field([1.0], [[0.3]], c=2.0, b=0.5,
+                                        span=[0.4]),
+               ok.rotation_blend_field([[1.0]], [[2.0]], [1.0], 0.0, c=2.0,
+                                       b=1.1)):
+        assert not hasattr(ok.make_field_eval(hf), "float_form")

@@ -748,7 +748,9 @@ class TestInteriorStretches:
 
     @pytest.mark.parametrize("path, kind", [
         ("scenarios/box-rotation.json", "affine"),
-        ("bench/scenarios/simplex3.json", "time_modulated")])
+        ("bench/scenarios/simplex3.json", "time_modulated"),
+        # d = 1: the level sweeps on Python floats
+        ("scenarios/halfline-ramp.json", "affine")])
     def test_drift_reading_levels_match_the_reference_drift_path(self, path,
                                                                  kind):
         # a drift that reads the state: solve_penalized runs _sweep on the
@@ -757,10 +759,11 @@ class TestInteriorStretches:
         sc = ok.load_scenario(os.path.join(ROOT, path))
         d = sc.dim
         A = 0.1 * np.ones((d, d)) - 0.5 * np.eye(d)
-        f = ok.affine_drift(A, sc.f.b0, fsharp=3.0) if kind == "affine" \
+        b0 = np.full(d, -0.3) if sc.f.b0 is None else sc.f.b0
+        f = ok.affine_drift(A, b0, fsharp=3.0) if kind == "affine" \
             else ok.time_modulated_drift(
-                A, sc.f.b0, ok.TimeProfile(kind="sinusoid", amplitude=1.3,
-                                           period=0.3, phase=0.2),
+                A, b0, ok.TimeProfile(kind="sinusoid", amplitude=1.3,
+                                      period=0.3, phase=0.2),
                 horizon=sc.horizon, fsharp=3.0)
         for eps in (0.1, 0.005):
             cfg = ok.PenalizedConfig(eps=eps)
@@ -829,3 +832,150 @@ class TestBeforeTheDelay:
             assert_bits(xq[:, i], rx)
             assert_bits(kq[:, i], rk)
             assert ptop == rtop == tops[i]
+
+
+def arrays_only(fn):
+    """fn behind a plain function: without its float_form, _sweep keeps a
+    1-D point on arrays."""
+    return lambda x: fn(x)
+
+
+class Spy:
+    """A closure that counts its array calls and the calls of the float
+    form it carries over."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.float_calls = fn, 0, 0
+
+        def on_float(x):
+            self.float_calls += 1
+            return fn.float_form(x)
+        self.float_form = on_float
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+class TestFloatPoints:
+    """A 1-D point whose resolvent and field have float forms sweeps on
+    Python floats; it must give the array loop's bits and the reference
+    loop's, breaches included."""
+
+    PHI = halfline_phi()
+    H1 = ok.constant_field([[2.0]], c=2.0)
+
+    def sweep_three(self, rates, x0, cfg, n_sub=3, dt=0.01):
+        # (xq, kq or the breach message, max_grad) of _sweep on floats, of
+        # _sweep on arrays and of the reference loop, and the float run's
+        # field spy
+        out, spy = [], Spy(ok.make_field_eval(self.H1))
+        prox = ok.make_resolvent(self.PHI, cfg.eps)
+        for kernel, point, field_at in (
+                (solver._sweep, prox, spy),
+                (solver._sweep, arrays_only(prox),
+                 arrays_only(ok.make_field_eval(self.H1))),
+                (reference_sweep, prox, ok.make_field_eval(self.H1))):
+            xq = np.full((rates.shape[0] * n_sub + 1, 1), np.nan)
+            xq[0] = x0
+            try:
+                kq, top, _ = kernel(xq, n_sub, dt, cfg, point, prox,
+                                    field_at, rates, "test")
+            except ok.StabilityBreach as exc:
+                kq, top = str(exc), None
+            out.append((xq, kq, top))
+        return out, spy
+
+    def assert_same(self, runs):
+        (fx, fk, ftop), *others = runs
+        for xq, kq, top in others:
+            assert_bits(fx, xq)
+            if isinstance(fk, str):
+                assert fk == kq
+            else:
+                assert_bits(fk, kq)
+            assert ftop == top
+
+    def test_substeps_before_the_delay_with_a_gradient(self):
+        # x0 below the half-line: g is not 0 through the 60 substeps before
+        # the delay ends, which read the rate -0.0; then a falling input
+        # keeps the state on the face
+        cfg = ok.PenalizedConfig(eps=0.2)
+        runs, spy = self.sweep_three(-np.ones((50, 1)), [-0.3], cfg)
+        self.assert_same(runs)
+        (fx, fk, _), _, _ = runs
+        assert np.diff(fk[:61], axis=0).all()
+        # the array field closure is never called: H comes from its float
+        # form, once per loop substep
+        assert spy.calls == 0 and spy.float_calls > 60
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "state norm nan left the guard ball at t=0.0833333 (test)"),
+        (np.inf, "state norm inf left the guard ball at t=0.0833333 (test)"),
+        ("climb", "state norm 2.533e-01 left the guard ball at t=0.273333 "
+                  "(test)"),
+        ("fall", "state norm 4.040e+00 left the guard ball at t=0.31 "
+                 "(test)")])
+    def test_guard_breaches(self, bad, message):
+        # a bad input in a stretch, a state climbing out of a small guard
+        # ball from a stretch, or one pushed below the face by a steep
+        # fall, in the substep loop: the same StabilityBreach on floats,
+        # with no RuntimeWarning (an error under pytest)
+        rates = np.ones((50, 1))
+        cfg, x0 = ok.PenalizedConfig(eps=0.02), [0.5]
+        if bad == "climb":
+            cfg, x0 = ok.PenalizedConfig(eps=0.02, guard_radius=0.25), [0.0]
+        elif bad == "fall":
+            rates[:] = -60.0
+            cfg, x0 = ok.PenalizedConfig(eps=0.2, guard_radius=4.0), [0.0]
+        else:
+            rates[6, 0] = bad
+        runs, _ = self.sweep_three(rates, x0, cfg)
+        self.assert_same(runs)
+        assert runs[0][1] == message
+
+    @pytest.mark.parametrize("drift", [
+        ok.zero_drift(1), ok.constant_drift([-0.4]),
+        ok.affine_drift([[-0.5]], [0.3], fsharp=3.0)])
+    def test_levels_match_the_array_loop(self, drift, monkeypatch):
+        # whole halfline-ramp levels, a drift that reads the state (filled
+        # on the substep grid) included, with and without the float forms
+        sc = ok.load_scenario(os.path.join(ROOT,
+                                           "scenarios/halfline-ramp.json"))
+        for eps in (0.1, 0.013):
+            cfg = ok.PenalizedConfig(eps=eps)
+            m = ok.mollify(sc.m, eps)
+            sols = [ok.solve_penalized(sc.phi, sc.hf, drift, m, sc.x0, cfg)]
+            with monkeypatch.context() as mp:
+                for name in ("make_resolvent", "make_field_eval"):
+                    mp.setattr(solver, name, lambda *a, b=getattr(
+                        solver, name): arrays_only(b(*a)))
+                sols.append(ok.solve_penalized(sc.phi, sc.hf, drift, m,
+                                               sc.x0, cfg))
+            if drift.kind != "affine":  # the reference reads cell rates
+                with monkeypatch.context() as mp:
+                    mp.setattr(solver, "_sweep", reference_sweep)
+                    sols.append(ok.solve_penalized(sc.phi, sc.hf, drift, m,
+                                                   sc.x0, cfg))
+            for other in sols[1:]:
+                assert_bits(sols[0].x_quad, other.x_quad)
+                assert_bits(sols[0].k_quad, other.k_quad)
+                assert sols[0].diagnostics == other.diagnostics
+
+    def test_a_lone_path_matches_its_row_in_a_chunk(self):
+        # solve_svi_path sweeps one path on floats, monte_carlo three in
+        # one chunk on stacks
+        sc = ok.load_scenario(os.path.join(ROOT,
+                                           "scenarios/halfline-svi.json"))
+        p = ok.SviProblem(phi=sc.phi, hf=sc.hf, f=sc.f, g=sc.g, x0=sc.x0,
+                          dt=sc.dt, horizon=sc.horizon, n=sc.n_window)
+        out = ok.monte_carlo(p, 3, base_seed=60, collect_paths=True)
+        assert out["n_ok"] == 3
+        for seed, row in zip(range(60, 63), out["paths"]):
+            drv = ok.BrownianDriver(seed=seed, dt=sc.dt, dims=1,
+                                    horizon=sc.horizon)
+            alone = ok.solve_svi_path(sc.phi, sc.hf, sc.f, sc.g, sc.x0, drv,
+                                      sc.n_window)
+            assert_bits(alone.x_quad, row.x_quad)
+            assert_bits(alone.k_quad, row.k_quad)
+            assert alone.diagnostics == row.diagnostics
