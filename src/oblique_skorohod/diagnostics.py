@@ -5,6 +5,9 @@ Every checker reuses the mesh and quadrature that produced the solution
 increments paired with left-endpoint states, trapezoid on dt integrals.
 Mixing a finer or coarser mesh into these inequalities would destroy the
 contracts, so the grid paths are only used when no substep mesh is stored.
+The sums along the mesh go block by block (paths._add_blocks), so the VI
+residual of a path is the same whether its arrays come whole or a block
+at a time (_ViSums).
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import numpy as np
 
 from . import convex
 from .convex import ConvexFunction, contains, eval_fn
-from .solver import GridMismatch, SkorohodSolution, _tv_ratio
+from .paths import _SUM_BLOCK, _add_blocks
+from .solver import (_SLICE_ROWS, GridMismatch, SkorohodSolution,
+                     _tv_ratio)
 
 
 def _quad_mesh(sol: SkorohodSolution):
@@ -25,11 +30,11 @@ def _quad_mesh(sol: SkorohodSolution):
     return sol.x.times(), sol.x.values, sol.k.values
 
 
-def _trapz(vals: np.ndarray, dt: float):
-    # the trapezoid rule along the last axis: a float for one path, an
-    # array for a stack of paths (b, T)
-    out = dt * (vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1]))
-    return float(out) if vals.ndim == 1 else out
+def _trapz(vals: np.ndarray, dt: float, a: int = 0) -> float:
+    # the trapezoid rule over the mesh nodes a .. a + vals.size - 1, its
+    # sum block by block as _ViSums takes it
+    total = _add_blocks(0.0, vals[None], a, a, a + vals.size)[0]
+    return float(dt * (total - 0.5 * (vals[0] + vals[-1])))
 
 
 def _feasible_points(phi: ConvexFunction, points,
@@ -53,12 +58,13 @@ def _feasible_points(phi: ConvexFunction, points,
 
 @dataclass(frozen=True)
 class _ViPlan:
-    """What the VI residual of every path on one mesh shares: per window
-    (window, i0, i1, constant tests), the constant tests being (label,
-    point, integral of phi at the point over the window); the blends
-    (label, theta) toward u0."""
+    """What the VI residual of every path on one mesh shares: its last
+    node; per window (window, i0, i1, constant tests), the constant tests
+    being (label, point, integral of phi at the point over the window);
+    the blends (label, theta) toward u0."""
 
     dtq: float
+    last: int
     spans: list
     blends: list
     u0: np.ndarray | None
@@ -92,46 +98,111 @@ def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
         if not (0 <= i0 < i1 <= tq.size - 1):
             raise ValueError(f"window ({a}, {b}) not on the solution mesh")
         spans.append(((float(tq[i0]), float(tq[i1])), i0, i1, [
-            (label, p, _trapz(phi_y[i0:i1 + 1], dtq))
+            (label, p, _trapz(phi_y[i0:i1 + 1], dtq, i0))
             for label, p, phi_y in points]))
-    return _ViPlan(dtq, spans, blends, u0)
+    return _ViPlan(dtq, tq.size - 1, spans, blends, u0)
+
+
+class _ViSums:
+    """The running sums of the VI residual of b paths on a plan's mesh.
+
+    add() takes the paths' states and reflections over a stretch of mesh
+    nodes, path-major, stretch after stretch in mesh order; worst() then
+    gives each path's worst pair.  Per window it keeps each test's pairing
+    sum, the node sums of phi along x and along each blend, and the phi
+    values at the window's ends.  Every sum goes block by block
+    (paths._add_blocks), and every operation reads a path's own rows, so
+    a path's residual comes out bit for bit the same whether its arrays
+    come whole or cut at block edges, alone or in a stack.  proj is the
+    domain's projector; a Monte Carlo chunk passes the one it shares."""
+
+    def __init__(self, phi: ConvexFunction, plan: _ViPlan, b: int,
+                 proj=None):
+        self.phi, self.plan = phi, plan
+        self.proj = convex._projector(phi.domain) if proj is None else proj
+        n_win, n_blend = len(plan.spans), len(plan.blends)
+        # pairings (window, test, path); node sums (window, x or blend,
+        # path); phi at the window's first and last node (window, x or
+        # blend, first or last, path)
+        self.pair = [np.zeros((len(consts) + n_blend, b))
+                     for _, _, _, consts in plan.spans]
+        self.node = np.zeros((n_win, 1 + n_blend, b))
+        self.ends = np.zeros((n_win, 1 + n_blend, 2, b))
+
+    def add(self, xq: np.ndarray, kq: np.ndarray, a: int,
+            rows=slice(None)):
+        """The stretch of mesh nodes a .. a + n of the paths `rows`, its
+        states xq and reflections kq path-major (len(rows), n + 1, d).  The
+        stretch takes its cells, and its nodes but the last, which is the
+        next stretch's first, unless it is the mesh's last node."""
+        plan = self.plan
+        b, n1, d = xq.shape
+        last = a + n1 - 1
+        nodes = last + 1 if last == plan.last else last
+        xp = self.proj(xq.reshape(-1, d))
+        dk = np.diff(kq, axis=1)
+        for v in range(1 + len(plan.blends)):
+            # phi along x (v = 0) or along blend v, whose states it keeps
+            y = None
+            if v:
+                theta = plan.blends[v - 1][1]
+                y = self.proj((1.0 - theta) * xp + theta * plan.u0)
+            vals = eval_fn(self.phi, xp if y is None else y).reshape(b, n1)
+            for w, (_, i0, i1, consts) in enumerate(plan.spans):
+                self.node[w, v, rows] = _add_blocks(
+                    self.node[w, v, rows], vals, a, max(i0, a),
+                    min(i1 + 1, nodes))
+                for e, i in enumerate((i0, i1)):
+                    if a <= i <= last:
+                        self.ends[w, v, e, rows] = vals[:, i - a]
+                # the pairings over cells lo .. hi - 1: x's with each
+                # constant test point, a blend's with its own states
+                lo, hi = max(i0, a), min(i1, last)
+                if lo >= hi:
+                    continue
+                tests = enumerate(p for _, p, _ in consts) if y is None \
+                    else [(len(consts) + v - 1,
+                           y.reshape(b, n1, d)[:, lo - a:hi - a])]
+                for t, z in tests:
+                    dots = np.einsum("bij,bij->bi", z - xq[:, lo - a:hi - a],
+                                     dk[:, lo - a:hi - a])
+                    self.pair[w][t, rows] = _add_blocks(
+                        self.pair[w][t, rows], dots, lo, lo, hi)
+
+    def worst(self) -> list:
+        """(residual, window, test path label) of each path's worst pair."""
+        plan = self.plan
+        # each integral of phi over a window by the trapezoid rule
+        ints = plan.dtq * (self.node - 0.5 * self.ends.sum(axis=2))
+        b = ints.shape[-1]
+        # tests: (window, label) of each pair in loop order; which: the
+        # index there of each path's worst pair so far (-1 for none)
+        tests, worst, which = [], np.full(b, -math.inf), np.full(b, -1)
+        for w, (window, _, _, consts) in enumerate(plan.spans):
+            for t, (label, int_phi_y) in enumerate(
+                    [(label, c) for label, _, c in consts]
+                    + [(label, ints[w, 1 + v])
+                       for v, (label, _) in enumerate(plan.blends)]):
+                res = self.pair[w][t] + ints[w, 0] - int_phi_y
+                better = res > worst
+                worst[better], which[better] = res[better], len(tests)
+                tests.append((window, label))
+        return [(float(w),) + tests[k] if k >= 0
+                else (-math.inf, None, None) for w, k in zip(worst, which)]
 
 
 def _vi_worst(phi: ConvexFunction, plan: _ViPlan, xq: np.ndarray,
               kq: np.ndarray) -> list:
     """(residual, window, test path label) of the worst pair for each path
-    of a stack of states xq and reflections kq on the plan's mesh,
-    path-major (b, T, d).  Every step runs once over the stack: the
-    pairings as np.einsum("bij,bij->b") and the trapezoid sums along the
-    last axis take the same float operations as on each path's own
-    contiguous slices, so each path comes out bit for bit as on its own."""
-    b, T, d = xq.shape
-    xp = convex.project_set(phi.domain, xq.reshape(-1, d))
-    phi_x = eval_fn(phi, xp).reshape(b, T)
-    dk = np.diff(kq, axis=1)
-    blends = []
-    for label, theta in plan.blends:
-        ys = convex.project_set(phi.domain,
-                                (1.0 - theta) * xp + theta * plan.u0)
-        blends.append((label, ys.reshape(b, T, d),
-                       eval_fn(phi, ys).reshape(b, T)))
-    dtq = plan.dtq
-    # tests: (window, label) of each pair in loop order; which: the index
-    # there of each path's worst pair so far (-1 for none)
-    tests, worst, which = [], np.full(b, -math.inf), np.full(b, -1)
-    for window, i0, i1, consts in plan.spans:
-        seg_x, seg_dk = xq[:, i0:i1], dk[:, i0:i1]
-        int_phi_x = _trapz(phi_x[:, i0:i1 + 1], dtq)
-        for label, y, int_phi_y in consts + [
-                (label, ys[:, i0:i1], _trapz(phi_y[:, i0:i1 + 1], dtq))
-                for label, ys, phi_y in blends]:
-            res = (np.einsum("bij,bij->b", y - seg_x, seg_dk) + int_phi_x
-                   - int_phi_y)
-            better = res > worst
-            worst[better], which[better] = res[better], len(tests)
-            tests.append((window, label))
-    return [(float(w),) + tests[k] if k >= 0 else (-math.inf, None, None)
-            for w, k in zip(worst, which)]
+    of a stack of whole paths, states xq and reflections kq on the plan's
+    mesh, path-major (b, T, d): _ViSums over stretches of whole blocks, so
+    that its temporaries stay below _SLICE_ROWS state rows as a Monte
+    Carlo chunk's do (a det level's mesh reaches tens of thousands)."""
+    sums = _ViSums(phi, plan, xq.shape[0])
+    step = max(1, _SLICE_ROWS // (xq.shape[0] * _SUM_BLOCK)) * _SUM_BLOCK
+    for a in range(0, xq.shape[1] - 1, step):
+        sums.add(xq[:, a:a + step + 1], kq[:, a:a + step + 1], a)
+    return sums.worst()
 
 
 def vi_residual(sol: SkorohodSolution, phi: ConvexFunction,

@@ -77,41 +77,6 @@ class SampledPath:
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
-def _at_fraction(v: np.ndarray, s: float) -> np.ndarray:
-    # the value at node fraction s of each path of a stack (b, N+1, d)
-    i = min(int(s), v.shape[1] - 2)
-    w = min(max(s - i, 0.0), 1.0)
-    return (1.0 - w) * v[:, i:i + 1] + w * v[:, i + 1:i + 2]
-
-
-def _variations(values: np.ndarray, t0: float, dt: float,
-                t_from: float | None = None,
-                t_to: float | None = None) -> list[float]:
-    """Total variation over [t_from, t_to] of each path of a stack
-    (b, N+1, d), path-major, on the grid t0 + i dt: total_variation of
-    each path, as a list of floats.  The sum along each path runs on its
-    own contiguous row, so it comes out bit for bit as on its own."""
-    n_cells = values.shape[1] - 1
-    t_end = t0 + n_cells * dt
-    a = t0 if t_from is None else float(t_from)
-    b = t_end if t_to is None else float(t_to)
-    tol = 1e-9 * max(1.0, dt)
-    if b < a - tol:
-        raise ValueError("reversed interval")
-    if a < t0 - tol or b > t_end + tol:
-        raise ValueError("interval outside path range")
-    sa = min(max((a - t0) / dt, 0.0), float(n_cells))
-    sb = min(max((b - t0) / dt, 0.0), float(n_cells))
-    if sb <= sa:
-        return [0.0] * values.shape[0]
-    i0 = int(math.ceil(sa - 1e-12))
-    i1 = int(math.floor(sb + 1e-12))
-    pts = np.concatenate((_at_fraction(values, sa), values[:, i0:i1 + 1],
-                          _at_fraction(values, sb)), axis=1)
-    norms = np.linalg.norm(np.diff(pts, axis=1), axis=2)
-    return [float(np.sum(row)) for row in norms]
-
-
 def total_variation(p: SampledPath, t_from: float | None = None,
                     t_to: float | None = None) -> float:
     """Euclidean total variation of p over [t_from, t_to].
@@ -119,7 +84,49 @@ def total_variation(p: SampledPath, t_from: float | None = None,
     Defaults to the full range.  Non-node endpoints are linearly
     interpolated.  Reversed or out-of-range intervals raise.
     """
-    return _variations(p.values[None], p.t0, p.dt, t_from, t_to)[0]
+    v, n_cells = p.values, p.n_cells
+    a = p.t0 if t_from is None else float(t_from)
+    b = p.t_end if t_to is None else float(t_to)
+    tol = 1e-9 * max(1.0, p.dt)
+    if b < a - tol:
+        raise ValueError("reversed interval")
+    if a < p.t0 - tol or b > p.t_end + tol:
+        raise ValueError("interval outside path range")
+    sa = min(max((a - p.t0) / p.dt, 0.0), float(n_cells))
+    sb = min(max((b - p.t0) / p.dt, 0.0), float(n_cells))
+    if sb <= sa:
+        return 0.0
+
+    def at(s):
+        # the value at node fraction s
+        i = min(int(s), n_cells - 1)
+        w = min(max(s - i, 0.0), 1.0)
+        return (1.0 - w) * v[i:i + 1] + w * v[i + 1:i + 2]
+
+    i0 = int(math.ceil(sa - 1e-12))
+    i1 = int(math.floor(sb + 1e-12))
+    pts = np.concatenate((at(sa), v[i0:i1 + 1], at(sb)))
+    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+
+
+# Mesh indices per block of a certificate's sums along a path (tv_k, the VI
+# pairings and trapezoid sums): see _add_blocks
+_SUM_BLOCK = 64
+
+
+def _add_blocks(acc, vals: np.ndarray, a: int, lo: int, hi: int):
+    """acc plus, for each path of a stack vals (b, n), the sum of its
+    entries at the mesh indices lo .. hi - 1, vals[:, 0] being index a.
+    The indices go in blocks of _SUM_BLOCK from index 0; each block is one
+    np.sum along the path's own row, and the block sums are added to acc
+    in order.  So a sum comes out bit for bit the same whether a path's
+    arrays are whole or arrive in pieces cut at block edges, alone or in a
+    stack."""
+    while lo < hi:
+        end = min(hi, (lo // _SUM_BLOCK + 1) * _SUM_BLOCK)
+        acc = acc + vals[:, lo - a:end - a].sum(axis=-1)
+        lo = end
+    return acc
 
 
 class GridMismatch(ValueError):

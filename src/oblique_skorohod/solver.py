@@ -40,7 +40,10 @@ and the largest gradient norm come from the stored g after the sweep,
 with the same sequential sums as a per-substep k += h g.  A chunk row
 that leaves the guard ball keeps its last state in xq from there on.  A
 point of dimension 1 runs the loop on Python floats where its resolvent
-and its field have float forms, with the same bits.
+and its field have float forms, with the same bits.  The kernel sweeps
+a block of cells at a given place on the grid, so a caller may sweep a
+long grid block by block, each block from the last states and k of the
+one before, with the same bits as one sweep.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ import numpy as np
 
 from . import convex
 from .coeffs import DriftSpec
-from .convex import ConvexFunction, make_resolvent, set_distance
+from .convex import ConvexFunction, _row_norms, make_resolvent
 from .field import ObliqueField, make_field_eval
-from .paths import (GridMismatch, SampledPath, _count, _variations,
+from .paths import (GridMismatch, SampledPath, _add_blocks, _count,
                     grid_cells, mollify, snapped_width, total_variation)
 
 
@@ -191,30 +194,38 @@ def _substep_mesh(cfg: PenalizedConfig, dt: float, c: float):
                                      - 1e-12)))
 
 
-# State rows (substeps times paths) per slice of the pass that follows a
-# sweep: its temporaries stay at a few thousand floats, well below xq.
+# State rows (substeps times paths) per slice of the passes around a sweep
+# (its stretches and k sums, a window-input call, a chunk's certificates):
+# their temporaries stay at a few thousand floats each.
 _SLICE_ROWS = 4096
 
 
-def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
-           fill=None):
+def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
+           where, breaches, fill=None):
     """The explicit substep kernel shared by the deterministic and the
-    stochastic solvers, for one path or a chunk of paths; returns (kq,
-    largest regularized-gradient norm, breaches).
+    stochastic solvers, for one path or a chunk of paths, over the cells
+    start .. start + Q / n_sub - 1 of the grid; returns (kq, largest
+    regularized-gradient norm, breaches).
 
     Time is the first axis: xq is (Q + 1, d) for one path and (Q + 1, B, d)
-    for a chunk of B paths, and rates (cells, d) or (cells, B, d) likewise.
-    xq[0] holds x0; xq receives the state and kq the reflection at every
-    substep h = dt / n_sub.  The delay eps is lag = eps / dt whole grid
-    cells (paths.grid_cells; GridMismatch otherwise).  At substep q the
-    delayed input rate is rates[q // n_sub - lag], and -0.0 before substep
-    lag n_sub (time eps), the inputs' zero extension: x + h (-0.0 - H(x) g)
-    has the bits of x - h H(x) g, so only the field term acts.  An input
-    that reads the state is filled causally into rates, one block at a
-    time: before cell j, when the blocks filled so far end at cell j, fill(j)
-    computes the next block of every row from the states through substep
-    j n_sub and returns the cell where it ends.  Without fill the rates
-    count as filled through the last cell.
+    for a chunk of B paths, kq likewise, and rates (cells, d) or (cells, B,
+    d).  xq[0] holds the state at cell start (x0 at 0) and kq[0] the
+    reflection there; xq[1:] receives the state and kq[1:] the reflection
+    at every substep h = dt / n_sub.  A caller that sweeps the grid block
+    by block passes each block's arrays with the last states of the one
+    before; the blocks come out bit for bit as one sweep.  The delay eps is
+    lag = eps / dt whole grid cells (paths.grid_cells; GridMismatch
+    otherwise).  At substep q of the grid the delayed input rate is that of
+    input cell q // n_sub - lag, which is rates[q // n_sub - lag - base]
+    with base = max(start - lag, 0), the first input cell the block reads;
+    and -0.0 before substep lag n_sub (time eps), the inputs' zero
+    extension: x + h (-0.0 - H(x) g) has the bits of x - h H(x) g, so only
+    the field term acts.  An input that reads the state is filled causally
+    into rates, one block at a time: before grid cell j, when the blocks
+    filled so far end at cell j, fill(j) computes the next block of every
+    row from the states through cell j and returns the cell where it ends
+    (at most the block's end).  The inputs count as filled before cell
+    start, and without fill through the block's last cell.
 
     The work is split by what it depends on.  Once per filled block: fill,
     which runs only for an input that reads the state (a state-reading
@@ -253,8 +264,10 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     and leaves the chunk, which only the kernel tracks: its remaining xq
     rows take its last stored state, once, so fill, which fills every row,
     reads finite states; its stored g stays zero from there on (its k
-    constant) and its norm is 0.  Each row comes out bit for bit as on its
-    own: the row operations below are the point products, stacked.
+    constant) and its norm is 0.  The rows breaches holds on entry left in
+    an earlier block and are treated so from the start.  Each row comes
+    out bit for bit as on its own: the row operations below are the point
+    products, stacked.
     """
     eps = cfg.eps
     h = dt / n_sub
@@ -262,16 +275,18 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     n_steps = xq.shape[0] - 1
     n_cells = n_steps // n_sub
     lag = grid_cells(eps, dt, f"eps = {eps}")
-    first = min(lag * n_sub, n_steps)  # the first substep after the delay
-    kq = np.zeros(xq.shape)
-    breaches = {}
+    # cell j of the block reads rates[j + off], before the delay none
+    off = min(start - lag, 0)
+    first = min(-off * n_sub, n_steps)  # the first substep after the delay
+    kq[1:] = 0.0
     # rows: the rows still in the sweep, every row until one breaches; at:
     # the loop's index of them into xq and kq (0 for a float point)
     rows = at = slice(None)
 
     def message(x_row, q, label):
         return (f"state norm {float(np.linalg.norm(x_row)):.3e} left the "
-                f"guard ball at t={(q + 1) * h:.6g} ({label})")
+                f"guard ball at t={(start * n_sub + q + 1) * h:.6g} "
+                f"({label})")
 
     def sq(v):
         # v.v of each row, as the point's float(v @ v) computes it
@@ -294,7 +309,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
         s[1:mid - q + 1] = -0.0
         # substeps mid .. stop - 1 fill whole cells: each cell's increment
         # goes to its n_sub substeps
-        u = rates[mid // n_sub - lag:stop // n_sub - lag, None]
+        u = rates[mid // n_sub + off:stop // n_sub + off, None]
         s[mid - q + 1:].reshape((-1, n_sub) + xs.shape)[:] = h * u[:, :, rows]
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.accumulate(s, axis=0, out=s)
@@ -313,7 +328,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
         # the rate every substep of cell j reads, taken once per cell (and
         # again after a row leaves); -0.0 before the delay, where
         # x + h (-0.0 - hg) has the bits of x - h hg
-        return -0.0 if j < lag else load(rates[j - lag, rows])
+        return -0.0 if j + off < 0 else load(rates[j + off, rows])
 
     load = np.ndarray.copy  # a state or rate row as the loop holds it
     nonzero = np.count_nonzero  # g.any() without its Python wrapper
@@ -355,10 +370,17 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
             x, live = x[keep], live[keep]
             rows = at = live
         live = np.arange(xq.shape[1])
-    x = load(xq[0])
+        if breaches:
+            # rows that left in an earlier block keep their last state
+            out = list(breaches)
+            xq[1:, out] = xq[0, out]
+            live = np.delete(live, out)
+            rows = at = live
+    x = load(xq[0, rows] if xq.ndim > 2 else xq[0])
     # whole cells per stretch pass, its temporaries a few thousand rows
     span = n_sub * max(1, _SLICE_ROWS // (n_sub * math.prod(xq.shape[1:-1])))
-    # the inputs are final through cell ready: every cell without a fill
+    # the inputs are final through cell ready of the block: every cell
+    # without a fill
     ready = 0 if fill else n_cells
     q = 0  # the next substep; g is the regularized gradient at x
     g = (x - prox(x)) / eps
@@ -367,7 +389,7 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
         if q >= end:
             continue  # an interior stretch took this cell
         if j == ready:
-            ready = fill(j)
+            ready = fill(start + j) - start
         if q == j * n_sub and not nonzero(g):
             taken, x = stretch(q, min(q + span, ready * n_sub))
             if taken:
@@ -403,13 +425,20 @@ def _sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
     return kq, norms, breaches
 
 
-def _grid_checks(domain, dt, xg, kg):
-    """(tv_k, largest feasibility defect) of each path of a stack of grid
-    states xg and reflections kg, path-major (b, N+1, d): a list of floats
-    and an array, each path's bit for bit as on its own (the one-path case
-    is _solution's)."""
-    dist = set_distance(domain, xg.reshape(-1, xg.shape[-1]))
-    return _variations(kg, 0.0, dt), dist.reshape(xg.shape[:2]).max(axis=1)
+def _grid_checks(proj, xg, kg, a, tv, defect):
+    """(tv, defect) advanced over the grid nodes a .. a + n of a stack of
+    paths: tv and defect hold each path's tv_k and largest feasibility
+    defect so far (0 and -inf before node 0), xg and kg its states and
+    reflections there, path-major (b, n + 1, d), and proj the projector
+    of the domain.  tv_k adds |k(i + 1) - k(i)| over the cells block by
+    block (paths._add_blocks), so the spans may come whole (_solution) or
+    in pieces (a Monte Carlo chunk), and each path comes out bit for bit
+    as on its own."""
+    flat = xg.reshape(-1, xg.shape[-1])
+    dist = _row_norms(flat - proj(flat)).reshape(xg.shape[:2])
+    steps = np.linalg.norm(np.diff(kg, axis=1), axis=2)
+    return (_add_blocks(tv, steps, a, a, a + steps.shape[1]),
+            np.maximum(defect, dist.max(axis=1)))
 
 
 def _substep_times(dt, n_sub, count):
@@ -417,21 +446,24 @@ def _substep_times(dt, n_sub, count):
     return dt / n_sub * np.arange(count)
 
 
-def _solution(phi, sid, dt, n_sub, eps, xq, kq, max_grad, diag,
-              input_m) -> SkorohodSolution:
+def _solution(phi, sid, dt, n_sub, eps, xq, kq, max_grad, diag, input_m,
+              proj=None) -> SkorohodSolution:
     """One level's solution on the grid (every n_sub-th substep).  sid is
     system_id(phi, H), hashed once by the caller; diag gets the gradient and
-    feasibility entries."""
+    feasibility entries; proj is the domain's projector, if the caller has
+    one."""
     xg = xq[::n_sub].copy()
     kg = kq[::n_sub].copy()
-    tv_k, defect = _grid_checks(phi.domain, dt, xg[None], kg[None])
+    tv_k, defect = _grid_checks(
+        convex._projector(phi.domain) if proj is None else proj, xg[None],
+        kg[None], 0, np.zeros(1), np.full(1, -math.inf))
     diag["max_gradient_norm"] = max_grad
     diag["max_feasibility_defect"] = float(defect[0])
     diag["feasibility_bound"] = eps * max_grad
     return SkorohodSolution(
         x=SampledPath(t0=0.0, dt=dt, values=xg, extension="frozen"),
         k=SampledPath(t0=0.0, dt=dt, values=kg, extension="zero"),
-        tv_k=tv_k[0], eps=eps, system_id=sid,
+        tv_k=float(tv_k[0]), eps=eps, system_id=sid,
         refinement_history=[(eps, None)], diagnostics=diag,
         t_quad=_substep_times(dt, n_sub, xq.shape[0]), x_quad=xq, k_quad=kq,
         input_m=input_m)
@@ -461,6 +493,7 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
     rates = np.diff(m.values, axis=0) / dt
     # the kernel's cell and its substeps per cell
     cell, per_cell, fill = dt, n_sub, None
+    proj = convex._projector(phi.domain)
     if f.kind == "constant":  # it reads no state
         rates = f.b0 + rates
     elif f.kind != "zero":
@@ -476,19 +509,20 @@ def solve_penalized(phi: ConvexFunction, hf: ObliqueField, f: DriftSpec,
             hi = min(j + lag_sub, rates.shape[0])
             q = np.arange(max(j, lag_sub), hi)
             if q.size:
-                xd = convex.project_set(phi.domain, xq[q - lag_sub])
+                xd = proj(xq[q - lag_sub])
                 rates[q - lag_sub] += f.eval(q * h - eps, xd)
             return hi
 
     kq, max_grad, _ = _sweep(
-        xq, per_cell, cell, cfg, make_resolvent(phi, eps),
+        xq, np.zeros(xq.shape), 0, per_cell, cell, cfg,
+        make_resolvent(phi, eps),
         # the stretches' stacks: the benchmark tracer's face check on
         # solver.make_resolvent reads one point
         convex.make_resolvent(phi, eps), make_field_eval(hf), rates,
-        f"eps={eps}", fill)
+        f"eps={eps}", {}, fill)
     diag = {"eps": eps, "n_substeps_per_cell": n_sub, "substep": h}
     return _solution(phi, system_id(phi, hf), dt, n_sub, eps, xq, kq,
-                     max_grad, diag, m)
+                     max_grad, diag, m, proj)
 
 
 def _check_halvings(max_halvings: int) -> int:

@@ -8,7 +8,8 @@ import pytest
 
 import oblique_skorohod as ok
 from oblique_skorohod import convex
-from oblique_skorohod.diagnostics import _trapz, _vi_plan, _vi_worst
+from oblique_skorohod.diagnostics import _vi_plan, _vi_worst
+from oblique_skorohod.paths import _SUM_BLOCK
 
 from conftest import (DT, default_windows, halfline_set, make_bundles,
                       ramp_path, solve_bundle)
@@ -108,9 +109,24 @@ class TestViResidual:
 
 
 def per_path_vi_worst(phi, plan, xq, kq):
-    """_vi_worst one path at a time, each pairing an np.einsum("ij,ij->")
-    over the path's own slices: the reference the stacked pass must
-    match."""
+    """_vi_worst one path at a time: each pairing an np.einsum("ij,ij->i")
+    over the path's own slices, and each sum along the mesh taken block by
+    block (blocks of _SUM_BLOCK mesh indices from index 0, each one np.sum,
+    added in order): the reference the stacked pass must match."""
+    def blocked(vals, a, lo, hi):
+        # the sum of the entries at mesh indices lo .. hi - 1, vals[0]
+        # being index a
+        total = 0.0
+        while lo < hi:
+            end = min(hi, (lo // _SUM_BLOCK + 1) * _SUM_BLOCK)
+            total = total + vals[lo - a:end - a].sum()
+            lo = end
+        return total
+
+    def trapz(vals, i0, i1):
+        return plan.dtq * (blocked(vals, 0, i0, i1 + 1)
+                           - 0.5 * (vals[i0] + vals[i1]))
+
     out = []
     for x, k in zip(xq, kq):
         xp = convex.project_set(phi.domain, x)
@@ -123,12 +139,13 @@ def per_path_vi_worst(phi, plan, xq, kq):
             blends.append((label, ys, ok.eval_fn(phi, ys)))
         worst = (-math.inf, None, None)
         for window, i0, i1, consts in plan.spans:
-            int_phi_x = _trapz(phi_x[i0:i1 + 1], plan.dtq)
+            int_phi_x = trapz(phi_x, i0, i1)
             for label, y, int_phi_y in consts + [
-                    (label, ys[i0:i1], _trapz(phi_y[i0:i1 + 1], plan.dtq))
+                    (label, ys[i0:i1], trapz(phi_y, i0, i1))
                     for label, ys, phi_y in blends]:
-                pair = float(np.einsum("ij,ij->", y - x[i0:i1], dk[i0:i1]))
-                res = pair + int_phi_x - int_phi_y
+                pair = blocked(np.einsum("ij,ij->i", y - x[i0:i1],
+                                         dk[i0:i1]), i0, i0, i1)
+                res = float(pair + int_phi_x - int_phi_y)
                 if res > worst[0]:
                     worst = (res, window, label)
         out.append(worst)

@@ -3,13 +3,14 @@
 import dataclasses
 import functools
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import oblique_skorohod as ok
-from oblique_skorohod import convex, sde
+from oblique_skorohod import convex, noise, sde
 
 from conftest import halfline_set, nan_drift
 
@@ -568,7 +569,7 @@ class TestMonteCarlo:
         # a horizon of 64.5 cells fails the problem once, as GridMismatch,
         # before any path draws its noise
         drawn = []
-        monkeypatch.setattr(sde, "brownian_path", drawn.append)
+        monkeypatch.setattr(noise, "_philox_key", drawn.append)
         with pytest.raises(ok.GridMismatch, match="horizon 1.0078125"):
             ok.monte_carlo(self.problem(horizon=1.0 + 1.0 / 128.0), 3, 9)
         assert drawn == []
@@ -694,9 +695,10 @@ def _solo_runs(name):
     return p, _solo(p, range(base, base + paths))
 
 
-def _with_rows(monkeypatch, p, rows):
-    monkeypatch.setattr(sde, "_CHUNK_BYTES", rows * sde._row_bytes(p))
-    assert sde._chunk_rows(p) == rows
+def _with_rows(monkeypatch, p, rows, streamed=False):
+    monkeypatch.setattr(sde, "_CHUNK_BYTES",
+                        rows * sde._row_bytes(p, streamed))
+    assert sde._chunk_rows(p, streamed) == rows
 
 
 def _assert_solo(sol, ref):
@@ -841,15 +843,15 @@ class TestChunks:
         # seed 45 also fails on its own, with an error that is no guard
         # breach: the reruns are lazy, each inside its own path's error
         # handling, so only seed 45 fails and the others are their solo runs
-        real_path, noise_calls = sde.brownian_path, []
+        real_key, noise_calls = noise._philox_key, []
 
-        def noise_fails_on_rerun(drv):
-            noise_calls.append(drv.seed)
-            if drv.seed == 45 and noise_calls.count(45) == 2:
+        def noise_fails_on_rerun(seed):
+            noise_calls.append(seed)
+            if seed == 45 and noise_calls.count(45) == 2:
                 raise LookupError("no noise for seed 45")
-            return real_path(drv)
+            return real_key(seed)
 
-        monkeypatch.setattr(sde, "brownian_path", noise_fails_on_rerun)
+        monkeypatch.setattr(noise, "_philox_key", noise_fails_on_rerun)
         out = ok.monte_carlo(p, 10, 42, collect_paths=True)
         assert noise_calls == list(range(42, 52)) * 2  # chunk, then reruns
         assert out["failures"] == [{"seed": 45, "error": "LookupError",
@@ -892,15 +894,15 @@ class TestChunks:
         # a chunk of one seed is that seed's own run: its error is the
         # path's failure, and the failing sweep does not run twice
         p, solo = _solo_runs("halfline-svi")
-        real_path, noise_calls = sde.brownian_path, []
+        real_key, noise_calls = noise._philox_key, []
 
-        def noise_fails(drv):
-            noise_calls.append(drv.seed)
-            if drv.seed == 45:
+        def noise_fails(seed):
+            noise_calls.append(seed)
+            if seed == 45:
                 raise LookupError("no noise for seed 45")
-            return real_path(drv)
+            return real_key(seed)
 
-        monkeypatch.setattr(sde, "brownian_path", noise_fails)
+        monkeypatch.setattr(noise, "_philox_key", noise_fails)
         _with_rows(monkeypatch, p, 1)
         out = ok.monte_carlo(p, 4, 44, collect_paths=True)
         assert noise_calls == [44, 45, 46, 47]
@@ -1024,6 +1026,132 @@ class TestChunkCertificates:
         assert built == []
         ok.monte_carlo(p, 40, 42, collect_paths=True)
         assert len(built) == 40
+
+
+def _assert_same_summary(out, ref):
+    # the summaries hold the same keys, the arrays the same bytes
+    assert out.keys() == ref.keys()
+    for key, val in ref.items():
+        if isinstance(val, np.ndarray):
+            assert out[key].tobytes() == val.tobytes(), key
+        else:
+            assert out[key] == val, key
+
+
+class TestStreamedChunks:
+    """Without collect_paths a chunk streams through time: its arrays span
+    a fixed number of cells, and its noise is drawn as the blocks need it;
+    every number stays the one of the whole sweep."""
+
+    def test_block_draws_match_one_draw(self):
+        # 200 seeds, drawn in cuts of random cell counts, odd normal counts
+        # included: each seed's increments have the bits of
+        # np.diff(brownian_path(drv).values) and its normals those of
+        # standard_normals.  This rests on numpy's log, cos and sin giving
+        # the same bits at any array length.
+        rng = np.random.default_rng(25)
+        dt, cells = 1.0 / 256.0, 300
+        for k in (1, 2):
+            seeds = [int(s) for s in rng.integers(0, 2 ** 64, size=200,
+                                                  dtype=np.uint64)]
+            draw, parts, lo = noise._increments(seeds, k, dt), [], 0
+            while lo < cells:
+                hi = min(cells, lo + int(rng.integers(1, 40)))
+                parts.append(draw(lo, hi))
+                lo = hi
+            got = np.concatenate(parts)
+            take = noise._normal_source(seeds)
+            # 333 normals at once outgrow a piece of uniforms
+            counts = [int(c) for c in rng.integers(0, 9, size=30)] + [333, 3]
+            z = np.concatenate([take(c) for c in counts], axis=1)
+            for i, seed in enumerate(seeds):
+                drv = ok.BrownianDriver(seed=seed, dt=dt, dims=k,
+                                        horizon=cells * dt)
+                assert got[:, i].tobytes() == np.diff(
+                    ok.brownian_path(drv).values, axis=0).tobytes()
+                assert z[i].tobytes() == ok.standard_normals(
+                    seed, sum(counts)).tobytes()
+
+    def test_halfline_svi_runs_as_one_chunk_in_the_parent_memory(
+            self, monkeypatch):
+        # 256 paths at the unchanged _CHUNK_BYTES sweep as one chunk; the
+        # traced peak stays at or below the 2,300 KiB of the whole-horizon
+        # chunks of 38 paths the streaming replaced
+        p = _scenario_problem()
+        real, chunks = sde._chunk_outcomes, []
+
+        def counted(problem, plan, seeds, collect):
+            chunks.append(len(seeds))
+            return real(problem, plan, seeds, collect)
+
+        monkeypatch.setattr(sde, "_chunk_outcomes", counted)
+        ok.monte_carlo(p, 256, 42)
+        tracemalloc.start()
+        try:
+            ok.monte_carlo(p, 256, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == [256, 256]
+        assert peak <= 2300 * 1024
+
+    def test_summaries_do_not_depend_on_chunks_or_collect(self, monkeypatch):
+        p = _scenario_problem()
+        ref = ok.monte_carlo(p, 256, 42)
+        # chunks of 1, 7, 64 and 256 paths, streamed and collected
+        for rows in (1, 7, 64, 256):
+            for collect in (False, True):
+                _with_rows(monkeypatch, p, rows, streamed=not collect)
+                out = ok.monte_carlo(p, 256, 42, collect_paths=collect)
+                assert len(out.pop("paths", range(256))) == 256
+                _assert_same_summary(out, ref)
+
+    def test_breaches_in_later_blocks(self, monkeypatch):
+        # four blocks of 64 cells (n_sub = 2, window 8 cells): paths leave
+        # the guard ball in each of them; the streamed chunk gives every
+        # path its solo failure or certificates, and collect_paths's
+        # summary
+        p = dataclasses.replace(
+            _halfline_breach_problem(u0=np.array([1.0]),
+                                     test_points=(np.array([0.5]),)),
+            horizon=4.0)
+        solo = _solo(p, range(500, 540))
+        times = {float(str(e).split("t=")[1].split()[0]) // 1.0
+                 for e in solo.values() if isinstance(e, Exception)}
+        assert times == {0.0, 1.0, 2.0, 3.0}
+        out, seen = _chunk_certificates(monkeypatch, p, 40, 500)
+        for seed, ref in solo.items():
+            got = seen[seed]
+            if isinstance(ref, Exception):
+                assert type(got) is type(ref) and str(got) == str(ref)
+                continue
+            xg, tv, defect, vi, _ = got
+            np.testing.assert_array_equal(xg, ref.x.values)
+            assert tv == ref.tv_k
+            assert defect == ref.diagnostics["max_feasibility_defect"]
+            assert vi == ok.vi_residual(ref, p.phi, test_points=[[0.5]],
+                                        u0=p.u0)["residual"]
+        collected, _ = _chunk_certificates(monkeypatch, p, 40, 500,
+                                           collect=True)
+        assert len(collected.pop("paths")) == out["n_ok"] == 20
+        _assert_same_summary(collected, out)
+
+    @pytest.mark.parametrize("horizon", [1.0, 2.0])
+    def test_one_projector_per_chunk(self, monkeypatch, horizon):
+        # a triangle chunk's window input and certificates share one
+        # projector of the domain, however many blocks the horizon takes;
+        # nothing builds one per call through project_set or set_distance
+        p = dataclasses.replace(_triangle_problem(), horizon=horizon,
+                                u0=np.array([0.4, 0.4]))
+        calls = []
+        for name in ("_projector", "project_set", "set_distance"):
+            real = getattr(convex, name)
+            monkeypatch.setattr(convex, name, lambda *a, real=real,
+                                name=name: calls.append(name) or real(*a))
+        out = ok.monte_carlo(p, 8, 7)
+        assert out["n_ok"] == 8
+        # the chunk's own, and the one in the kernel's stacked resolvent
+        assert calls == ["_projector"] * 2
 
 
 @pytest.mark.parametrize("build, message", [

@@ -180,12 +180,12 @@ class TestPenalizedLevel:
                                  cfg.eps)
         field_at = ok.make_field_eval(ok.constant_field([[1.0]], c=1.0))
         if substep_grid:
-            solver._sweep(xq, 1, dt / n_sub, cfg, prox, prox, field_at,
-                          np.repeat(rates, n_sub, axis=0), "test",
-                          lambda j: 20)
+            whole_sweep(xq, 1, dt / n_sub, cfg, prox, prox, field_at,
+                        np.repeat(rates, n_sub, axis=0), "test",
+                        lambda j: 20)
         else:
-            solver._sweep(xq, n_sub, dt, cfg, prox, prox, field_at, rates,
-                          "test")
+            whole_sweep(xq, n_sub, dt, cfg, prox, prox, field_at, rates,
+                        "test")
         q = np.arange(20)
         moves = np.where(q >= lag * n_sub,
                          dt / n_sub * rates[np.maximum(q // n_sub - lag, 0),
@@ -514,6 +514,13 @@ def test_tracer_patch_points_are_the_closure_builders(monkeypatch):
         assert (mod, "make_field_eval") in built
 
 
+def whole_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates, where,
+                fill=None):
+    """solver._sweep over the whole grid in one block, from k = 0."""
+    return solver._sweep(xq, np.zeros(xq.shape), 0, n_sub, dt, cfg, prox,
+                         prox_rows, field_at, rates, where, {}, fill)
+
+
 def reference_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
                     where, fill=None, drift=None):
     """The substep kernel of one path as a plain loop over every substep:
@@ -560,6 +567,15 @@ def reference_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     return kq, math.sqrt(top), {}
 
 
+def whole_reference(xq, kq, start, n_sub, dt, cfg, prox, prox_rows,
+                    field_at, rates, where, breaches, fill=None):
+    """reference_sweep in the place of solver._sweep, which solve_penalized
+    calls over the whole grid in one block, from k = 0."""
+    assert start == 0 and not kq.any() and breaches == {}
+    return reference_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at,
+                           rates, where, fill)
+
+
 def assert_bits(a, b):
     """a and b hold the same float bits (a -0.0 is no +0.0)."""
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -590,7 +606,7 @@ class TestInteriorStretches:
         # (xq, kq, max_grad, prox) of _sweep and of the reference loop;
         # a StabilityBreach from either is returned in place of kq
         out = []
-        for kernel in (solver._sweep, reference_sweep):
+        for kernel in (whole_sweep, reference_sweep):
             xq = np.full((rates.shape[0] * n_sub + 1,) + np.shape(x0),
                          np.nan)
             xq[0] = x0
@@ -629,7 +645,7 @@ class TestInteriorStretches:
         phi = ok.indicator(ok.box([0.0], [1.0]), r0=0.2)
         cfg = ok.PenalizedConfig(eps=0.02)
         runs = []
-        for kernel in (solver._sweep, reference_sweep):
+        for kernel in (whole_sweep, reference_sweep):
             xq = np.empty((151, 1))
             xq[0] = -0.0
             prox = Counted(ok.make_resolvent(phi, cfg.eps))
@@ -694,7 +710,7 @@ class TestInteriorStretches:
         xq = np.empty((151, 3, 1))
         xq[0] = [[0.0], [0.3], [0.1]]
         prox = Counted(ok.make_resolvent(halfline_phi(), cfg.eps))
-        kq, tops, breaches = solver._sweep(
+        kq, tops, breaches = whole_sweep(
             xq, n_sub, dt, cfg, prox, prox, ok.make_field_eval(self.H1),
             rates, ["a", "b", "c"])
         assert list(breaches) == [2]
@@ -713,6 +729,42 @@ class TestInteriorStretches:
             assert_bits(xq[:, i], rx)
             assert_bits(kq[:, i], rk)
             assert tops[i] == rtop
+
+    @pytest.mark.parametrize("cuts", [[0, 50], [0, 1, 2, 7, 23, 24, 50],
+                                      [0, 10, 20, 30, 40, 50]])
+    def test_blocks_give_the_whole_sweep(self, cuts):
+        # the rows of test_chunk_rows_match_their_reference_runs, swept a
+        # block of cells at a time: each block starts from the last states
+        # and k of the one before, with the rates from input cell
+        # max(start - lag, 0) on and the rows that left before; row c
+        # leaves in the block of cell 22 (its input cell 20 is NaN)
+        n_sub, dt, cfg, lag = 3, 0.01, ok.PenalizedConfig(eps=0.02), 2
+        rates = np.ones((50, 3, 1))
+        rates[:, 1] = 0.5
+        rates[20, 2] = np.nan
+        rates[35:, 0] = -4.0
+        prox = ok.make_resolvent(halfline_phi(), cfg.eps)
+        field_at = ok.make_field_eval(self.H1)
+        xq = np.empty((151, 3, 1))
+        xq[0] = [[0.0], [0.3], [0.1]]
+        kq, tops, breaches = whole_sweep(xq, n_sub, dt, cfg, prox, prox,
+                                         field_at, rates, list("abc"))
+        bx, bk = np.empty(xq.shape), np.empty(kq.shape)
+        bx[0], bk[0] = xq[0], 0.0
+        got, top = {}, np.zeros(3)
+        for start, end in zip(cuts, cuts[1:]):
+            base, lo, hi = max(start - lag, 0), start * n_sub, end * n_sub
+            _, norms, got = solver._sweep(
+                bx[lo:hi + 1], bk[lo:hi + 1], start, n_sub, dt, cfg, prox,
+                prox, field_at, rates[base:max(end - lag, base)],
+                list("abc"), got)
+            top = np.fmax(top, norms)
+        top[list(got)] = 0.0
+        assert list(got) == list(breaches) == [2]
+        assert str(got[2]) == str(breaches[2])
+        assert_bits(bx, xq)
+        assert_bits(bk, kq)
+        assert_bits(top, tops)
 
     @pytest.mark.parametrize("path", [
         "scenarios/box-rotation.json", "scenarios/halfline-ramp.json",
@@ -738,7 +790,7 @@ class TestInteriorStretches:
                 mp.setattr(convex, "make_resolvent", counted)
                 sol = ok.solve_penalized(sc.phi, sc.hf, sc.f, m, sc.x0, cfg)
             with monkeypatch.context() as mp:
-                mp.setattr(solver, "_sweep", reference_sweep)
+                mp.setattr(solver, "_sweep", whole_reference)
                 ref = ok.solve_penalized(sc.phi, sc.hf, sc.f, m, sc.x0, cfg)
             assert_bits(sol.x_quad, ref.x_quad)
             assert_bits(sol.k_quad, ref.k_quad)
@@ -813,15 +865,15 @@ class TestBeforeTheDelay:
         xq = np.empty((151,) + starts.shape)
         xq[0] = starts
         prox = ok.make_resolvent(phi, cfg.eps)
-        kq, tops, breaches = solver._sweep(xq, n_sub, dt, cfg, prox, prox,
-                                           field_at, rates, ["a", "b"])
+        kq, tops, breaches = whole_sweep(xq, n_sub, dt, cfg, prox, prox,
+                                         field_at, rates, ["a", "b"])
         assert breaches == {}
         # the chunk took every substep before the delay in the loop
         assert np.diff(kq[:first + 1, 1], axis=0).any(axis=-1).all()
         assert np.signbit(xq[:first + 1, 0, 0]).all()
         for i in range(2):
             runs = []
-            for kernel in (solver._sweep, reference_sweep):
+            for kernel in (whole_sweep, reference_sweep):
                 x = np.empty((151, starts.shape[1]))
                 x[0] = starts[i]
                 runs.append((x,) + kernel(x, n_sub, dt, cfg, prox, prox,
@@ -872,8 +924,8 @@ class TestFloatPoints:
         out, spy = [], Spy(ok.make_field_eval(self.H1))
         prox = ok.make_resolvent(self.PHI, cfg.eps)
         for kernel, point, field_at in (
-                (solver._sweep, prox, spy),
-                (solver._sweep, arrays_only(prox),
+                (whole_sweep, prox, spy),
+                (whole_sweep, arrays_only(prox),
                  arrays_only(ok.make_field_eval(self.H1))),
                 (reference_sweep, prox, ok.make_field_eval(self.H1))):
             xq = np.full((rates.shape[0] * n_sub + 1, 1), np.nan)
@@ -954,7 +1006,7 @@ class TestFloatPoints:
                                                sc.x0, cfg))
             if drift.kind != "affine":  # the reference reads cell rates
                 with monkeypatch.context() as mp:
-                    mp.setattr(solver, "_sweep", reference_sweep)
+                    mp.setattr(solver, "_sweep", whole_reference)
                     sols.append(ok.solve_penalized(sc.phi, sc.hf, drift, m,
                                                    sc.x0, cfg))
             for other in sols[1:]:
