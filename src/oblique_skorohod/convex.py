@@ -291,11 +291,19 @@ def _projector(s: Set):
     one per call.  The one place a projection dispatches on the kind of s.
     A point's products are ndarray.dot, the bits of @ but for a zero's sign
     at d = 1, which only comparisons read (t's numerator is a residual >
-    PROJ_TOL).  The one-face closure of d = 1 carries float_form, the map
-    of a Python float with the point's bits."""
+    PROJ_TOL).  The one-face closure of d = 1 and the box of d = 2 carry
+    float_form, the map of a Python float (d = 1) or a 2-tuple of them
+    (d = 2) with the point's bits."""
     if s.kind == "box":
         lo, hi = s.lo, s.hi
-        return lambda x: _clip(x, lo, hi)
+        clip = lambda x: _clip(x, lo, hi)
+        if s.dim == 2:
+            # the clip ufunc's bits: a NaN stays, a -0.0 at lo = 0 is lo
+            (l0, l1), (h0, h1) = lo.tolist(), hi.tolist()
+            clip.float_form = lambda x: (
+                l0 if x[0] <= l0 else h0 if x[0] >= h0 else x[0],
+                l1 if x[1] <= l1 else h1 if x[1] >= h1 else x[1])
+        return clip
     if s.kind == "ball":
         center, radius = s.center, s.radius
 
@@ -324,7 +332,9 @@ def _projector(s: Set):
 
         def _face(x):
             if x.ndim > 1:
-                v = (n1 @ x[:, :, None]) - b1
+                # for d = 1, 0 + x n1 has the bits of the 1 x 1 matmul
+                v = (0.0 + x * n1 if n1.size == 1
+                     else n1 @ x[:, :, None]) - b1
                 return x - np.where(v <= 0.0, still, v) * n1
             v = float(n1.dot(x)) - b1
             return x if v <= 0.0 else x - v * n1
@@ -617,7 +627,8 @@ def make_resolvent(phi: ConvexFunction, eps: float):
     same projector of x - eps a for the affine kind, and for the quadratic
     kind an exact projection in the metric K = I/eps + A onto a polytope or
     box, a trust-region solve on a ball.  The first two carry the
-    projector's float_form, where it has one."""
+    projector's float_form, where it has one (the one face of d = 1, the
+    box of d = 2)."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if phi.kind == "quadratic_plus_indicator":
@@ -627,8 +638,12 @@ def make_resolvent(phi: ConvexFunction, eps: float):
         return proj
     shift = eps * phi.a
     prox = lambda x: proj(x - shift)
-    if hasattr(proj, "float_form"):
-        prox.float_form = lambda x, s1=float(shift[0]): proj.float_form(x - s1)
+    form = getattr(proj, "float_form", None)
+    if form and phi.dim == 1:
+        prox.float_form = lambda x, s1=float(shift[0]): form(x - s1)
+    elif form:
+        s0, s1 = shift.tolist()
+        prox.float_form = lambda x: form((x[0] - s0, x[1] - s1))
     return prox
 
 

@@ -81,8 +81,9 @@ def _vi_plan(phi: ConvexFunction, tq: np.ndarray, windows=None,
     dtq = float(tq[1] - tq[0])
     if windows is None:
         windows = [(0.0, horizon)]
-    points = [(f"const[{idx}]", p, eval_fn(phi, np.tile(p, (tq.size, 1)),
-                                            feas_tol=1e-7))
+    # phi along a constant path: its one value at every node
+    points = [(f"const[{idx}]", p,
+               np.full(tq.size, eval_fn(phi, p, feas_tol=1e-7)))
               for idx, p in enumerate(_feasible_points(
                   phi, () if test_points is None else test_points))]
     blends = []

@@ -108,7 +108,10 @@ def make_field_eval(hf: ObliqueField):
     (n, d), each row bit for bit as on its own.  The one place the field
     dispatches on kind; the point paths serve the solvers' substeps.  The
     constant kind of d = 1 carries float_form, H of a Python float point
-    as a float."""
+    as a float, and so does the rotation blend of d = 2 whose m0 and m1
+    are diagonal and whose w_direction has at most one nonzero entry: the
+    diagonal of H of a 2-tuple point as a 2-tuple, with the point's bits
+    (H's off-diagonal entries are zeros)."""
     if hf.kind == "constant":
         mat = hf.matrix
         at = lambda x: mat if x.ndim == 1 else \
@@ -149,6 +152,20 @@ def make_field_eval(hf: ObliqueField):
         if s <= 0.0 or s >= 1.0:
             return clamped[s >= 1.0]
         return blend(s * s * (3.0 - 2.0 * s))
+    if hf.dim == 2 and np.count_nonzero(wd) <= 1 and all(
+            np.array_equal(m, np.diag(np.diag(m))) for m in (m0, m1)):
+        # with one nonzero term, wd.dot(x) is (0.0 + w0 x0) + w1 x1
+        (w0, w1), (a0, a1), (b0, b1) = wd.tolist(), np.diag(m0).tolist(), \
+            np.diag(m1).tolist()
+        ends = [tuple(np.diag(m).tolist()) for m in clamped]
+
+        def _blend_pair(x):
+            s = ((0.0 + w0 * x[0]) + w1 * x[1]) + wo
+            if s <= 0.0 or s >= 1.0:
+                return ends[s >= 1.0]
+            w = s * s * (3.0 - 2.0 * s)
+            return (1.0 - w) * a0 + w * b0, (1.0 - w) * a1 + w * b1
+        _blend.float_form = _blend_pair
     return _blend
 
 

@@ -16,20 +16,18 @@ import numpy as np
 from .solver import SkorohodSolution
 
 
-def fmt_float(x: float) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite value {x}")
-    return repr(x)
-
-
 def path_csv_text(dt: float, names, values) -> str:
     """Nodes of a path on a grid of step dt as CSV: t, then one column per
-    name (values holds one row per node).  LF line endings."""
-    lines = [",".join(["t", *names])]
-    for i, row in enumerate(values):
-        lines.append(",".join([fmt_float(i * dt)]
-                              + [fmt_float(v) for v in row]))
+    name (values holds one row per node).  LF line endings.  Raises
+    ValueError on a non-finite value, naming the first."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(
+            f"refusing to serialize non-finite value {float(bad[0])}")
+    dt, lines = float(dt), [",".join(["t", *names])]
+    for i, row in enumerate(values.tolist()):
+        lines.append(",".join([repr(i * dt), *map(repr, row)]))
     return "\n".join(lines) + "\n"
 
 

@@ -39,8 +39,10 @@ field term alone): the cell's input row is taken once per cell, and k
 and the largest gradient norm come from the stored g after the sweep,
 with the same sequential sums as a per-substep k += h g.  A chunk row
 that leaves the guard ball keeps its last state in xq from there on.  A
-point of dimension 1 runs the loop on Python floats where its resolvent
-and its field have float forms, with the same bits.  The kernel sweeps
+point runs the loop on Python floats, with the same bits, where its
+resolvent and its field have float forms: in dimension 1, and in
+dimension 2 where every product has one nonzero term (a box under a
+diagonal rotation blend with one weight).  The kernel sweeps
 a block of cells at a given place on the grid, so a caller may sweep a
 long grid block by block, each block from the last states and k of the
 one before, with the same bits as one sweep.
@@ -234,10 +236,13 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     leaves a chunk).  Per substep, only what reads the state: the prox, g,
     H(x) g (ndarray.dot for a point with d > 1, the bits of @ at a lower
     call cost), the state update, the guard test and storing x and g.
-    A point of d = 1 whose prox and field_at both carry a float_form
-    holds x, g, its cell rate and H(x) as Python floats, with the bits of
-    the arrays, converting at entry and around stretches; a closure
-    without one (a wrapped closure) keeps the point on arrays.
+    A point whose prox and field_at both carry a float_form holds x, g,
+    its cell rate and H(x) as Python floats, with the bits of the arrays,
+    converting at entry and around stretches: a float for d = 1, a 2-tuple
+    for d = 2, where the forms exist only if H(x) is diagonal, so that
+    each entry of H(x) g has one nonzero product (convex._projector,
+    field.make_field_eval); a closure without one (a wrapped closure)
+    keeps the point on arrays.
     After the sweep, in slices of time: the largest g.g (np.fmax, so a NaN
     norm is skipped), then kq scaled by h and summed along time with
     np.add.accumulate, the same sequential sums as k = k + h g.
@@ -328,13 +333,15 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
         # the rate every substep of cell j reads, taken once per cell (and
         # again after a row leaves); -0.0 before the delay, where
         # x + h (-0.0 - hg) has the bits of x - h hg
-        return -0.0 if j + off < 0 else load(rates[j + off, rows])
+        return before if j + off < 0 else load(rates[j + off, rows])
 
     load = np.ndarray.copy  # a state or rate row as the loop holds it
     nonzero = np.count_nonzero  # g.any() without its Python wrapper
+    grad = lambda x: (x - prox(x)) / eps  # g at x, outside the loops
+    before, steps = -0.0, None
     if xq.ndim == 2:
         forms = [getattr(fn, "float_form", None) for fn in (prox, field_at)]
-        if None not in forms:
+        if None not in forms and xq.shape[1] == 1:
             # d = 1 on Python floats, with the bits of the arrays below:
             # 0 + m v is the 1 x 1 m @ v (a -0.0 product turns +0.0), and
             # bool(g), like count_nonzero, counts a NaN
@@ -342,6 +349,40 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
             load, at, nonzero = lambda v: float(v[0]), 0, bool
             apply = lambda m, v: 0.0 + m * v
             inside = lambda v: v * v <= guard2
+        elif None not in forms:
+            # d = 2 on 2-tuples of floats, H(x) by its diagonal; memoryviews
+            # store x and g at a third of an array row's cost
+            prox, field_at = forms
+            load, nonzero, before = lambda v: tuple(v.tolist()), any, \
+                (-0.0, -0.0)
+            xv, kv = memoryview(xq), memoryview(kq)
+            below, above = guard2 * (1.0 - 1e-12), guard2 * (1.0 + 1e-12)
+
+            def grad(x):
+                p0, p1 = prox(x)
+                return (x[0] - p0) / eps, (x[1] - p1) / eps
+
+            def steps(q, end, x, g, u):
+                # substeps q .. end - 1, returning x and g: H(x) g has
+                # ndarray.dot's bits for a diagonal H, 0.0 + h_ii g_i
+                # (never -0.0) plus the exact zero 0.0 g_j.  x0 x0 + x1 x1
+                # may miss x.dot(x) by an ulp, so the dot decides a sum
+                # that near guard2
+                (x0, x1), (g0, g1), (u0, u1) = x, g, u
+                for q in range(q, end):
+                    d0, d1 = field_at(x)
+                    x0 = x0 + h * (u0 - ((0.0 + d0 * g0) + 0.0 * g1))
+                    x1 = x1 + h * (u1 - ((0.0 + d1 * g1) + 0.0 * g0))
+                    x = x0, x1
+                    kv[q + 1, 0], kv[q + 1, 1] = g0, g1
+                    s = x0 * x0 + x1 * x1
+                    if not (s <= below or s <= above
+                            and np.dot(x, x) <= guard2):
+                        raise StabilityBreach(message(x, q, where))
+                    xv[q + 1, 0], xv[q + 1, 1] = x
+                    p0, p1 = prox(x)
+                    g0, g1 = (x0 - p0) / eps, (x1 - p1) / eps
+                return x, (g0, g1)
         else:
             # m.dot(v) takes the bits of m @ v at half the call cost for
             # d > 1.  For d = 1 it is m v where m @ v is 0 + m v: a -0.0
@@ -383,7 +424,7 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     # without a fill
     ready = 0 if fill else n_cells
     q = 0  # the next substep; g is the regularized gradient at x
-    g = (x - prox(x)) / eps
+    g = grad(x)
     for j in range(n_cells):
         end = (j + 1) * n_sub
         if q >= end:
@@ -394,10 +435,14 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
             taken, x = stretch(q, min(q + span, ready * n_sub))
             if taken:
                 q += taken
-                g = (x - prox(x)) / eps
+                g = grad(x)
                 if q >= end:
                     continue
         u = cell_input(j)
+        if steps:
+            x, g = steps(q, end, x, g, u)
+            q = end
+            continue
         for q in range(q, end):
             hg = apply(field_at(x), g)
             x = x + h * (u - hg)

@@ -965,3 +965,70 @@ def test_only_the_one_face_resolvents_of_d1_have_float_forms():
         assert not hasattr(convex._projector(s), "float_form")
     quad = ok.quadratic_plus_indicator([[1.0]], [0.2], one, r0=0.1, h0=0.1)
     assert not hasattr(make_resolvent(quad, 0.1), "float_form")
+
+
+def _pair_inputs(rng, lo, hi, n):
+    # 2-D points whose coordinates are drawn from each box edge and its
+    # neighbours, signed zeros, subnormals, huge values, infinities, NaN
+    # and normal draws, so that points fall inside, on faces, on corners
+    # and past them
+    pool = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+            np.inf, -np.inf, np.nan]
+    for e in (*lo, *hi):
+        pool += [e, float(np.nextafter(e, -np.inf)),
+                 float(np.nextafter(e, np.inf))]
+    pool = np.array(pool)
+    pts = rng.normal(0.5 * (lo + hi), hi - lo + 1.0, (n, 2))
+    pick = rng.random((n, 2)) < 0.5
+    pts[pick] = rng.choice(pool, pick.sum())
+    return [tuple(p) for p in pts.tolist()]
+
+
+def test_the_2d_box_float_forms_match_the_array_point():
+    # the substep kernel runs a 2-D point on a box on these float forms:
+    # each gives a 2-tuple of Python floats with the bits of its array
+    # point closure, on random boxes and generated points
+    rng = np.random.default_rng(2026)
+    boxes = [([0.0, 0.0], [1.0, 1.0]), ([-0.0, -2.0], [3.0, 0.0]),
+             ([-1e-310, 5.0], [1e-310, 7.0])]
+    for _ in range(6):
+        lo = rng.normal(0.0, 2.0, 2)
+        boxes.append((lo, lo + rng.exponential(2.0, 2) + 1e-3))
+    bad, checked = [], 0
+    for lo, hi in boxes:
+        s = ok.box(lo, hi)
+        r0 = 0.25 * float((s.hi - s.lo).min())
+        ops = [("projector", convex._projector(s))]
+        for eps in (1.0, 0.05):
+            a = rng.normal(0.0, 1.0, 2)
+            ops += [(f"indicator eps={eps}",
+                     make_resolvent(ok.indicator(s, r0=r0), eps)),
+                    (f"affine eps={eps}", make_resolvent(
+                        ok.lipschitz_affine_plus_indicator(a, 0.2, s,
+                                                           r0=r0), eps))]
+        for x in _pair_inputs(rng, s.lo, s.hi, 400):
+            for name, op in ops:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = op(np.array(x))
+                got = op.float_form(x)
+                checked += 1
+                if type(got) is not tuple or \
+                        not all(type(v) is float for v in got) or \
+                        np.array(got).tobytes() != want.tobytes():
+                    bad.append((name, s.lo, s.hi, x, got, want))
+    assert bad == [] and checked == 9 * 5 * 400
+
+
+def test_only_the_2d_box_and_d1_face_keep_float_forms():
+    # boxes of other dimensions, balls and polytopes of d = 2 keep the
+    # kernel's array point path, and so does the quadratic prox on a box
+    for s in (ok.box([0.0] * 3, [1.0] * 3), ok.ball([0.0, 0.0], 1.0),
+              ok.whole_space(2), ok.halfspace_intersection(
+                  [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])):
+        assert not hasattr(convex._projector(s), "float_form")
+        phi = ok.lipschitz_affine_plus_indicator(np.ones(s.dim), 0.0, s,
+                                                 r0=0.1, h0=1.0)
+        assert not hasattr(make_resolvent(phi, 0.1), "float_form")
+    quad = ok.quadratic_plus_indicator(np.eye(2), [0.2, 0.0],
+                                       ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1)
+    assert not hasattr(make_resolvent(quad, 0.1), "float_form")

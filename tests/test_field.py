@@ -227,3 +227,63 @@ def test_constant_float_form_matches_the_array_point():
                ok.rotation_blend_field([[1.0]], [[2.0]], [1.0], 0.0, c=2.0,
                                        b=1.1)):
         assert not hasattr(ok.make_field_eval(hf), "float_form")
+
+
+def same_bits(a, b) -> bool:
+    # equal float bits, a NaN matching any NaN (payloads are not compared)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and \
+        a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def test_diagonal_blend_float_form_matches_the_array_point():
+    # the substep kernel reads H of a 2-D point through this float form
+    # when m0 and m1 are diagonal and w_direction has one nonzero entry:
+    # the diagonal of the array point's H as a 2-tuple of Python floats,
+    # whose off-diagonal entries are zeros (NaN with a NaN weight)
+    rng = np.random.default_rng(2027)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+                     np.inf, -np.inf, np.nan, 0.5, 1.0])
+    bad, checked = [], 0
+    for case in range(24):
+        m0, m1 = (np.diag(rng.uniform(0.5, 2.0, 2)) for _ in range(2))
+        wd = np.zeros(2)
+        if case % 6:  # one weight of random sign and scale, or none
+            wd[case % 2] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+        if case % 4 == 3:
+            wd[1 - case % 2] = -0.0
+        wo = float(rng.choice([0.0, rng.normal(0.0, 1.0)]))
+        at = ok.make_field_eval(ok.rotation_blend_field(
+            m0, m1, wd, wo, c=2.0, b=1.0))
+        pts = rng.normal(0.0, 1.0, (300, 2)) / np.where(wd != 0.0, wd, 1.0)
+        pick = rng.random(pts.shape) < 0.3
+        pts[pick] = rng.choice(pool, pick.sum())
+        for x in map(tuple, pts.tolist()):
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = at(np.array(x))
+            got = at.float_form(x)
+            checked += 1
+            zero = want[[0, 1], [1, 0]]
+            if type(got) is not tuple or \
+                    not all(type(v) is float for v in got) or \
+                    not same_bits(got, np.diag(want)) or \
+                    not (np.all(zero == 0.0) or np.isnan(got).all()):
+                bad.append((case, x, got, want))
+    assert bad == [] and checked == 24 * 300
+
+
+def test_only_diagonal_one_weight_blends_of_d2_get_float_forms():
+    diag = np.diag([2.0, 0.5])
+    assert hasattr(ok.make_field_eval(ok.rotation_blend_field(
+        np.eye(2), diag, [0.0, -3.0], 0.2, c=2.0, b=1.0)), "float_form")
+    for hf in (ok.rotation_blend_field(np.eye(2), [[1.5, 0.2], [0.2, 1.0]],
+                                       [1.0, 0.0], 0.0, c=2.0, b=1.0),
+               ok.rotation_blend_field(np.eye(2), diag, [0.6, 0.8], 0.1,
+                                       c=2.0, b=5.1),
+               ok.rotation_blend_field(np.eye(3), np.diag([2.0, 0.5, 1.0]),
+                                       [1.0, 0.0, 0.0], 0.0, c=2.0, b=5.1),
+               ok.diagonal_affine_field([1.0, 1.0], np.zeros((2, 2)),
+                                        c=2.0, b=0.5),
+               ok.constant_field(np.diag([2.0, 0.5]), c=2.0)):
+        assert not hasattr(ok.make_field_eval(hf), "float_form")

@@ -890,6 +890,45 @@ class TestChunks:
             for lone, row in ((xs, xq), (ks, kq)):
                 assert lone[:, 0].tobytes() == row[:, i].tobytes()
 
+    def test_a_lone_2d_float_path_is_its_row_in_a_chunk(self, monkeypatch):
+        # a box under a diagonal rotation blend: a lone path sweeps on
+        # 2-tuples of floats (its field's float form answers every loop
+        # substep), a chunk of 5 seeds on stacks; with an affine drift and
+        # an affine-in-x diffusion, fill reads the float run's states
+        gains = np.array([[[0.6, -0.2], [0.3, 0.5]],
+                          [[-0.4, 0.7], [0.2, -0.3]]])
+        p = ok.SviProblem(
+            phi=ok.indicator(ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1),
+            hf=ok.rotation_blend_field(np.eye(2), np.diag([2.0, 0.5]),
+                                       [-1.5, 0.0], 0.8, c=2.0, b=5.1),
+            f=ok.affine_drift([[-0.6, 0.3], [0.1, -0.4]], [0.9, -1.2],
+                              fsharp=3.0),
+            g=ok.affine_diffusion([[0.8, 0.1], [-0.2, 0.9]], gains,
+                                  gsharp=1.0),
+            x0=np.array([0.3, 0.6]), dt=1.0 / 256.0, horizon=0.5, n=16)
+        seeds = list(range(500, 505))
+        xq, kq, _, breaches, _ = sde._solve_paths(p, seeds)
+        assert breaches == {}
+        real, calls = sde.make_field_eval, []
+
+        def spied(hf):
+            at = real(hf)
+            form = at.float_form
+
+            def on_float(x):
+                calls.append(x)
+                return form(x)
+            at.float_form = on_float
+            return at
+
+        monkeypatch.setattr(sde, "make_field_eval", spied)
+        for i, seed in enumerate(seeds):
+            calls.clear()
+            xs, ks, _, _, _ = sde._solve_paths(p, [seed])
+            assert calls and all(type(x) is tuple for x in calls)
+            for lone, row in ((xs, xq), (ks, kq)):
+                assert lone[:, 0].tobytes() == row[:, i].tobytes()
+
     def test_a_failing_chunk_of_one_is_not_rerun(self, monkeypatch):
         # a chunk of one seed is that seed's own run: its error is the
         # path's failure, and the failing sweep does not run twice

@@ -909,6 +909,40 @@ class Spy:
         return self.fn(x)
 
 
+def sweep_three(phi, hf, rates, x0, cfg, n_sub=3, dt=0.01):
+    """(xq, kq or the breach message, max_grad) of _sweep on floats, of
+    _sweep on arrays and of the reference loop, and the float run's field
+    spy."""
+    out, spy = [], Spy(ok.make_field_eval(hf))
+    prox = ok.make_resolvent(phi, cfg.eps)
+    for kernel, point, field_at in (
+            (whole_sweep, prox, spy),
+            (whole_sweep, arrays_only(prox),
+             arrays_only(ok.make_field_eval(hf))),
+            (reference_sweep, prox, ok.make_field_eval(hf))):
+        xq = np.full((rates.shape[0] * n_sub + 1, np.size(x0)), np.nan)
+        xq[0] = x0
+        try:
+            kq, top, _ = kernel(xq, n_sub, dt, cfg, point, prox, field_at,
+                                rates, "test")
+        except ok.StabilityBreach as exc:
+            kq, top = str(exc), None
+        out.append((xq, kq, top))
+    return out, spy
+
+
+def assert_same_runs(runs):
+    """The float run of sweep_three has the bits of the other two."""
+    (fx, fk, ftop), *others = runs
+    for xq, kq, top in others:
+        assert_bits(fx, xq)
+        if isinstance(fk, str):
+            assert fk == kq
+        else:
+            assert_bits(fk, kq)
+        assert ftop == top
+
+
 class TestFloatPoints:
     """A 1-D point whose resolvent and field have float forms sweeps on
     Python floats; it must give the array loop's bits and the reference
@@ -918,35 +952,10 @@ class TestFloatPoints:
     H1 = ok.constant_field([[2.0]], c=2.0)
 
     def sweep_three(self, rates, x0, cfg, n_sub=3, dt=0.01):
-        # (xq, kq or the breach message, max_grad) of _sweep on floats, of
-        # _sweep on arrays and of the reference loop, and the float run's
-        # field spy
-        out, spy = [], Spy(ok.make_field_eval(self.H1))
-        prox = ok.make_resolvent(self.PHI, cfg.eps)
-        for kernel, point, field_at in (
-                (whole_sweep, prox, spy),
-                (whole_sweep, arrays_only(prox),
-                 arrays_only(ok.make_field_eval(self.H1))),
-                (reference_sweep, prox, ok.make_field_eval(self.H1))):
-            xq = np.full((rates.shape[0] * n_sub + 1, 1), np.nan)
-            xq[0] = x0
-            try:
-                kq, top, _ = kernel(xq, n_sub, dt, cfg, point, prox,
-                                    field_at, rates, "test")
-            except ok.StabilityBreach as exc:
-                kq, top = str(exc), None
-            out.append((xq, kq, top))
-        return out, spy
+        return sweep_three(self.PHI, self.H1, rates, x0, cfg, n_sub, dt)
 
     def assert_same(self, runs):
-        (fx, fk, ftop), *others = runs
-        for xq, kq, top in others:
-            assert_bits(fx, xq)
-            if isinstance(fk, str):
-                assert fk == kq
-            else:
-                assert_bits(fk, kq)
-            assert ftop == top
+        assert_same_runs(runs)
 
     def test_substeps_before_the_delay_with_a_gradient(self):
         # x0 below the half-line: g is not 0 through the 60 substeps before
@@ -1031,3 +1040,145 @@ class TestFloatPoints:
             assert_bits(alone.x_quad, row.x_quad)
             assert_bits(alone.k_quad, row.k_quad)
             assert alone.diagnostics == row.diagnostics
+
+
+def pair_case(rng, affine=False):
+    """A random 2-D box (an indicator or an affine function on it) and a
+    rotation-blend field whose m0 and m1 are diagonal and whose weight
+    direction has one nonzero entry, of random sign and scale: the kinds
+    whose 2-D points sweep on floats."""
+    lo = rng.normal(0.0, 1.0, 2)
+    s = ok.box(lo, lo + rng.uniform(0.5, 2.0, 2))
+    phi = ok.lipschitz_affine_plus_indicator(rng.normal(0.0, 1.0, 2), 0.1,
+                                             s, r0=0.1) if affine \
+        else ok.indicator(s, r0=0.1)
+    wd = np.zeros(2)
+    wd[rng.integers(2)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1)
+    m0, m1 = (np.diag(rng.uniform(0.5, 2.0, 2)) for _ in range(2))
+    return phi, ok.rotation_blend_field(m0, m1, wd, rng.normal(0.0, 0.5),
+                                        c=2.0, b=1.0)
+
+
+class TestPairPoints:
+    """A 2-D point on a box under a diagonal rotation blend sweeps on
+    2-tuples of Python floats; it must give the array loop's bits and the
+    reference loop's, breaches included."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sweeps_match_the_array_and_reference_loops(self, seed):
+        # inputs steep enough to cross faces and corners, from x0 inside,
+        # on a face, on a corner and outside (g not 0 through the
+        # substeps before the delay, which read the rate -0.0)
+        rng = np.random.default_rng(seed)
+        phi, hf = pair_case(rng, affine=seed % 2 == 1)
+        lo, hi = phi.domain.lo, phi.domain.hi
+        starts = [0.5 * (lo + hi), [lo[0], 0.5 * (lo[1] + hi[1])],
+                  [hi[0], lo[1]], lo - 0.3]
+        rates = rng.normal(0.0, 8.0, (50, 2))
+        calls = []
+        for x0 in starts:
+            for eps in (0.02, 0.2):
+                runs, spy = sweep_three(phi, hf, rates, x0,
+                                        ok.PenalizedConfig(eps=eps))
+                assert_same_runs(runs)
+                assert not isinstance(runs[0][1], str)
+                calls.append((spy.calls, spy.float_calls))
+        # H comes from the float form alone, at each loop substep: from
+        # outside at least through the delay
+        assert max(calls)[0] == 0 and min(calls[-2:])[1] > 0
+
+    def test_a_signed_zero_on_a_face_stays(self):
+        # x0 = (-0.0, 0.5) on a box from 0: the projection's +0.0 makes g
+        # = (-0.0, 0), exactly zero, and no input moves the state: the
+        # stretches keep -0.0, and the loop's substeps before the delay
+        # (from a point outside) match too
+        phi = ok.indicator(ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1)
+        hf = ok.rotation_blend_field(np.eye(2), np.diag([2.0, 0.5]),
+                                     [1.0, 0.0], 0.0, c=2.0, b=5.1)
+        cfg = ok.PenalizedConfig(eps=0.2)
+        for x0, rates in (([-0.0, 0.5], np.full((50, 2), -0.0)),
+                          ([-0.3, 1.2], np.zeros((50, 2))),
+                          # g = (-0.0, < 0): H(x) g's first entry is
+                          # +0.0, which keeps x0 at -0.0
+                          ([-0.0, -0.3], np.full((50, 2), -0.0))):
+            runs, _ = sweep_three(phi, hf, rates, x0, cfg)
+            assert_same_runs(runs)
+        assert np.signbit(sweep_three(phi, hf, np.full((50, 2), -0.0),
+                                      [-0.0, 0.5], cfg)[0][0][0][:, 0]).all()
+
+    @pytest.mark.parametrize("bad", ["climb", "fall", "nan", "inf"])
+    def test_guard_breaches(self, bad):
+        # a state climbing out of a small guard ball, one pushed out by a
+        # steep fall in the loop, or a bad input: the same StabilityBreach
+        # message and time on floats
+        rng = np.random.default_rng(11)
+        phi, hf = pair_case(rng)
+        cfg, rates = ok.PenalizedConfig(eps=0.02), np.ones((50, 2))
+        if bad == "climb":
+            phi = ok.indicator(ok.box([-10.0, -10.0], [10.0, 10.0]), r0=0.1)
+            cfg = ok.PenalizedConfig(eps=0.02, guard_radius=2.0)
+            rates *= 30.0
+        elif bad == "fall":
+            cfg = ok.PenalizedConfig(eps=0.2, guard_radius=6.0)
+            rates *= -300.0
+        else:
+            rates[6, 1] = getattr(np, bad)
+        runs, _ = sweep_three(phi, hf, rates,
+                              0.5 * (phi.domain.lo + phi.domain.hi), cfg)
+        assert_same_runs(runs)
+        assert runs[0][1].startswith("state norm ")
+
+    def test_the_guard_test_near_the_ball_edge(self):
+        # states outside the box, where the loop takes the first substep
+        # and x0 x0 + x1 x1 and x.dot(x) round to different floats: with
+        # guard^2 between the two the float loop decides as x.dot(x) does
+        phi = ok.indicator(ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1)
+        hf = ok.rotation_blend_field(np.eye(2), np.diag([2.0, 0.5]),
+                                     [1.0, 0.0], 0.0, c=2.0, b=5.1)
+        rng = np.random.default_rng(5)
+        rates, found = np.zeros((5, 2)), 0
+        for _ in range(2000):
+            x0 = rng.uniform(1.5, 3.0, 2)
+            runs, _ = sweep_three(phi, hf, rates, x0,
+                                  ok.PenalizedConfig(eps=0.02))
+            x1 = runs[1][0][1]
+            a, b = sorted((float(x1[0] * x1[0] + x1[1] * x1[1]),
+                           float(x1.dot(x1))))
+            r = [c for c in (math.sqrt(a), float(np.nextafter(
+                math.sqrt(a), np.inf))) if a <= c * c < b]
+            if a == b or not r:
+                continue
+            runs, _ = sweep_three(phi, hf, rates, x0, ok.PenalizedConfig(
+                eps=0.02, guard_radius=r[0]))
+            assert_same_runs(runs)
+            found += 1
+            if found == 6:
+                break
+        assert found == 6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_levels_with_a_drift_match_the_array_loop(self, seed,
+                                                      monkeypatch):
+        # whole solve_penalized levels on a sinusoid input, with a drift
+        # that reads the state (filled on the substep grid) and a
+        # constant one, with and without the float forms
+        rng = np.random.default_rng(100 + seed)
+        phi, hf = pair_case(rng, affine=seed == 1)
+        x0 = phi.domain.lo + 0.3 * (phi.domain.hi - phi.domain.lo)
+        m = sinusoid_path(rng.normal(0.0, 2.0, 2), period=0.4)
+        drifts = [ok.affine_drift(rng.normal(0.0, 1.0, (2, 2)),
+                                  rng.normal(0.0, 1.0, 2), fsharp=10.0),
+                  ok.constant_drift(rng.normal(0.0, 1.0, 2))]
+        for drift in drifts:
+            for eps in (0.1, 0.013):
+                cfg = ok.PenalizedConfig(eps=eps)
+                mm = ok.mollify(m, eps)
+                sol = ok.solve_penalized(phi, hf, drift, mm, x0, cfg)
+                with monkeypatch.context() as mp:
+                    for name in ("make_resolvent", "make_field_eval"):
+                        mp.setattr(solver, name, lambda *a, b=getattr(
+                            solver, name): arrays_only(b(*a)))
+                    ref = ok.solve_penalized(phi, hf, drift, mm, x0, cfg)
+                assert_bits(sol.x_quad, ref.x_quad)
+                assert_bits(sol.k_quad, ref.k_quad)
+                assert sol.diagnostics == ref.diagnostics
