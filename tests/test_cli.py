@@ -595,16 +595,17 @@ class TestHugeDeclarations:
 
 
 def test_csv_text_is_the_repr_of_every_value():
-    # one finiteness check per array and repr of each float: the bytes of
-    # a per-value formatter, the time column from i * dt
+    # one finiteness check per array and repr of each float, over rows
+    # that span several blocks: the bytes of a per-value formatter, the
+    # time column from i * dt
     rng = np.random.default_rng(9)
-    values = np.vstack([rng.normal(0.0, 1e3, (40, 3)),
+    values = np.vstack([rng.normal(0.0, 1e3, (140, 3)),
                         [[-0.0, 5e-324, 1e300]]])
     text = output.path_csv_text(1e-3, ["a", "b", "c"], values)
     rows = ["t,a,b,c"] + [",".join(repr(float(v)) for v in (i * 1e-3, *row))
                           for i, row in enumerate(values)]
     assert text == "\n".join(rows) + "\n"
     for bad in (np.nan, -np.inf):
-        values[7, 1], values[20, 0] = bad, np.inf
+        values[70, 1], values[100, 0] = bad, np.inf
         with pytest.raises(ValueError, match=f"non-finite value {bad}$"):
             output.path_csv_text(1e-3, ["a", "b", "c"], values)
