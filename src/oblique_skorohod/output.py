@@ -25,14 +25,14 @@ def path_csv_text(dt: float, names, values) -> str:
     if bad.size:
         raise ValueError(
             f"refusing to serialize non-finite value {float(bad[0])}")
-    # the rows in blocks of 64 lines: each block is one string, so the
-    # lines of only one block are alive at a time
+    # one string per block of 64 rows: few line strings are alive at once
     dt, text = float(dt), [",".join(["t", *names])]
     for lo in range(0, len(values), 64):
         text.append("\n".join(
             ",".join([repr(i * dt), *map(repr, row)])
             for i, row in enumerate(values[lo:lo + 64].tolist(), lo)))
-    return "\n".join(text) + "\n"
+    text.append("")  # the last LF, without a copy of the text
+    return "\n".join(text)
 
 
 def to_jsonable(obj):
