@@ -353,8 +353,8 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
             # d = 2 on 2-tuples of floats, H(x) by its diagonal; memoryviews
             # store x and g at a third of an array row's cost
             prox, field_at = forms
-            load, nonzero, before = lambda v: tuple(v.tolist()), any, \
-                (-0.0, -0.0)
+            load, nonzero = lambda v: tuple(v.tolist()), any
+            before = -0.0, -0.0
             xv, kv = memoryview(xq), memoryview(kq)
             below, above = guard2 * (1.0 - 1e-12), guard2 * (1.0 + 1e-12)
 

@@ -888,7 +888,7 @@ class TestBeforeTheDelay:
 
 def arrays_only(fn):
     """fn behind a plain function: without its float_form, _sweep keeps a
-    1-D point on arrays."""
+    1-D or 2-D point on arrays."""
     return lambda x: fn(x)
 
 
