@@ -572,7 +572,10 @@ def eval_fn(phi: ConvexFunction, x, feas_tol: float = 1e-9):
 
 def _prox_quadratic(phi: ConvexFunction, eps: float):
     # J_eps(x) minimizes z'Kz/2 - y'z over the domain, K = I/eps + A and
-    # y = x/eps - q; mul(M, v) = (M @ v[..., None])[..., 0] serves a stack
+    # y = x/eps - q; mul(M, v) = (M @ v[..., None])[..., 0] serves a stack.
+    # A box of d = 2 takes the closed-form active set of boxqp, on floats
+    # for a point (with a float_form); other boxes and polytopes a
+    # projection in the metric K, a ball a trust-region solve
     s, d, q = phi.domain, phi.dim, phi.q
     k = np.eye(d) / eps + phi.A
     mul = lambda m, v: (m @ v[..., None])[..., 0]
@@ -603,6 +606,10 @@ def _prox_quadratic(phi: ConvexFunction, eps: float):
                 live = live[nu[live] > radius]
             return s.center + mul(vecs, u).reshape(x.shape)
         return _ball
+    if s.kind == "box" and d == 2:
+        # imported here: a run that builds no such prox keeps its memory
+        from .boxqp import box2_prox
+        return box2_prox(k, s.lo, s.hi, eps, q)
     # polytope or box: with K = L L' and w = L'z, the Euclidean projection of
     # L^-1 y onto {w : N L^-T w <= o}; a box is [I; -I] z <= [hi; -lo]
     linv = np.linalg.inv(np.linalg.cholesky(k))
@@ -626,9 +633,9 @@ def make_resolvent(phi: ConvexFunction, eps: float):
     dispatches on kind: the projector of the domain for the indicator, the
     same projector of x - eps a for the affine kind, and for the quadratic
     kind an exact projection in the metric K = I/eps + A onto a polytope or
-    box, a trust-region solve on a ball.  The first two carry the
-    projector's float_form, where it has one (the one face of d = 1, the
-    box of d = 2)."""
+    box (in closed form on a 2-D box), a trust-region solve on a ball.
+    The first two carry the projector's float_form, where it has one (the
+    one face of d = 1, the box of d = 2), the 2-D box quadratic its own."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if phi.kind == "quadratic_plus_indicator":

@@ -108,10 +108,10 @@ def make_field_eval(hf: ObliqueField):
     (n, d), each row bit for bit as on its own.  The one place the field
     dispatches on kind; the point paths serve the solvers' substeps.  The
     constant kind of d = 1 carries float_form, H of a Python float point
-    as a float, and so does the rotation blend of d = 2 whose m0 and m1
-    are diagonal and whose w_direction has at most one nonzero entry: the
-    diagonal of H of a 2-tuple point as a 2-tuple, with the point's bits
-    (H's off-diagonal entries are zeros)."""
+    as a float, and so do, for d = 2, diagonal_affine with diagonal slopes
+    and the blend with diagonal m0, m1 and at most one nonzero w_direction
+    entry: the diagonal of H of a 2-tuple point, with the point's bits
+    (the other entries are zeros)."""
     if hf.kind == "constant":
         mat = hf.matrix
         at = lambda x: mat if x.ndim == 1 else \
@@ -136,6 +136,22 @@ def make_field_eval(hf: ObliqueField):
             out.ravel()[::d + 1] = base + _clip(slopes.dot(x) + offsets, lo,
                                                 span)
             return out
+        if d == 2 and np.array_equal(slopes, np.diag(np.diag(slopes))):
+            # each row of slopes.dot(x) has one nonzero product, which is
+            # (0.0 + s_ii x_i) + 0.0 x_j; then the clip ufunc's rule, under
+            # which a NaN stays
+            (s0, s1), (o0, o1) = np.diag(slopes).tolist(), offsets.tolist()
+            (b0, b1), (p0, p1) = base.tolist(), span.tolist()
+
+            def _diag_pair(x):
+                x0, x1 = x
+                r0 = ((0.0 + s0 * x0) + 0.0 * x1) + o0
+                r1 = ((0.0 + s1 * x1) + 0.0 * x0) + o1
+                r0 = r0 if r0 != r0 or r0 > -p0 else -p0
+                r1 = r1 if r1 != r1 or r1 > -p1 else -p1
+                return (b0 + (r0 if r0 != r0 or r0 < p0 else p0),
+                        b1 + (r1 if r1 != r1 or r1 < p1 else p1))
+            _diag.float_form = _diag_pair
         return _diag
     m0, m1, wd, wo = hf.m0, hf.m1, hf.w_direction, hf.w_offset
     blend = lambda w: (1.0 - w) * m0 + w * m1

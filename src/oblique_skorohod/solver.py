@@ -41,8 +41,8 @@ with the same sequential sums as a per-substep k += h g.  A chunk row
 that leaves the guard ball keeps its last state in xq from there on.  A
 point runs the loop on Python floats, with the same bits, where its
 resolvent and its field have float forms: in dimension 1, and in
-dimension 2 where every product has one nonzero term (a box under a
-diagonal rotation blend with one weight).  The kernel sweeps
+dimension 2 where every product has one nonzero term (a box, for each
+function kind, under a diagonal field).  The kernel sweeps
 a block of cells at a given place on the grid, so a caller may sweep a
 long grid block by block, each block from the last states and k of the
 one before, with the same bits as one sweep.
@@ -240,9 +240,9 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     its cell rate and H(x) as Python floats, with the bits of the arrays,
     converting at entry and around stretches: a float for d = 1, a 2-tuple
     for d = 2, where the forms exist only if H(x) is diagonal, so that
-    each entry of H(x) g has one nonzero product (convex._projector,
-    field.make_field_eval); a closure without one (a wrapped closure)
-    keeps the point on arrays.
+    each entry of H(x) g has one nonzero product (convex.make_resolvent,
+    field.make_field_eval); a wrapped closure, without one, keeps the
+    point on arrays.
     After the sweep, in slices of time: the largest g.g (np.fmax, so a NaN
     norm is skipped), then kq scaled by h and summed along time with
     np.add.accumulate, the same sequential sums as k = k + h g.

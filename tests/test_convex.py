@@ -494,6 +494,21 @@ def _brute_quadratic_prox(phi: ok.ConvexFunction, eps: float,
     return best_z
 
 
+def _box_qp_cases(rng, n=6):
+    """n (quadratic on a random 2-D box, eps) pairs: A of rank 0, 1 or 2
+    with a random correlation, q and eps over three decades."""
+    cases = []
+    for i in range(n):
+        a = rng.normal(0.0, 1.5, (2, i % 3))
+        lo = rng.normal(0.0, 2.0, 2)
+        s = ok.box(lo, lo + rng.exponential(2.0, 2) + 0.05)
+        phi = ok.quadratic_plus_indicator(
+            a @ a.T + (a @ a.T).T, rng.normal(0.0, 2.0, 2), s,
+            r0=0.25 * float((s.hi - s.lo).min()))
+        cases.append((phi, float(10.0 ** rng.uniform(-3.0, 0.0))))
+    return cases
+
+
 class TestQuadraticProxReference:
     SIMPLEX3 = ok.quadratic_plus_indicator(
         [[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.5]],
@@ -512,6 +527,39 @@ class TestQuadraticProxReference:
         np.testing.assert_allclose(ok.resolvent(phi, eps, xs),
                                    _brute_quadratic_prox(phi, eps, xs),
                                    rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_2d_boxes_against_enumeration(self, seed):
+        # the closed-form active set of a 2-D box against the enumeration,
+        # on random A (rank 0 to 2), q, boxes and eps, from rows in every
+        # region of the box
+        for phi, eps in _box_qp_cases(np.random.default_rng(300 + seed)):
+            lo, hi = phi.domain.lo, phi.domain.hi
+            xs = np.random.default_rng(seed).normal(
+                0.5 * (lo + hi), 2.0 * (hi - lo) + 1.0, size=(300, 2))
+            ref = _brute_quadratic_prox(phi, eps, xs)
+            scale = 1.0 + np.abs(ref).max()
+            np.testing.assert_allclose(ok.resolvent(phi, eps, xs), ref,
+                                       rtol=0.0, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_2d_box_kkt(self, seed):
+        # z in the box exactly, and Kz - y = mu with mu_i = 0 where lo_i <
+        # z_i < hi_i, mu_i >= 0 at lo_i and mu_i <= 0 at hi_i (to rounding)
+        for phi, eps in _box_qp_cases(np.random.default_rng(400 + seed)):
+            lo, hi = phi.domain.lo, phi.domain.hi
+            xs = np.random.default_rng(seed).normal(
+                0.5 * (lo + hi), 2.0 * (hi - lo) + 1.0, size=(300, 2))
+            z = ok.resolvent(phi, eps, xs)
+            assert ((z >= lo) & (z <= hi)).all()
+            ys = xs / eps - phi.q
+            k = np.eye(2) / eps + phi.A
+            mu = z @ k - ys
+            tol = 1e-12 * (1.0 + np.abs(ys) + np.abs(z) @ np.abs(k))
+            assert (np.where(z == lo, mu >= -tol, True)).all()
+            assert (np.where(z == hi, mu <= tol, True)).all()
+            free = (z > lo) & (z < hi)
+            assert (np.abs(mu[free]) <= tol[free]).all()
 
     @pytest.mark.parametrize("eps", [1.0, 0.05])
     def test_ball_kkt(self, eps, phi_catalog):
@@ -1021,7 +1069,8 @@ def test_the_2d_box_float_forms_match_the_array_point():
 
 def test_only_the_2d_box_and_d1_face_keep_float_forms():
     # boxes of other dimensions, balls and polytopes of d = 2 keep the
-    # kernel's array point path, and so does the quadratic prox on a box
+    # kernel's array point path, and so does the quadratic prox on each of
+    # them; the quadratic prox on a 2-D box has a float form
     for s in (ok.box([0.0] * 3, [1.0] * 3), ok.ball([0.0, 0.0], 1.0),
               ok.whole_space(2), ok.halfspace_intersection(
                   [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])):
@@ -1029,6 +1078,97 @@ def test_only_the_2d_box_and_d1_face_keep_float_forms():
         phi = ok.lipschitz_affine_plus_indicator(np.ones(s.dim), 0.0, s,
                                                  r0=0.1, h0=1.0)
         assert not hasattr(make_resolvent(phi, 0.1), "float_form")
+        quad = ok.quadratic_plus_indicator(np.eye(s.dim), np.ones(s.dim), s,
+                                           r0=0.1, h0=1.0)
+        assert not hasattr(make_resolvent(quad, 0.1), "float_form")
     quad = ok.quadratic_plus_indicator(np.eye(2), [0.2, 0.0],
                                        ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1)
-    assert not hasattr(make_resolvent(quad, 0.1), "float_form")
+    assert hasattr(make_resolvent(quad, 0.1), "float_form")
+
+
+def _box_qp_region_points(phi, eps, rng):
+    """(xs, zs): points x whose prox is a known z in each region of the
+    box (inside, on each of its 4 edges and at each of its 4 corners), with
+    each active bound's multiplier positive or exactly 0 (on the boundary
+    with the region inside) and, on an edge, the free coordinate inside or
+    at a bound (on the boundary with a corner), each x with its ulp
+    neighbours, which share its z."""
+    lo, hi = phi.domain.lo, phi.domain.hi
+    k = np.eye(2) / eps + phi.A
+    xs, zs = [], []
+    for states in itertools.product(("lo", "free", "hi"), repeat=2):
+        for free_at, m in itertools.product((None, "lo", "hi"),
+                                            (0.0, rng.exponential(3.0))):
+            z, mu = rng.uniform(lo, hi), np.zeros(2)
+            for i, st in enumerate(states):
+                if st == "free":
+                    z[i] = {None: z[i], "lo": lo[i], "hi": hi[i]}[free_at]
+                else:
+                    z[i] = lo[i] if st == "lo" else hi[i]
+                    mu[i] = m if st == "lo" else -m
+            x = eps * (k @ z - mu + phi.q)
+            for i, t in itertools.product(range(2), (-np.inf, np.inf)):
+                xn = x.copy()
+                xn[i] = np.nextafter(x[i], t)
+                xs.append(xn)
+                zs.append(z)
+            xs.append(x)
+            zs.append(z)
+    return np.array(xs), np.array(zs)
+
+
+def test_the_2d_box_quadratic_float_form_matches_the_point_and_stack():
+    # the substep kernel runs a 2-D point on a box through this float form:
+    # a 2-tuple of Python floats, the array point's bits, and every stack
+    # row the bits of its point call; on points in every region of the box
+    # and on region boundaries, whose prox is known, and on generated
+    # points with signed zeros, subnormals, huge values, infinities and
+    # NaN, where a non-finite x gives a row of NaN
+    rng = np.random.default_rng(2028)
+    bad, checked = [], 0
+    for phi, eps in _box_qp_cases(rng, 9):
+        prox = make_resolvent(phi, eps)
+        xs, zs = _box_qp_region_points(phi, eps, rng)
+        scale = 1.0 + np.abs(xs).max() / eps
+        np.testing.assert_allclose(prox(xs), zs, rtol=0.0,
+                                   atol=1e-12 * scale)
+        xs = np.vstack((xs, _pair_inputs(rng, phi.domain.lo, phi.domain.hi,
+                                         300)))
+        stack = prox(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nonfinite = ~np.isfinite(xs / eps - phi.q).all(axis=1)
+        for x, row, out in zip(xs, stack, nonfinite):
+            want = prox(x.copy())
+            got = prox.float_form(tuple(x.tolist()))
+            checked += 1
+            if type(got) is not tuple or \
+                    not all(type(v) is float for v in got) or \
+                    np.array(got).tobytes() != want.tobytes() or \
+                    row.tobytes() != want.tobytes() or \
+                    np.isnan(want).all() != out or \
+                    np.isnan(want).any() != out:
+                bad.append((phi.A, phi.q, eps, x, got, want, row))
+    assert bad == [] and checked > 9 * 300
+    # a non-finite coordinate, and a signed zero beside it
+    prox = make_resolvent(_box_qp_cases(rng, 1)[0][0], 0.1)
+    xs = np.array([[np.nan, 0.2], [0.2, np.nan], [np.inf, -0.0],
+                   [-0.0, -np.inf], [np.inf, -np.inf], [1e308, 0.5],
+                   [0.0, -0.0], [-0.0, 0.0]])
+    stack = prox(xs)
+    assert np.isnan(stack[:6]).all() and np.isfinite(stack[6:]).all()
+    for x, row in zip(xs, stack):
+        assert prox(x.copy()).tobytes() == row.tobytes() == \
+            np.array(prox.float_form(tuple(x.tolist()))).tobytes()
+    # bounds of +0.0 and -0.0 met by a 1-D minimizer of -0.0 or +0.0 (a
+    # diagonal A, q_j = 0 and x_j = -0.0 or 0.0, with x_i past a bound)
+    for (lo, hi), i in itertools.product(
+            (([0.0, 0.0], [1.0, 1.0]), ([-1.0, -1.0], [-0.0, -0.0])), (0, 1)):
+        prox = make_resolvent(ok.quadratic_plus_indicator(
+            np.diag([0.5, 0.0][::1 - 2 * i]), [0.3, 0.0][::1 - 2 * i],
+            ok.box(lo, hi), r0=0.1), 0.1)
+        xs = np.array([[a, b][::1 - 2 * i] for a in (-5.0, 5.0)
+                       for b in (0.0, -0.0)])
+        stack = prox(xs)
+        for x, row in zip(xs, stack):
+            assert prox(x.copy()).tobytes() == row.tobytes() == \
+                np.array(prox.float_form(tuple(x.tolist()))).tobytes()

@@ -283,7 +283,65 @@ def test_only_diagonal_one_weight_blends_of_d2_get_float_forms():
                                        c=2.0, b=5.1),
                ok.rotation_blend_field(np.eye(3), np.diag([2.0, 0.5, 1.0]),
                                        [1.0, 0.0, 0.0], 0.0, c=2.0, b=5.1),
-               ok.diagonal_affine_field([1.0, 1.0], np.zeros((2, 2)),
-                                        c=2.0, b=0.5),
                ok.constant_field(np.diag([2.0, 0.5]), c=2.0)):
         assert not hasattr(ok.make_field_eval(hf), "float_form")
+
+
+def test_diagonal_affine_float_form_matches_the_array_point():
+    # the substep kernel reads H of a 2-D point through this float form
+    # when the slopes are diagonal: the diagonal of the array point's H as
+    # a 2-tuple of Python floats, on random slopes (off-diagonal zeros of
+    # either sign), offsets and spans (a zero span included), at and next
+    # to each clip edge and on signed zeros, subnormals, huge values,
+    # infinities and NaN
+    rng = np.random.default_rng(2029)
+    pool = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, np.inf,
+            -np.inf, np.nan]
+    bad, checked = [], 0
+    for case in range(24):
+        slopes = np.diag(rng.choice([-1.0, 1.0], 2)
+                         * 10.0 ** rng.uniform(-2, 1, 2))
+        if case % 3 == 0:
+            slopes[0, 1] = slopes[1, 0] = -0.0
+        if case % 6 == 1:
+            slopes[1, 1] = 0.0
+        offsets = rng.normal(0.0, 0.3, 2) if case % 4 else np.full(2, -0.0)
+        span = rng.uniform(0.0, 0.4, 2)
+        if case % 5 == 0:
+            span[case % 2] = 0.0
+        at = ok.make_field_eval(ok.diagonal_affine_field(
+            [1.0, 1.0], slopes, c=2.0, b=1.0, offsets=offsets, span=span))
+        # the coordinates where s_ii x_i + o_i reaches -span_i or span_i
+        edges = []
+        for i in range(2):
+            for e in (-span[i], span[i]):
+                if slopes[i, i] != 0.0:
+                    x = (e - offsets[i]) / slopes[i, i]
+                    edges += [x, np.nextafter(x, -np.inf),
+                              np.nextafter(x, np.inf)]
+        pts = rng.normal(0.0, 1.0, (300, 2)) / np.abs(np.diag(slopes) + 0.1)
+        pick = rng.random(pts.shape) < 0.4
+        pts[pick] = rng.choice(np.array(pool + edges), pick.sum())
+        for x in map(tuple, pts.tolist()):
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = at(np.array(x))
+            got = at.float_form(x)
+            checked += 1
+            if type(got) is not tuple or \
+                    not all(type(v) is float for v in got) or \
+                    not same_bits(got, np.diag(want)) or \
+                    not (np.all(want[[0, 1], [1, 0]] == 0.0)):
+                bad.append((case, x, got, want))
+    assert bad == [] and checked == 24 * 300
+
+
+def test_only_diagonal_slopes_of_d2_get_float_forms():
+    for slopes in (np.zeros((2, 2)), [[0.3, 0.0], [0.0, -0.2]]):
+        assert hasattr(ok.make_field_eval(ok.diagonal_affine_field(
+            [1.0, 1.0], slopes, c=2.0, b=0.5)), "float_form")
+    for base, slopes in (([1.0, 1.0], [[0.3, 0.1], [0.1, 0.3]]),
+                         ([1.0, 1.0], [[0.3, 0.0], [1e-300, 0.3]]),
+                         ([1.0], [[0.3]]),
+                         ([1.0] * 3, np.diag([0.3, 0.2, 0.1]))):
+        assert not hasattr(ok.make_field_eval(ok.diagonal_affine_field(
+            base, slopes, c=2.0, b=0.5)), "float_form")

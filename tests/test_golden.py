@@ -11,8 +11,12 @@ implementations that the single point-or-stack closures replaced.  The
 three quadratic entries (on a box, on one face and on the whole space) were
 re-recorded from the exact prox, a projection in the metric I/eps + A, once
 it matched the enumeration reference in test_convex; they moved by at most
-3.4e-14 in x_quad and 3.7e-14 in k_quad.  The ensemble digests were
-recorded from the Monte Carlo loop that ran one path at a time.
+3.4e-14 in x_quad and 3.7e-14 in k_quad.  The quadratic on a box was
+re-recorded once more when its prox became a closed-form active set in
+the original coordinates (boxqp) in place of the projection in the metric
+K = I/eps + A: it moved by at most 4.1e-15 in x_quad and 3.7e-15 in
+k_quad.  The ensemble digests were recorded from the Monte Carlo loop that
+ran one path at a time.
 """
 
 import hashlib
@@ -107,7 +111,8 @@ UNIT_BOX = ok.box([0.0, 0.0], [1.0, 1.0])
 HALF = ok.halfspace_intersection([[-1.0, -1.0]], [0.0])
 
 CLOSURE_KINDS = {
-    # projection in the metric I/eps + A
+    # the closed-form active set on the box, the projection in the metric
+    # I/eps + A on one face
     "quad-box-nondiagonal": lambda: _closure_level(
         ok.quadratic_plus_indicator(A2, [0.4, -0.3], UNIT_BOX, r0=0.1)),
     "quad-one-face": lambda: _closure_level(
@@ -155,8 +160,8 @@ GOLDEN = {
         None),
     "quad-box-nondiagonal-eps0.01": (
         CLOSURE_KINDS["quad-box-nondiagonal"], 2,
-        "e939c663df3c955efab1a34df4ced508632ff6042160f53f3e7e35d9ae69cb9a",
-        "4abff4aedfcac2bec13e6f01af9fbb6e38ef8fca611561da5bf9cefb0025417d",
+        "273ccee14af1820a48b595725f183dff25dd36b011bc31ff6af4ed553f29a645",
+        "daa1953bd83fa250681bd197fa429a711057a815b2d4973ed4d21998db7b2ce3",
         None),
     "quad-one-face-eps0.01": (
         CLOSURE_KINDS["quad-one-face"], 2,

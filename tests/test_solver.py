@@ -1059,10 +1059,27 @@ def pair_case(rng, affine=False):
                                         c=2.0, b=1.0)
 
 
+def quad_case(rng):
+    """A quadratic on a random 2-D box (A of rank 0 to 2, with a random
+    correlation) and a diagonal_affine field with diagonal slopes, random
+    offsets and spans: the quad-box kinds, whose 2-D points sweep on
+    floats."""
+    lo = rng.normal(0.0, 1.0, 2)
+    s = ok.box(lo, lo + rng.uniform(0.5, 2.0, 2))
+    a = rng.normal(0.0, 1.5, (2, int(rng.integers(3))))
+    phi = ok.quadratic_plus_indicator(a @ a.T + (a @ a.T).T,
+                                      rng.normal(0.0, 2.0, 2), s, r0=0.1)
+    hf = ok.diagonal_affine_field(
+        [1.0, 1.0], np.diag(rng.normal(0.0, 1.0, 2)), c=2.0, b=1.0,
+        offsets=rng.normal(0.0, 0.3, 2), span=rng.uniform(0.0, 0.5, 2))
+    return phi, hf
+
+
 class TestPairPoints:
-    """A 2-D point on a box under a diagonal rotation blend sweeps on
-    2-tuples of Python floats; it must give the array loop's bits and the
-    reference loop's, breaches included."""
+    """A 2-D point on a box under a diagonal rotation blend or a
+    diagonal_affine field with diagonal slopes sweeps on 2-tuples of
+    Python floats; it must give the array loop's bits and the reference
+    loop's, breaches included."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sweeps_match_the_array_and_reference_loops(self, seed):
@@ -1179,6 +1196,77 @@ class TestPairPoints:
                         mp.setattr(solver, name, lambda *a, b=getattr(
                             solver, name): arrays_only(b(*a)))
                     ref = ok.solve_penalized(phi, hf, drift, mm, x0, cfg)
+                assert_bits(sol.x_quad, ref.x_quad)
+                assert_bits(sol.k_quad, ref.k_quad)
+                assert sol.diagnostics == ref.diagnostics
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quadratic_boxes_match_the_array_and_reference_loops(self, seed):
+        # the quadratic prox on a box under a diagonal_affine field, from
+        # x0 inside, on a face, on a corner and outside, with inputs steep
+        # enough to cross faces and corners
+        rng = np.random.default_rng(200 + seed)
+        phi, hf = quad_case(rng)
+        lo, hi = phi.domain.lo, phi.domain.hi
+        starts = [0.5 * (lo + hi), [0.5 * (lo[0] + hi[0]), hi[1]], lo,
+                  hi + 0.4]
+        rates = rng.normal(0.0, 8.0, (50, 2))
+        calls = []
+        for x0 in starts:
+            for eps in (0.02, 0.2):
+                runs, spy = sweep_three(phi, hf, rates, x0,
+                                        ok.PenalizedConfig(eps=eps))
+                assert_same_runs(runs)
+                assert not isinstance(runs[0][1], str)
+                calls.append((spy.calls, spy.float_calls))
+        assert max(calls)[0] == 0 and min(calls[-2:])[1] > 0
+
+    @pytest.mark.parametrize("bad", ["climb", "fall", "nan"])
+    def test_quadratic_box_guard_breaches(self, bad):
+        # a state pushed out of a small guard ball from inside the box, one
+        # pushed out by a steep fall through a face, or a bad input: the
+        # same StabilityBreach message and time on floats
+        phi, hf = quad_case(np.random.default_rng(12))
+        cfg, rates = ok.PenalizedConfig(eps=0.02), np.ones((50, 2))
+        if bad == "climb":
+            phi = ok.quadratic_plus_indicator(
+                phi.A, phi.q, ok.box([-10.0, -10.0], [10.0, 10.0]), r0=0.1)
+            cfg = ok.PenalizedConfig(eps=0.02, guard_radius=3.0)
+            rates *= 40.0
+        elif bad == "fall":
+            cfg = ok.PenalizedConfig(eps=0.2, guard_radius=6.0)
+            rates *= -300.0
+        else:
+            rates[6, 0] = np.nan
+        runs, _ = sweep_three(phi, hf, rates,
+                              0.5 * (phi.domain.lo + phi.domain.hi), cfg)
+        assert_same_runs(runs)
+        assert runs[0][1].startswith("state norm ")
+
+    def test_quad_box_levels_sweep_on_floats(self, monkeypatch):
+        # the benchmark's quad-box scenario gets both float forms, so its
+        # levels, det's costliest command, run the float loop: whole levels
+        # with and without the forms and on the reference loop
+        sc = ok.load_scenario(os.path.join(ROOT,
+                                           "bench/scenarios/quad-box.json"))
+        assert hasattr(convex.make_resolvent(sc.phi, 0.1), "float_form")
+        assert hasattr(ok.make_field_eval(sc.hf), "float_form")
+        for eps in (0.1, 0.013):
+            cfg = ok.PenalizedConfig(eps=eps)
+            m = ok.mollify(sc.m, eps)
+            sol = ok.solve_penalized(sc.phi, sc.hf, sc.f, m, sc.x0, cfg)
+            others = []
+            with monkeypatch.context() as mp:
+                for name in ("make_resolvent", "make_field_eval"):
+                    mp.setattr(solver, name, lambda *a, b=getattr(
+                        solver, name): arrays_only(b(*a)))
+                others.append(ok.solve_penalized(sc.phi, sc.hf, sc.f, m,
+                                                 sc.x0, cfg))
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_sweep", whole_reference)
+                others.append(ok.solve_penalized(sc.phi, sc.hf, sc.f, m,
+                                                 sc.x0, cfg))
+            for ref in others:
                 assert_bits(sol.x_quad, ref.x_quad)
                 assert_bits(sol.k_quad, ref.k_quad)
                 assert sol.diagnostics == ref.diagnostics
