@@ -121,161 +121,6 @@ def whole_space(dim: int) -> Set:
     return halfspace_intersection(np.zeros((0, dim)), np.zeros(0), dim=dim)
 
 
-# Active-set histories whose geometry one polytope projector keeps, at most
-_GEOMETRY_CAP = 1024
-
-
-def _face_geometry(geo, key, prev, active_normals, n):
-    # geo[key], a new entry built from prev, the entry before the last
-    # event of key: (r as a list, step, ss, the active faces' pinv, the
-    # pinv once n's face is added; only a pass with ss > PROJ_TOL^2 adds it)
-    if prev is None:
-        pinv = np.zeros((0, n.size))
-    elif key[-1] >= 0:
-        pinv = prev[4]
-    else:
-        # slot ~key[-1] left the active set
-        row = prev[3][~key[-1]]
-        pinv = np.delete(prev[3], ~key[-1], axis=0)
-        pinv -= (pinv @ row)[:, None] * (row / float(row @ row))
-    # with no active face the products are empty: step is n - 0.0 = n
-    r = pinv @ n
-    step = n - active_normals.T @ r
-    ss = float(step @ step)
-    added = None
-    if ss > PROJ_TOL * PROJ_TOL:
-        added = step / ss
-        added = np.concatenate((pinv - r[:, None] * added, added[None]))
-    if len(geo) >= _GEOMETRY_CAP:
-        geo.clear()
-    geo[key] = face = (r.tolist(), step, ss, pinv, added)
-    return face
-
-
-def _project_polytope(x, normals, offsets, resid, geo):
-    # Goldfarb-Idnani dual active-set method for min |z - x|^2 / 2 subject
-    # to normals @ z <= offsets (Goldfarb & Idnani 1983), from resid =
-    # normals @ x - offsets.  z stays the projection of x onto the active
-    # faces, u >= 0 are their multipliers and pinv the pseudo-inverse of
-    # their normals (one row per face).  Each pass adds the most violated
-    # face; an active face whose multiplier would reach zero first leaves.
-    # What does not read z -- r, step, ss and pinv after an add or a drop --
-    # follows from the history of entering faces (p) and drops (~k) alone,
-    # so geo keeps it per history (_face_geometry) and a call computes only
-    # n.z, t, the ratio test, z and resid.  Cached arrays are never written.
-    # _project_rows takes these steps on a stack, a group of rows per key.
-    z = x.copy()
-    active, u = [], []
-    key, face = (), None
-    for _ in range(PROJ_MAX_ITERS):
-        if active:
-            resid[active] = -math.inf
-        p = int(resid.argmax())
-        if resid[p] <= PROJ_TOL:
-            return z
-        n, up = normals[p], 0.0
-        key += (p,)
-        while True:
-            # z moves along the part of n orthogonal to the active normals
-            # while the active multipliers fall at the rates r
-            face = geo.get(key) or _face_geometry(geo, key, face,
-                                                  normals[active], n)
-            r, step, ss = face[:3]
-            t = (float(n.dot(z)) - offsets[p]) / ss \
-                if ss > PROJ_TOL * PROJ_TOL else math.inf
-            k = None
-            for j, (uj, rj) in enumerate(zip(u, r)):
-                if rj > 0.0 and uj / rj < t:
-                    t, k = uj / rj, j
-            if t == math.inf:
-                raise ProjectionError("halfspace intersection is empty")
-            z = z - t * step
-            u = [uj - t * rj for uj, rj in zip(u, r)]
-            up += t
-            if k is None:
-                break
-            del active[k], u[k]
-            key += (~k,)
-        active.append(p)
-        u.append(up)
-        resid = normals.dot(z) - offsets
-    raise ProjectionError(
-        f"active-set projection exceeded {PROJ_MAX_ITERS} passes")
-
-
-def _split(vals):
-    # (value, its positions) for each distinct value >= -1 of vals; one
-    # comparison when all agree.  No np.unique: it imports numpy.ma (0.5 MiB).
-    v = vals[0]
-    if (vals == v).all():
-        return [(int(v), slice(None))]
-    return [(int(v) - 1, vals == v - 1)
-            for v in np.flatnonzero(np.bincount(vals + 1))]
-
-
-def _project_rows(x, normals, offsets, resid, geo):
-    # _project_polytope on every row of x (n, d) at once, from resid =
-    # normals @ x - offsets (n, m) and with the same cache geo; each row
-    # comes out bit for bit as its point call.  Rows with the same key have
-    # the same active faces and (r, step, ss) at each pass, so they take it
-    # as one group that keeps their z, u (an array per active face) and up
-    # stacked: the point's float operations, products as stacked matmuls.
-    out = np.empty_like(x)
-    # a group: (key, face, active, passes, its rows of out, z, u, up, p),
-    # where face is the geometry its next lookup builds on and p is None
-    # while the rows wait for a face
-    todo = [((), None, [], 0, np.arange(len(x)), x, [], 0.0, None)]
-    while todo:
-        key, face, active, passes, at, z, u, up, p = todo.pop()
-        if p is None:
-            if passes >= PROJ_MAX_ITERS:
-                raise ProjectionError(
-                    f"active-set projection exceeded {PROJ_MAX_ITERS} passes")
-            if key:  # the caller's resid serves the first pass
-                resid = (normals @ z[:, :, None])[:, :, 0] - offsets
-                resid[:, active] = -math.inf
-            # -1: the row finishes with its z; p >= 0: face p enters
-            for q, sel in _split(np.where(resid.max(axis=1) <= PROJ_TOL, -1,
-                                          resid.argmax(axis=1))):
-                if q < 0:
-                    out[at[sel]] = z[sel]
-                else:
-                    todo.append((key + (q,), face, active, passes + 1,
-                                 at[sel], z[sel], [uj[sel] for uj in u], 0.0,
-                                 q))
-            continue
-        n = normals[p]
-        face = geo.get(key) or _face_geometry(geo, key, face,
-                                              normals[active], n)
-        r, step, ss = face[:3]
-        if ss > PROJ_TOL * PROJ_TOL:
-            t = ((n @ z[:, :, None]).ravel() - offsets[p]) / ss
-        else:
-            t = np.full(at.size, math.inf)
-        k = None  # per row, the slot that leaves (-1: none)
-        for j, (uj, rj) in enumerate(zip(u, r)):
-            if rj > 0.0:
-                less = uj / rj < t
-                if less.any():
-                    t = np.where(less, uj / rj, t)
-                    k = np.where(less, j, -1 if k is None else k)
-        if (t == math.inf).any():
-            raise ProjectionError("halfspace intersection is empty")
-        z = z - t[:, None] * step
-        u = [uj - t * rj for uj, rj in zip(u, r)]
-        up = up + t
-        for j, sel in [(-1, slice(None))] if k is None else _split(k):
-            us = [uj[sel] for uj in u]
-            if j < 0:
-                todo.append((key, face, active + [p], passes, at[sel], z[sel],
-                             us + [up[sel]], 0.0, None))
-            else:
-                del us[j]
-                todo.append((key + (~j,), face, active[:j] + active[j + 1:],
-                             passes, at[sel], z[sel], us, up[sel], p))
-    return out
-
-
 def _row_norms(r: np.ndarray) -> np.ndarray:
     # the stacked matmul takes the same dot product as np.linalg.norm of a
     # single row, so the two agree bit for bit (norm(axis=1) does not)
@@ -284,19 +129,21 @@ def _row_norms(r: np.ndarray) -> np.ndarray:
 
 def _projector(s: Set):
     """Closure x -> the Euclidean projection onto s of one point (d,) or of
-    each row of a stack (n, d), each row bit for bit as on its own but for
-    one exception: a 1-D box clips the point -0.0 to +0.0 and keeps -0.0
-    in a stack row.  The result is x itself or a new array.  A polytope's
-    closure keeps its active-set geometry across calls; project_set builds
-    one per call.  The one place a projection dispatches on the kind of s.
-    A point's products are ndarray.dot, the bits of @ but for a zero's sign
-    at d = 1, which only comparisons read (t's numerator is a residual >
-    PROJ_TOL).  The one-face closure of d = 1 and the box of d = 2 carry
-    float_form, the map of a Python float (d = 1) or a 2-tuple of them
-    (d = 2) with the point's bits."""
+    each row of a stack (n, d), each row bit for bit as on its own.  The
+    result is x itself or a new array.  A polytope of two or more faces
+    takes the active set (polytope.projector), whose closure keeps its
+    geometry across calls; project_set builds one per call.  The one place
+    a projection dispatches on the kind of s.  A point's products are
+    ndarray.dot, the bits of @ but for a zero's sign at d = 1, which only
+    comparisons read, and for a polytope of d = 3 the sums in code order.
+    The one-face closure of d = 1, the box of d = 2 and the polytope of d
+    = 3 with two or more faces carry float_form, the map of a Python float
+    (d = 1) or a tuple of them (d = 2, 3) with the point's bits."""
     if s.kind == "box":
         lo, hi = s.lo, s.hi
         clip = lambda x: _clip(x, lo, hi)
+        if s.dim == 1:  # the clip ufunc keeps a stacked -0.0 at lo = 0
+            clip = lambda x: np.where(x <= lo, lo, np.where(x >= hi, hi, x))
         if s.dim == 2:
             # the clip ufunc's bits: a NaN stays, a -0.0 at lo = 0 is lo
             (l0, l1), (h0, h1) = lo.tolist(), hi.tolist()
@@ -344,32 +191,10 @@ def _projector(s: Set):
                 x if (v := c1 * x - b1) <= 0.0 else x - v * c1
         return _face
 
-    geo = {}  # _project_polytope's geometry per active-set history
-
-    def _polytope(x):
-        # rows outside some face by more than PROJ_TOL take the active set;
-        # such a row with a NaN or infinite coordinate has no projection
-        # and comes back as NaN
-        if x.ndim > 1:
-            resid = (normals @ x[:, :, None])[:, :, 0] - offsets
-            rows = np.flatnonzero(~(resid.max(axis=1) <= PROJ_TOL))
-            if not rows.size:
-                return x
-            out = x.copy()
-            finite = np.isfinite(x[rows]).all(axis=1)
-            out[rows[~finite]] = math.nan
-            rows = rows[finite]
-            if rows.size:
-                out[rows] = _project_rows(x[rows], normals, offsets,
-                                          resid[rows], geo)
-            return out
-        resid = normals.dot(x) - offsets
-        if np.maximum.reduce(resid) <= PROJ_TOL:
-            return x
-        if not np.isfinite(x).all():
-            return np.full_like(x, math.nan)
-        return _project_polytope(x, normals, offsets, resid, geo)
-    return _polytope
+    # two or more faces: the active set, imported here, so that a run
+    # that projects onto no such polytope does not compile it
+    from .polytope import projector
+    return projector(normals, offsets)
 
 
 def project_set(s: Set, x) -> np.ndarray:
@@ -635,7 +460,8 @@ def make_resolvent(phi: ConvexFunction, eps: float):
     kind an exact projection in the metric K = I/eps + A onto a polytope or
     box (in closed form on a 2-D box), a trust-region solve on a ball.
     The first two carry the projector's float_form, where it has one (the
-    one face of d = 1, the box of d = 2), the 2-D box quadratic its own."""
+    one face of d = 1, the box of d = 2, the polytope of d = 3 with two or
+    more faces), the 2-D box quadratic its own."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if phi.kind == "quadratic_plus_indicator":
@@ -649,8 +475,8 @@ def make_resolvent(phi: ConvexFunction, eps: float):
     if form and phi.dim == 1:
         prox.float_form = lambda x, s1=float(shift[0]): form(x - s1)
     elif form:
-        s0, s1 = shift.tolist()
-        prox.float_form = lambda x: form((x[0] - s0, x[1] - s1))
+        s = shift.tolist()
+        prox.float_form = lambda x: form(tuple(map(float.__sub__, x, s)))
     return prox
 
 

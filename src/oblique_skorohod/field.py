@@ -111,13 +111,16 @@ def make_field_eval(hf: ObliqueField):
     as a float, and so do, for d = 2, diagonal_affine with diagonal slopes
     and the blend with diagonal m0, m1 and at most one nonzero w_direction
     entry: the diagonal of H of a 2-tuple point, with the point's bits
-    (the other entries are zeros)."""
+    (the other entries are zeros); and the constant kind of d = 3: the rows
+    of H, each a 3-tuple, for a 3-tuple point."""
     if hf.kind == "constant":
         mat = hf.matrix
         at = lambda x: mat if x.ndim == 1 else \
             np.repeat(mat[None], x.shape[0], axis=0)
         if hf.dim == 1:
             at.float_form = lambda x, m=float(mat[0, 0]): m
+        elif hf.dim == 3:
+            at.float_form = lambda x, m=tuple(map(tuple, mat.tolist())): m
         return at
     if hf.kind == "diagonal_affine":
         base, slopes, offsets, span = hf.base, hf.slopes, hf.offsets, hf.span

@@ -235,12 +235,13 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     Once per cell: its input row rates[j - lag] (taken again after a row
     leaves a chunk).  Per substep, only what reads the state: the prox, g,
     H(x) g (ndarray.dot for a point with d > 1, the bits of @ at a lower
-    call cost), the state update, the guard test and storing x and g.
-    A point whose prox and field_at both carry a float_form holds x, g,
-    its cell rate and H(x) as Python floats, with the bits of the arrays,
-    converting at entry and around stretches: a float for d = 1, a 2-tuple
-    for d = 2, where the forms exist only if H(x) is diagonal, so that
-    each entry of H(x) g has one nonzero product (convex.make_resolvent,
+    call cost, but in code order for d = 3: sweep3), the state update, the
+    guard test and storing x and g.  A point whose prox and field_at both
+    carry a float_form holds x, g, its cell rate and H(x) as Python floats,
+    with the bits of the arrays, converting at entry and around stretches:
+    a float for d = 1, a 2-tuple for d = 2, where the forms exist only if
+    H(x) is diagonal, so that each entry of H(x) g has one nonzero product,
+    and a 3-tuple for d = 3, H(x) by its rows (convex.make_resolvent,
     field.make_field_eval); a wrapped closure, without one, keeps the
     point on arrays.
     After the sweep, in slices of time: the largest g.g (np.fmax, so a NaN
@@ -349,7 +350,7 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
             load, at, nonzero = lambda v: float(v[0]), 0, bool
             apply = lambda m, v: 0.0 + m * v
             inside = lambda v: v * v <= guard2
-        elif None not in forms:
+        elif None not in forms and xq.shape[1] == 2:
             # d = 2 on 2-tuples of floats, H(x) by its diagonal; memoryviews
             # store x and g at a third of an array row's cost
             prox, field_at = forms
@@ -383,12 +384,22 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
                     p0, p1 = prox(x)
                     g0, g1 = (x0 - p0) / eps, (x1 - p1) / eps
                 return x, (g0, g1)
+        elif None not in forms:
+            # d = 3 on 3-tuples of floats, H(x) by its rows; sweep3 is
+            # imported here, so that other runs do not compile it
+            from .sweep3 import float_loop
+            load, nonzero = lambda v: tuple(v.tolist()), any
+            before = -0.0, -0.0, -0.0
+            breach = lambda x, q: StabilityBreach(message(x, q, where))
+            grad, steps = float_loop(*forms, eps, h, xq, kq, guard2, breach)
         else:
             # m.dot(v) takes the bits of m @ v at half the call cost for
             # d > 1.  For d = 1 it is m v where m @ v is 0 + m v: a -0.0
             # product (g = -0.0, as at x = -0.0 on a box from 0) would turn
             # x = -0.0 into +0.0 through x - h hg, so d = 1 stays on matmul
             apply = np.ndarray.dot if xq.shape[1] > 1 else np.matmul
+            if xq.shape[1] == 3:  # the float loop's sums
+                from .sweep3 import products3 as apply
             inside = lambda v: v.dot(v) <= guard2
 
         def leave(q):
@@ -396,6 +407,8 @@ def _sweep(xq, kq, start, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     else:
         def apply(m, v):
             return (m @ v[:, :, None])[:, :, 0]
+        if xq.shape[2] == 3:
+            from .sweep3 import products3 as apply
 
         def inside(v):
             return bool((sq(v) <= guard2).all())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_array_equal
 
 import oblique_skorohod as ok
 from oblique_skorohod import convex
+from oblique_skorohod import polytope
 from oblique_skorohod.convex import (
     PROJ_TOL,
     ProjectionError,
@@ -395,13 +397,13 @@ class TestGeometryCache:
         refs = [_uncached_projection(x, n, o) for x in xs]
         warm = {}
         for x, ref in zip(xs, refs):
-            assert_array_equal(convex._project_polytope(
+            assert_array_equal(polytope._project_polytope(
                 x, n, o, n @ x - o, {}), ref)
-            assert_array_equal(convex._project_polytope(
+            assert_array_equal(polytope._project_polytope(
                 x, n, o, n @ x - o, warm), ref)
         # again, every history now in the cache
         for x, ref in zip(xs, refs):
-            assert_array_equal(convex._project_polytope(
+            assert_array_equal(polytope._project_polytope(
                 x, n, o, n @ x - o, warm), ref)
         if name[:-1] in ("acute-d", "near-parallel-d") and name != "acute-d2":
             # histories with a face leaving the active set (~k < 0)
@@ -417,16 +419,16 @@ class TestGeometryCache:
         assert_array_equal(np.array([proj(x) for x in xs]), points)
 
     def test_cache_stays_within_its_cap(self, monkeypatch):
-        monkeypatch.setattr(convex, "_GEOMETRY_CAP", 5)
+        monkeypatch.setattr(polytope, "_GEOMETRY_CAP", 5)
         s = _generated_polytopes()["acute-d5"]
         n, o = s.normals, s.offsets
         geo, sizes = {}, []
         for x in _outside_rows(s):
-            z = convex._project_polytope(x, n, o, n @ x - o, geo)
+            z = polytope._project_polytope(x, n, o, n @ x - o, geo)
             sizes.append(len(geo))
             assert_array_equal(z, _uncached_projection(x, n, o))
         assert max(sizes) == 5
-        assert isinstance(convex._GEOMETRY_CAP, int)
+        assert isinstance(polytope._GEOMETRY_CAP, int)
 
 
 
@@ -900,7 +902,9 @@ class TestRowContract:
 def _bitwise_kinds(d: int) -> tuple[dict, list]:
     """(resolvent catalog, fields) of width d for the point-product test:
     every set kind (a two-face interval for d = 1), each function kind on
-    it, and each field kind, the blend's weight direction along x[0]."""
+    it, and each field kind, the blend's weight direction along x[0].  For
+    d = 3 also an acute cone, whose apex takes three faces and whose
+    projections drop faces on the way."""
     ones = np.ones(d)
     faces = np.vstack((-np.eye(d), ones)) if d > 1 else [[-1.0], [1.0]]
     sets = {"box": ok.box(np.zeros(d), ones),
@@ -909,6 +913,8 @@ def _bitwise_kinds(d: int) -> tuple[dict, list]:
             "polytope": ok.halfspace_intersection(faces, np.eye(d + 1)[-1]
                                                   if d > 1 else [0.0, 1.0]),
             "whole": ok.whole_space(d)}
+    if d == 3:
+        sets["acute"] = ok.halfspace_intersection(ACUTE3, np.zeros(4))
     a = np.linspace(0.5, -0.25, d)
     quad = np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d)) / d
     phis = {}
@@ -932,37 +938,51 @@ def _bitwise_kinds(d: int) -> tuple[dict, list]:
     return phis, fields
 
 
+# x[2] >= 1.6 |(x[0], x[1])|-ish: four faces around the x[2] axis, 32
+# degrees from it, meeting at the origin
+ACUTE3 = np.array([[1.0, 0.0, -1.6], [-1.0, 0.0, -1.6], [0.0, 1.0, -1.6],
+                   [0.0, -1.0, -1.6]])
+
+
+def _edges_and_vertices3() -> list:
+    """States of d = 3 on the edges and at the vertices of the unit
+    simplex and the acute cone (the origin is both a vertex of each),
+    with signed zeros, and states beyond them that project there."""
+    pts = [[1.0, 0.0, 0.0], [0.0, -0.0, 1.0], [0.5, 0.5, 0.0],
+           [0.5, -0.0, 0.5], [0.0, 0.5, 0.5], [0.3, 0.0, 0.0],
+           [-0.0, 0.0, 0.7], [0.0, 0.0, 1.6], [0.0, -0.0, 1.6],
+           [1.6, 0.0, 1.0], [-1.6, -0.0, 1.0], [1.0, 1.0, 1.0],
+           [-1.0, -1.0, -1.0], [2.0, 2.0, -0.0], [0.0, -3.0, -0.0],
+           [0.7, 0.7, 0.7], [0.0, 0.0, -1.0]]
+    return [np.array(p) for p in pts]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_point_products_match_the_stack_bit_for_bit(d):
-    # a point's products are ndarray.dot, a stack's stay on @: every point
-    # closure must give the bits of its stack row, signed zeros included,
-    # on random states and on states exactly on a face, at a box corner,
-    # at the origin (+0.0 and -0.0) and at both clamps of the blend weight
+    # a point's products are ndarray.dot, a stack's stay on @ (in code
+    # order both, for a polytope of d = 3): every point closure must give
+    # the bits of its stack row, signed zeros included, on random states
+    # and on states exactly on a face, at a box corner, at the origin
+    # (+0.0 and -0.0), at both clamps of the blend weight and, for d = 3,
+    # on the edges and at the vertices of the polytopes
     rng = np.random.default_rng(20 + d)
     zeros = np.zeros(d)
     on = [zeros, -zeros, np.ones(d), np.eye(d)[0], -np.eye(d)[0],
           np.r_[-0.0, np.ones(d - 1) / max(d - 1, 1)][:d],
           np.r_[1.0, -np.zeros(d - 1)], np.full(d, 1.0 / d),
           np.r_[0.5, -0.5 * np.ones(d - 1) / max(d - 1, 1)][:d]]
+    if d == 3:
+        on += _edges_and_vertices3()
     xs = np.vstack(on + list(rng.normal(0.0, 1.5, size=(40, d))))
     phis, fields = _bitwise_kinds(d)
     closures = [(f"{name} eps={eps}", make_resolvent(phi, eps))
                 for name, phi in phis.items() for eps in (1.0, 0.05)]
     closures += [(hf.kind, ok.make_field_eval(hf)) for hf in fields]
-    # the clip ufunc's own rule is no product's: on a 1-column stack its
-    # broadcast loop keeps x = -0.0 at lo = +0.0, where a point gets +0.0
-    clip_rule = (d == 1) & np.signbit(xs[:, 0]) & (xs[:, 0] == 0.0)
     bad = []
     for name, op in closures:
         stack = op(xs)
-        for i, x in enumerate(xs):
-            if name.startswith("indicator-box") and clip_rule[i]:
-                # the one exception to the row contract, pinned: the point
-                # clips to +0.0, its stack row keeps -0.0
-                assert not np.signbit(op(x.copy())[0])
-                assert np.signbit(stack[i, 0])
-                continue
-            if op(x.copy()).tobytes() != stack[i].tobytes():
+        for x, row in zip(xs, stack):
+            if op(x.copy()).tobytes() != row.tobytes():
                 bad.append((name, x))
     assert bad == []
 
@@ -1067,13 +1087,19 @@ def test_the_2d_box_float_forms_match_the_array_point():
     assert bad == [] and checked == 9 * 5 * 400
 
 
-def test_only_the_2d_box_and_d1_face_keep_float_forms():
-    # boxes of other dimensions, balls and polytopes of d = 2 keep the
-    # kernel's array point path, and so does the quadratic prox on each of
-    # them; the quadratic prox on a 2-D box has a float form
+def test_balls_2d_polytopes_3d_faces_and_other_boxes_keep_arrays():
+    # boxes of other dimensions, balls, the whole space, polytopes of d = 2
+    # and one face of d = 3 keep the kernel's array point path, and so
+    # does the quadratic prox on each of them and on a 3-D polytope; the
+    # quadratic prox on a 2-D box, and the projector, indicator and affine
+    # resolvents of a 3-D polytope with two or more faces have float forms
+    poly3 = ok.halfspace_intersection(np.vstack([-np.eye(3), np.ones(3)]),
+                                      [0.0, 0.0, 0.0, 1.0])
     for s in (ok.box([0.0] * 3, [1.0] * 3), ok.ball([0.0, 0.0], 1.0),
-              ok.whole_space(2), ok.halfspace_intersection(
-                  [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])):
+              ok.ball([0.0] * 3, 1.0), ok.whole_space(2), ok.whole_space(3),
+              ok.halfspace_intersection([[-1.0, 0.0], [0.0, -1.0]],
+                                        [0.0, 0.0]),
+              ok.halfspace_intersection([[-1.0, 0.5, 0.2]], [0.0])):
         assert not hasattr(convex._projector(s), "float_form")
         phi = ok.lipschitz_affine_plus_indicator(np.ones(s.dim), 0.0, s,
                                                  r0=0.1, h0=1.0)
@@ -1084,6 +1110,14 @@ def test_only_the_2d_box_and_d1_face_keep_float_forms():
     quad = ok.quadratic_plus_indicator(np.eye(2), [0.2, 0.0],
                                        ok.box([0.0, 0.0], [1.0, 1.0]), r0=0.1)
     assert hasattr(make_resolvent(quad, 0.1), "float_form")
+    assert hasattr(convex._projector(poly3), "float_form")
+    for phi in (ok.indicator(poly3, r0=0.05, h0=0.2),
+                ok.lipschitz_affine_plus_indicator([0.5, -0.2, 0.1], 0.0,
+                                                   poly3, r0=0.05, h0=0.2)):
+        assert hasattr(make_resolvent(phi, 0.1), "float_form")
+    quad = ok.quadratic_plus_indicator(np.eye(3), np.ones(3), poly3, r0=0.05,
+                                       h0=0.2)
+    assert not hasattr(make_resolvent(quad, 0.1), "float_form")
 
 
 def _box_qp_region_points(phi, eps, rng):
@@ -1172,3 +1206,180 @@ def test_the_2d_box_quadratic_float_form_matches_the_point_and_stack():
         for x, row in zip(xs, stack):
             assert prox(x.copy()).tobytes() == row.tobytes() == \
                 np.array(prox.float_form(tuple(x.tolist()))).tobytes()
+
+
+def _polytopes3(rng, n):
+    """n random polytopes of d = 3 with 3 to 6 faces: acute cones (their
+    apex takes three faces, and the most violated face often leaves on the
+    way there), cones with a face tilted past the others, and random
+    bounded or unbounded ones that hold a random point."""
+    sets = []
+    for i in range(n):
+        m = 3 + i % 4
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        apex = rng.normal(0.0, 1.0, 3)
+        if i % 3 < 2:
+            # faces at a small angle a to the plane orthogonal to axis
+            basis = np.linalg.qr(np.column_stack(
+                (axis, rng.standard_normal((3, 2)))))[0][:, 1:]
+            phase = rng.uniform(0.0, 2.0 * np.pi) \
+                + 2.0 * np.pi * np.arange(m) / m
+            a = rng.uniform(0.1, 0.5) if i % 3 == 0 else rng.uniform(0.5, 1.2)
+            normals = (np.cos(a) * axis[None]
+                       + np.sin(a) * (np.cos(phase)[:, None] * basis[:, 0]
+                                      + np.sin(phase)[:, None] * basis[:, 1]))
+            offsets = normals @ apex
+        else:
+            normals = rng.standard_normal((m, 3))
+            offsets = normals @ apex + rng.random(m)
+        sets.append(ok.halfspace_intersection(normals, offsets))
+    return sets
+
+
+def _rows3(s, rng, n=160):
+    """Rows of a wide cloud, rows beyond the corner where the normals'
+    sum points (whose projections drop faces) and rows of the cloud moved
+    just outside one face."""
+    axis = s.normals.sum(axis=0)
+    axis /= max(np.linalg.norm(axis), 1e-300)
+    centre = np.linalg.lstsq(s.normals, s.offsets, rcond=None)[0]
+    cloud = centre + rng.normal(0.0, 3.0, (n, 3))
+    beyond = centre + rng.uniform(0.2, 5.0, (n // 2, 1)) * axis \
+        + rng.normal(0.0, 0.3, (n // 2, 3))
+    near = cloud[:n // 4].copy()
+    for j, x in enumerate(near):
+        f = j % len(s.offsets)
+        near[j] = x - (s.normals[f] @ x - s.offsets[f] - 1e-9) * s.normals[f]
+    return np.vstack((cloud, beyond, near))
+
+
+def _same_bits(got, want) -> bool:
+    return type(got) is tuple and len(got) == 3 \
+        and all(type(v) is float for v in got) \
+        and np.array(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestTupleActiveSet:
+    """A polytope of d = 3 with two or more faces projects a point on
+    3-tuples of floats, its products summed in code order, as its stack
+    rows sum them: the float form, the array point and the stack row agree
+    bit for bit, and the result is the projection (KKT) and agrees with
+    the active set on arrays, whose products are ndarray.dot, within
+    rounding."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_polytopes(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        drops = 0
+        for s in _polytopes3(rng, 6):
+            geo = {}
+            proj = convex._projector(s)
+            form = polytope.polytope3_form(s.normals, s.offsets, geo)
+            xs = _rows3(s, rng)
+            stack = proj(xs)
+            n, o = s.normals, s.offsets
+            for x, row in zip(xs, stack):
+                got = form(tuple(x.tolist()))
+                point = proj(x.copy())
+                assert _same_bits(got, point)
+                assert row.tobytes() == point.tobytes()
+                assert proj.float_form(tuple(x.tolist())) == got
+                resid = n.dot(x) - o
+                want = x if resid.max() <= PROJ_TOL else \
+                    polytope._project_polytope(x, n, o, resid, {})
+                np.testing.assert_allclose(
+                    point, want, rtol=0.0,
+                    atol=1e-12 * (1.0 + np.abs(x).max()))
+            _assert_kkt(s, xs, stack)
+            drops += sum(any(e < 0 for e in key) for key in geo)
+        # histories where a face left the active set
+        assert drops >= 3
+
+    def test_nonfinite_and_signed_zero_points(self):
+        nan, inf = math.nan, math.inf
+        cone = ok.halfspace_intersection(ACUTE3, np.zeros(4))
+        simplex = ok.halfspace_intersection(
+            np.vstack([-np.eye(3), np.ones(3)]), [0.0, 0.0, 0.0, 1.0])
+        xs = np.array([[nan, 0.2, 0.3], [0.2, nan, 0.5], [inf, 0.0, 0.0],
+                       [0.0, -inf, 0.0], [0.1, 0.1, inf], [-inf, inf, 0.0],
+                       [0.0, 0.0, inf], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0],
+                       [-0.0, -0.0, -0.0], [1.0, -0.0, 0.0],
+                       [0.5, 0.5, -0.0], [-0.0, -2.0, 1.0], [1e300, 0.0, 0.0],
+                       [-1e300, 1e300, 5e-324], [-5e-324, 0.0, 1e-310]])
+        for s in (cone, simplex):
+            proj = convex._projector(s)
+            with np.errstate(invalid="ignore", over="ignore"):
+                stack = proj(xs)
+                inside = (xs @ s.normals.T - s.offsets).max(axis=1) \
+                    <= PROJ_TOL
+            for x, row, ok_ in zip(xs, stack, inside):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    point = proj(x.copy())
+                got = proj.float_form(tuple(x.tolist()))
+                assert type(got) is tuple and len(got) == 3
+                assert np.array(got).tobytes() == point.tobytes() \
+                    == row.tobytes()
+                if not np.isfinite(x).all() and not ok_:
+                    # outside a face with a non-finite coordinate
+                    assert np.isnan(point).all()
+        # the ray along the cone's axis stays as it is
+        assert convex._projector(cone).float_form((0.0, -0.0, inf)) == \
+            (0.0, -0.0, inf)
+
+    @pytest.mark.parametrize("normals, offsets", [
+        ([[-1, -2, 1], [-2, -1, 0], [0, -2, 2], [1, 2, -2], [1, -1, 0]],
+         [2, 0, 1, -1, 0]),
+        ([[0, 0, -1], [-2, 0, 1], [0, 1, -1], [1, 1, 2], [0, -2, 1],
+          [0, 2, 0]], [0, -1, 0, 1, 2, 2]),
+        ([[0, 2, 1], [1, 0, -1], [-1, 0, 0], [-1, -2, -2], [-2, -1, 0]],
+         [0, -1, 0, 1, 0]),
+        ([[1, 1, 0], [0, -1, -2], [-1, 1, 2], [2, -1, -2], [2, 1, 1],
+          [2, -1, 2]], [1, 1, 0, 0, 0, 1])])
+    def test_ratio_ties_leave_the_first_slot(self, normals, offsets):
+        # small integer normals: some half-integer points reach a corner
+        # where an active multiplier's ratio ties with another's or with
+        # the step to the entering face.  The strict ratio test lets the
+        # first such slot leave, on floats as on the stack; a later slot
+        # gives other bits at a few of these points
+        s = ok.halfspace_intersection(np.array(normals, dtype=float),
+                                      np.array(offsets, dtype=float))
+        xs = np.array(list(itertools.product(np.arange(-6, 7) / 2.0,
+                                             repeat=3)))
+        proj = convex._projector(s)
+        for x, row in zip(xs, proj(xs)):
+            assert np.array(proj.float_form(tuple(x.tolist()))).tobytes() \
+                == row.tobytes()
+
+    def test_an_empty_intersection_raises(self):
+        s = ok.halfspace_intersection(
+            [[1.0, 0.2, 0.0], [-1.0, -0.2, 0.0], [0.0, 0.0, 1.0]],
+            [-1.0, -1.0, 0.0])
+        proj = convex._projector(s)
+        xs = np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 2.0], [-3.0, 0.5, -1.0]])
+        for x in xs:
+            for call in (lambda: proj.float_form(tuple(x.tolist())),
+                         lambda: proj(x.copy()), lambda: proj(x[None])):
+                with pytest.raises(ProjectionError,
+                                   match="halfspace intersection is empty"):
+                    call()
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_the_pass_cap_is_the_stacks(self, monkeypatch, cap):
+        s = _polytopes3(np.random.default_rng(3100), 1)[0]
+        xs = _rows3(s, np.random.default_rng(3101), 80)
+        refs = convex._projector(s)(xs)
+        monkeypatch.setattr(convex, "PROJ_MAX_ITERS", cap)
+        message = f"active-set projection exceeded {cap} passes"
+        proj, within = convex._projector(s), 0
+        for x, ref in zip(xs, refs):
+            try:
+                got = proj.float_form(tuple(x.tolist()))
+            except ProjectionError as exc:
+                assert str(exc) == message
+                with pytest.raises(ProjectionError, match=message):
+                    proj(x[None])
+            else:
+                assert np.array(got).tobytes() == ref.tobytes()
+                within += 1
+        assert 0 < within < len(xs)

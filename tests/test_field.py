@@ -220,6 +220,16 @@ def test_constant_float_form_matches_the_array_point():
             assert type(got) is float
             assert np.float64(got).tobytes() == at(np.array([x]))[0, 0]\
                 .tobytes()
+    # for d = 3 the rows of H, each a 3-tuple of Python floats, with the
+    # array point's bits
+    mat = [[1.5, 0.3, -0.0], [0.3, 1.0, 0.2], [-0.0, 0.2, 1.2]]
+    at = ok.make_field_eval(ok.constant_field(mat, c=2.0))
+    for x in ((0.0, -0.0, 0.3), (np.nan, np.inf, -1e300)):
+        got = at.float_form(x)
+        assert type(got) is tuple and all(
+            type(row) is tuple and all(type(v) is float for v in row)
+            for row in got)
+        assert np.array(got).tobytes() == at(np.array(x)).tobytes()
     # every other field keeps the kernel's array point path
     for hf in (ok.constant_field(np.eye(2), c=1.0),
                ok.diagonal_affine_field([1.0], [[0.3]], c=2.0, b=0.5,

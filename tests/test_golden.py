@@ -16,7 +16,10 @@ re-recorded once more when its prox became a closed-form active set in
 the original coordinates (boxqp) in place of the projection in the metric
 K = I/eps + A: it moved by at most 4.1e-15 in x_quad and 3.7e-15 in
 k_quad.  The ensemble digests were recorded from the Monte Carlo loop that
-ran one path at a time.
+ran one path at a time.  The simplex3 entry was recorded once its points
+swept on 3-tuples of floats, every product of a normal with a state and of
+H(x) with g summed in code order, where they were ndarray.dot: that moved
+the level by at most 4.4e-16 in x_quad and 7.2e-16 in k_quad.
 """
 
 import hashlib
@@ -39,6 +42,18 @@ def _box_rotation_level():
     # three substeps per cell
     sc = ok.load_scenario(os.path.join(SCEN, "box-rotation.json"))
     eps = 0.007
+    cfg = ok.PenalizedConfig(eps=eps, substep_ratio=sc.substep_ratio,
+                             guard_radius=sc.guard_radius)
+    return ok.solve_penalized(sc.phi, sc.hf, sc.f, ok.mollify(sc.m, eps),
+                              sc.x0, cfg)
+
+
+def _simplex3_level():
+    # fourth ladder level of the benchmark's simplex3: a constant drift and
+    # field on an acute 3-D simplex, two substeps per cell
+    sc = ok.load_scenario(os.path.join(SCEN, os.pardir, "bench", "scenarios",
+                                       "simplex3.json"))
+    eps = 0.013
     cfg = ok.PenalizedConfig(eps=eps, substep_ratio=sc.substep_ratio,
                              guard_radius=sc.guard_radius)
     return ok.solve_penalized(sc.phi, sc.hf, sc.f, ok.mollify(sc.m, eps),
@@ -177,6 +192,11 @@ GOLDEN = {
         CLOSURE_KINDS["affine-box"], 2,
         "42ed0d62f1d58031663ba4565fed59851e45632790d1646d215bf317ef047869",
         "12926ce8b674b10d0e8ca2d250e1e02ba9a5245a9daea4eaeaa1d448aad4346e",
+        None),
+    "simplex3-eps0.013": (
+        _simplex3_level, 2,
+        "1ba6f098657237993750b15de0593f4ea92f0374d9041bb7f077435ee5cf586d",
+        "93e15cf45edbef75607821bd1f6314faab251fc7abea40db4e402d1e51f33702",
         None),
     "ball-diagonal-affine-eps0.01": (
         CLOSURE_KINDS["ball-diagonal-affine"], 2,

@@ -665,12 +665,28 @@ def _quad_box_problem() -> ok.SviProblem:
         n=16, test_points=(np.array([0.5, 0.5]),))
 
 
+def _simplex3_problem() -> ok.SviProblem:
+    # the benchmark's simplex3 set and field under its constant drift and
+    # a constant 3 x 3 diffusion: a lone path sweeps on 3-tuples of floats,
+    # its H(x) g and the projector's products in code order
+    sc = ok.load_scenario(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "bench", "scenarios", "simplex3.json"))
+    return ok.SviProblem(
+        phi=sc.phi, hf=sc.hf, f=sc.f,
+        g=ok.constant_diffusion([[0.6, 0.1, 0.0], [0.0, 0.5, 0.2],
+                                 [-0.2, 0.0, 0.7]]),
+        x0=sc.x0, dt=1.0 / 128.0, horizon=0.5, n=16, u0=sc.u0,
+        test_points=(np.array([0.2, 0.3, 0.4]), np.array([1.5, 0.0, 0.0]),
+                     np.array([0.0, 0.0, 0.0])))
+
+
 # name -> (problem, paths, base seed)
 CHUNK_CASES = {
     "halfline-svi": (_scenario_problem, 70, 42),
     "triangle-affine": (_triangle_problem, 20, 7),
     "ball-rotation-blend": (_ball_problem, 20, 100),
     "quad-box": (_quad_box_problem, 20, 300),
+    "simplex3": (_simplex3_problem, 20, 900),
 }
 
 
@@ -860,7 +876,8 @@ class TestChunks:
         for seed, sol in zip(out["seeds_ok"], out["paths"]):
             _assert_solo(sol, solo[seed])
 
-    @pytest.mark.parametrize("name", ["halfline-svi", "triangle-affine"])
+    @pytest.mark.parametrize("name", ["halfline-svi", "triangle-affine",
+                                      "simplex3"])
     def test_a_lone_path_takes_stretches_with_its_chunk_row_bits(
             self, monkeypatch, name):
         # a one-seed sweep takes interior stretches with stacked prox calls
@@ -1011,10 +1028,12 @@ class TestChunkCertificates:
     per chunk from its arrays, equal its solo solution's bit for bit."""
 
     @pytest.mark.parametrize("name", ["halfline-svi-256", "triangle-affine",
-                                      "halfline-breach"])
+                                      "halfline-breach", "simplex3"])
     def test_every_path_equals_its_solo_certificates(self, monkeypatch, name):
         if name == "halfline-svi-256":
             p, n_paths, base = _scenario_problem(), 256, 42
+        elif name == "simplex3":
+            p, n_paths, base = _simplex3_problem(), 20, 900
         elif name == "triangle-affine":
             p, n_paths, base = dataclasses.replace(
                 _triangle_problem(), u0=np.array([0.4, 0.4]),

@@ -526,10 +526,11 @@ def reference_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
     """The substep kernel of one path as a plain loop over every substep:
     one prox, one field evaluation and one update each, k summed as it
     goes.  _sweep skips and stacks work, and must give the same bits.
-    prox_rows goes unused.  The reference keeps its own drift path, apart
-    from _sweep's one input form: given a per-substep drift array, which
-    fill fills, it adds each filled block's cell rates into drift[q], and
-    substep q reads drift[q]."""
+    prox_rows goes unused.  H(x) g is @, and for d = 3 each entry summed
+    in code order, ((0 + h_i0 g_0) + h_i1 g_1) + h_i2 g_2.  The reference
+    keeps its own drift path, apart from _sweep's one input form: given a
+    per-substep drift array, which fill fills, it adds each filled block's
+    cell rates into drift[q], and substep q reads drift[q]."""
     eps, h = cfg.eps, dt / n_sub
     guard2 = cfg.guard_radius * cfg.guard_radius
     n_steps = xq.shape[0] - 1
@@ -551,7 +552,10 @@ def reference_sweep(xq, n_sub, dt, cfg, prox, prox_rows, field_at, rates,
                 drift[lo:hi] += rates[cells[lo - first:hi - first]]
         for q in range(j * n_sub, (j + 1) * n_sub):
             g = (x - prox(x)) / eps
-            hg = field_at(x) @ g
+            hx = field_at(x)
+            hg = hx @ g if g.size != 3 else np.array(
+                [((0.0 + hi[0] * g[0]) + hi[1] * g[1]) + hi[2] * g[2]
+                 for hi in hx])
             if q < first:
                 x = x - h * hg
             else:
@@ -888,7 +892,7 @@ class TestBeforeTheDelay:
 
 def arrays_only(fn):
     """fn behind a plain function: without its float_form, _sweep keeps a
-    1-D or 2-D point on arrays."""
+    point on arrays."""
     return lambda x: fn(x)
 
 
@@ -1243,30 +1247,171 @@ class TestPairPoints:
         assert_same_runs(runs)
         assert runs[0][1].startswith("state norm ")
 
-    def test_quad_box_levels_sweep_on_floats(self, monkeypatch):
-        # the benchmark's quad-box scenario gets both float forms, so its
-        # levels, det's costliest command, run the float loop: whole levels
-        # with and without the forms and on the reference loop
-        sc = ok.load_scenario(os.path.join(ROOT,
-                                           "bench/scenarios/quad-box.json"))
-        assert hasattr(convex.make_resolvent(sc.phi, 0.1), "float_form")
-        assert hasattr(ok.make_field_eval(sc.hf), "float_form")
-        for eps in (0.1, 0.013):
-            cfg = ok.PenalizedConfig(eps=eps)
-            m = ok.mollify(sc.m, eps)
+
+DET_SCENARIOS = ["scenarios/halfline-ramp.json", "scenarios/box-rotation.json",
+                 "bench/scenarios/quad-box.json",
+                 "bench/scenarios/simplex3.json"]
+
+
+@pytest.mark.parametrize("path", DET_SCENARIOS)
+def test_det_scenarios_sweep_on_floats(path, monkeypatch):
+    # every scenario of the benchmark's det workload gets both float
+    # forms, so its levels run a float loop (a closure that lost its form
+    # would run the array loop, 5 to 20 times slower per substep): whole
+    # levels on the float loop, the array loop and the reference loop
+    # agree bit for bit
+    sc = ok.load_scenario(os.path.join(ROOT, path))
+    assert hasattr(convex.make_resolvent(sc.phi, 0.1), "float_form")
+    assert hasattr(ok.make_field_eval(sc.hf), "float_form")
+    spies = []
+
+    def spied(hf):
+        spies.append(Spy(ok.make_field_eval(hf)))
+        return spies[-1]
+    for eps in (0.1, 0.013):
+        cfg = ok.PenalizedConfig(eps=eps)
+        m = ok.mollify(sc.m, eps)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "make_field_eval", spied)
             sol = ok.solve_penalized(sc.phi, sc.hf, sc.f, m, sc.x0, cfg)
-            others = []
-            with monkeypatch.context() as mp:
-                for name in ("make_resolvent", "make_field_eval"):
-                    mp.setattr(solver, name, lambda *a, b=getattr(
-                        solver, name): arrays_only(b(*a)))
-                others.append(ok.solve_penalized(sc.phi, sc.hf, sc.f, m,
-                                                 sc.x0, cfg))
-            with monkeypatch.context() as mp:
-                mp.setattr(solver, "_sweep", whole_reference)
-                others.append(ok.solve_penalized(sc.phi, sc.hf, sc.f, m,
-                                                 sc.x0, cfg))
-            for ref in others:
+        others = []
+        with monkeypatch.context() as mp:
+            for name in ("make_resolvent", "make_field_eval"):
+                mp.setattr(solver, name, lambda *a, b=getattr(
+                    solver, name): arrays_only(b(*a)))
+            others.append(ok.solve_penalized(sc.phi, sc.hf, sc.f, m,
+                                             sc.x0, cfg))
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_sweep", whole_reference)
+            others.append(ok.solve_penalized(sc.phi, sc.hf, sc.f, m,
+                                             sc.x0, cfg))
+        for ref in others:
+            assert_bits(sol.x_quad, ref.x_quad)
+            assert_bits(sol.k_quad, ref.k_quad)
+            assert sol.diagnostics == ref.diagnostics
+    # H came from the float form alone
+    assert all(spy.calls == 0 for spy in spies)
+    assert sum(spy.float_calls for spy in spies) > 0
+
+
+def triple_case(rng, affine=False):
+    """A random polytope of d = 3 with 3 to 6 faces around a random point
+    (an indicator or an affine function on it) and a random constant
+    field with spectrum in [0.6, 1.8]: the kinds whose 3-D points sweep on
+    floats."""
+    m = int(rng.integers(3, 7))
+    normals = rng.standard_normal((m, 3))
+    centre = rng.normal(0.0, 0.5, 3)
+    s = ok.halfspace_intersection(
+        normals, normals @ centre + rng.uniform(0.3, 1.0, m))
+    phi = ok.lipschitz_affine_plus_indicator(
+        rng.normal(0.0, 1.0, 3), 0.1, s, r0=0.05, h0=1.0) if affine \
+        else ok.indicator(s, r0=0.05, h0=1.0)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    mat = q @ np.diag(rng.uniform(0.6, 1.8, 3)) @ q.T
+    return phi, ok.constant_field(mat + mat.T, c=4.0), centre
+
+
+class TestTriplePoints:
+    """A 3-D point on a polytope of two or more faces under a constant
+    field sweeps on 3-tuples of Python floats, H(x) g in code order; it
+    must give the array loop's bits and the reference loop's, breaches
+    included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sweeps_match_the_array_and_reference_loops(self, seed):
+        # inputs steep enough to cross faces and corners, from x0 inside,
+        # on a face and outside (g not 0 through the substeps before the
+        # delay, which read the rate -0.0)
+        rng = np.random.default_rng(300 + seed)
+        phi, hf, centre = triple_case(rng, affine=seed % 2 == 1)
+        n, o = phi.domain.normals[0], phi.domain.offsets[0]
+        on_face = centre - (n @ centre - o) * n
+        starts = [centre, on_face, centre + 2.0 * n,
+                  centre + 3.0 * phi.domain.normals.sum(axis=0)]
+        rates = rng.normal(0.0, 8.0, (50, 3))
+        calls = []
+        for x0 in starts:
+            for eps in (0.02, 0.2):
+                runs, spy = sweep_three(phi, hf, rates, x0,
+                                        ok.PenalizedConfig(eps=eps))
+                assert_same_runs(runs)
+                assert not isinstance(runs[0][1], str)
+                calls.append((spy.calls, spy.float_calls))
+        assert max(calls)[0] == 0 and min(calls[-2:])[1] > 0
+
+    @pytest.mark.parametrize("bad", ["climb", "fall", "nan", "inf"])
+    def test_guard_breaches(self, bad):
+        # a state climbing out of a small guard ball, one pushed out by a
+        # steep fall in the loop, or a bad input: the same StabilityBreach
+        # message and time on floats
+        phi, hf, centre = triple_case(np.random.default_rng(13))
+        cfg, rates = ok.PenalizedConfig(eps=0.02), np.ones((50, 3))
+        if bad == "climb":
+            phi = ok.indicator(ok.halfspace_intersection(
+                np.vstack((np.eye(3), -np.ones(3))), [10.0, 10.0, 10.0, 30.0]),
+                r0=0.1, h0=1.0)
+            cfg = ok.PenalizedConfig(eps=0.02, guard_radius=2.0)
+            rates *= 30.0
+        elif bad == "fall":
+            cfg = ok.PenalizedConfig(eps=0.2, guard_radius=6.0)
+            rates *= -300.0
+        else:
+            rates[6, 2] = getattr(np, bad)
+        runs, _ = sweep_three(phi, hf, rates, centre, cfg)
+        assert_same_runs(runs)
+        assert runs[0][1].startswith("state norm ")
+
+    def test_the_guard_test_near_the_ball_edge(self):
+        # states outside the polytope, where the loop takes the first
+        # substep and x0 x0 + x1 x1 + x2 x2 and x.dot(x) round to
+        # different floats: with guard^2 between the two the float loop
+        # decides as x.dot(x) does
+        phi, hf, _ = triple_case(np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        rates, found = np.zeros((5, 3)), 0
+        for _ in range(2000):
+            x0 = rng.uniform(1.5, 3.0, 3) * np.sign(
+                phi.domain.normals.sum(axis=0))
+            runs, _ = sweep_three(phi, hf, rates, x0,
+                                  ok.PenalizedConfig(eps=0.02))
+            x1 = runs[1][0][1]
+            a, b = sorted((float(x1[0] * x1[0] + x1[1] * x1[1]
+                                 + x1[2] * x1[2]), float(x1.dot(x1))))
+            r = [c for c in (math.sqrt(a), float(np.nextafter(
+                math.sqrt(a), np.inf))) if a <= c * c < b]
+            if a == b or not r:
+                continue
+            runs, _ = sweep_three(phi, hf, rates, x0, ok.PenalizedConfig(
+                eps=0.02, guard_radius=r[0]))
+            assert_same_runs(runs)
+            found += 1
+            if found == 4:
+                break
+        assert found == 4
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_levels_with_a_drift_match_the_array_loop(self, seed,
+                                                      monkeypatch):
+        # whole solve_penalized levels on a sinusoid input, with a drift
+        # that reads the state (filled on the substep grid) and a
+        # constant one, with and without the float forms
+        rng = np.random.default_rng(400 + seed)
+        phi, hf, centre = triple_case(rng, affine=seed == 1)
+        m = sinusoid_path(rng.normal(0.0, 2.0, 3), period=0.4)
+        drifts = [ok.affine_drift(rng.normal(0.0, 1.0, (3, 3)),
+                                  rng.normal(0.0, 1.0, 3), fsharp=10.0),
+                  ok.constant_drift(rng.normal(0.0, 1.0, 3))]
+        for drift in drifts:
+            for eps in (0.1, 0.013):
+                cfg = ok.PenalizedConfig(eps=eps)
+                mm = ok.mollify(m, eps)
+                sol = ok.solve_penalized(phi, hf, drift, mm, centre, cfg)
+                with monkeypatch.context() as mp:
+                    for name in ("make_resolvent", "make_field_eval"):
+                        mp.setattr(solver, name, lambda *a, b=getattr(
+                            solver, name): arrays_only(b(*a)))
+                    ref = ok.solve_penalized(phi, hf, drift, mm, centre, cfg)
                 assert_bits(sol.x_quad, ref.x_quad)
                 assert_bits(sol.k_quad, ref.k_quad)
                 assert sol.diagnostics == ref.diagnostics
